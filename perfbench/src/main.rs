@@ -2,7 +2,7 @@
 //!
 //! `ffsm-perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
 //! [--work-dir <dir>]` generates the workload's inputs from the seed, sets up
-//! (several times, reporting the median), measures for the given seconds with
+//! (many times, spread over the run, reporting the fastest), measures for the given seconds with
 //! tracing off, checks every result against a reference, and prints one JSON
 //! line last: the end-to-end metrics with `--trace 0`, the per-layer metrics
 //! of a separate traced replay with `--trace 1`.  See `README.md` for every
@@ -20,7 +20,7 @@ pub const WORKLOADS: [&str; 4] = ["sparse_mni", "overlap_mis", "serve_mixed", "s
 
 /// Every per-layer metric with its unit, in report order.  A workload that
 /// leaves a layer idle reports it as 0.
-pub const LAYER_METRICS: [(&str, &str); 41] = [
+pub const LAYER_METRICS: [(&str, &str); 44] = [
     ("match.index_build_ms", "ms"),
     ("match.candidate_space_ms", "ms"),
     ("match.candidate_space_calls", "count"),
@@ -57,10 +57,13 @@ pub const LAYER_METRICS: [(&str, &str); 41] = [
     ("serve.overhead_ms", "ms"),
     ("serve.rejected", "count"),
     ("serve.update_p50_ms", "ms"),
+    ("serve.deep_mine_p50_ms", "ms"),
+    ("serve.saturation_rps", "req/s"),
     ("serve.lateness_p90_ms", "ms"),
     ("trace.overhead_ms", "ms"),
     ("trace.coverage", "ratio"),
     ("failed_frac", "ratio"),
+    ("mine_p50_ms", "ms"),
     ("mine_p90_ms", "ms"),
 ];
 

@@ -6,7 +6,7 @@ use ffsm_graph::canonical::{canonical_code, CanonicalCode};
 use ffsm_miner::MiningResult;
 use ffsm_shard::ShardStoreStats;
 use std::collections::BTreeMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The `q`-quantile of `sorted` (ascending, non-empty), interpolating linearly
 /// between the two closest ranks.  Always computed from the raw samples, never
@@ -32,6 +32,10 @@ impl Samples {
         self.0.len()
     }
 
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
     /// The `q`-quantile, or `None` without samples.
     pub fn quantile(&self, q: f64) -> Option<f64> {
         if self.0.is_empty() {
@@ -46,6 +50,16 @@ impl Samples {
         self.quantile(0.5)
     }
 
+    /// The fastest sample: the time the work takes when the host lets it run
+    /// at full speed.
+    pub fn min(&self) -> Option<f64> {
+        self.quantile(0.0)
+    }
+
+    pub fn extend(&mut self, other: &Samples) {
+        self.0.extend_from_slice(&other.0);
+    }
+
     /// `"p50 1.234 ms (n = 12)"`-style rendering; every printed percentile
     /// carries its sample count.
     pub fn describe(&self, q: f64, unit: &str) -> String {
@@ -56,15 +70,16 @@ impl Samples {
     }
 }
 
-/// Run `set_up` at least 5 times and until a second has passed (at most 500
+/// Run `set_up` at least once and until `at_least` has passed (at most 5000
 /// times), dropping each product before the next; returns the last product
-/// and the durations in seconds.  A set-up that takes well under a
-/// millisecond needs the many repeats for a steady median.
-pub fn repeat_set_up<T>(mut set_up: impl FnMut() -> T) -> (T, Samples) {
+/// and the durations in seconds.  The workloads call it at the start and
+/// again during or after the timed loop: the host's CPU speed swings over
+/// seconds, and set-up samples taken all at once would see only one swing.
+pub fn repeat_set_up<T>(mut set_up: impl FnMut() -> T, at_least: Duration) -> (T, Samples) {
     let start = Instant::now();
     let mut times = Samples::default();
     let mut last = None;
-    while times.len() < 5 || (start.elapsed().as_secs_f64() < 1.0 && times.len() < 500) {
+    while times.is_empty() || (start.elapsed() < at_least && times.len() < 5000) {
         drop(last.take());
         let t = Instant::now();
         last = Some(set_up());
@@ -288,6 +303,7 @@ mod tests {
             s.push(v);
         }
         assert_eq!(s.median(), Some(5.0));
+        assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.quantile(0.75), Some(9.0));
         assert!((s.quantile(0.9).unwrap() - 82.2).abs() < 1e-9);
         assert_eq!(s.describe(0.5, "ms"), "p50 5.000 ms (n = 5)");
