@@ -21,7 +21,9 @@
 //! * at the largest K of the sweep, spilled peak residency ≤ 50% of the
 //!   whole-graph bytes;
 //! * every sharded run stays within 2x of the unsharded wall time (plus a
-//!   small absolute slack for noisy CI machines).
+//!   small absolute slack for noisy CI machines);
+//! * every spilled run loads at most `shards × levels_completed` shards — the
+//!   shard-major evaluation bound, which a per-candidate reload loop breaks.
 //!
 //! Usage: `shard_bench [--communities N] [--community-size N] [--tau T]
 //! [--max-edges N] [--rounds K] [--out PATH]` (defaults: 32 communities of
@@ -55,6 +57,7 @@ struct ShardedRun {
     result: MiningResult,
     peak_resident_bytes: u64,
     loads: u64,
+    levels: usize,
 }
 
 fn mine_sharded(partitioned: &Arc<PartitionedGraph>, tau: f64, max_edges: usize) -> ShardedRun {
@@ -67,6 +70,7 @@ fn mine_sharded(partitioned: &Arc<PartitionedGraph>, tau: f64, max_edges: usize)
         .expect("sharded mine");
     ShardedRun {
         elapsed: start.elapsed(),
+        levels: result.stats.levels_completed,
         result,
         peak_resident_bytes: run.store.peak_resident_bytes,
         loads: run.store.loads,
@@ -119,6 +123,7 @@ fn main() {
     let mut entries = Vec::new();
     let mut whole_bytes = 0u64;
     let mut spilled_peaks = std::collections::BTreeMap::new();
+    let mut spilled_loads = Vec::new();
     let mut resident_times = Vec::new();
     for k in shard_counts {
         let spec = PartitionSpec::vertex_range(k, max_edges);
@@ -151,6 +156,7 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(spilled.result.len(), base.len(), "K={k} spilled: pattern count diverged");
         spilled_peaks.insert(k, spilled.peak_resident_bytes);
+        spilled_loads.push((k, spilled.loads, spilled.levels));
 
         let ratio = resident.elapsed.as_secs_f64() / base_elapsed.as_secs_f64().max(1e-9);
         let memory_ratio = spilled.peak_resident_bytes as f64 / whole_bytes.max(1) as f64;
@@ -166,13 +172,14 @@ fn main() {
         entries.push(format!(
             "    {{\"shards\": {k}, \"max_resident\": {max_resident}, \
              \"resident_us\": {}, \"spilled_us\": {}, \"unsharded_us\": {}, \
-             \"wall_ratio\": {ratio:.4}, \"loads\": {}, \
+             \"wall_ratio\": {ratio:.4}, \"loads\": {}, \"levels\": {}, \
              \"peak_resident_bytes\": {}, \"whole_graph_bytes\": {whole_bytes}, \
              \"memory_ratio\": {memory_ratio:.4}}}",
             resident.elapsed.as_micros(),
             spilled.elapsed.as_micros(),
             base_elapsed.as_micros(),
             spilled.loads,
+            spilled.levels,
             spilled.peak_resident_bytes,
         ));
     }
@@ -195,6 +202,13 @@ fn main() {
         "K={largest} with max_resident {max_resident}: peak residency {peak} bytes exceeds 50% \
          of the whole graph ({whole_bytes} bytes) — the out-of-core claim no longer holds"
     );
+    for (k, loads, levels) in spilled_loads {
+        assert!(
+            loads <= (k * levels) as u64,
+            "K={k} spilled: {loads} shard loads over {levels} levels exceeds one load per shard \
+             per level — level evaluation is no longer shard-major"
+        );
+    }
     let budget =
         Duration::from_nanos((base_elapsed.as_nanos() as u64) * 2) + Duration::from_millis(250);
     for (k, elapsed) in resident_times {

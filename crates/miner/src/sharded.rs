@@ -3,11 +3,24 @@
 //!
 //! The driver reproduces the unsharded engine's level loop *exactly* — same
 //! seeds, same deduplication, same threshold/top-k application order, same
-//! budget and interruption semantics — and replaces only the per-candidate
-//! support evaluation: occurrences are enumerated **per shard** with the
-//! whole-graph matcher machinery unchanged, remapped to global vertex ids,
-//! deduplicated by the anchor-shard rule, merged into one global
-//! [`OccurrenceSet`], and handed to the very same measure implementation.
+//! budget and interruption semantics — and replaces only the support
+//! evaluation of a level, which runs **shard-major**:
+//!
+//! 1. each shard is fetched from the store once per level and its
+//!    `GraphIndex` taken once;
+//! 2. every candidate of the level is enumerated on that shard with the
+//!    whole-graph matcher machinery unchanged, and the images the shard owns
+//!    by the anchor-shard rule are remapped to global vertex ids and appended
+//!    to the candidate's flat level buffer (one `Vec<VertexId>` of stride
+//!    `pattern.num_vertices()`);
+//! 3. after the last shard, each buffer is sorted into one global
+//!    [`OccurrenceSet`], handed to the very same measure implementation, and
+//!    freed.
+//!
+//! A level therefore costs at most K shard loads however many candidates it
+//! holds.  The shard order alternates between ascending and descending per
+//! level, so the LRU store begins each level with the shards the previous one
+//! left resident.
 //!
 //! ## Why the merge is exact
 //!
@@ -32,11 +45,11 @@ use crate::extension::{dedupe_with_codes, extensions};
 use crate::session::{MeasureSelection, MiningBudget, SessionConfig};
 use crate::types::{BudgetKind, Completion, FrequentPattern, MiningResult, MiningStats};
 use ffsm_core::{
-    enumerate_with, CancelToken, EnumeratorBackend, FfsmError, MeasureConfig, MeasureKind,
-    OccurrenceSet, SearchArena, SupportMeasure,
+    enumerate_with, CancelToken, EnumerationResult, EnumeratorBackend, FfsmError, MeasureConfig,
+    MeasureKind, OccurrenceSet, SearchArena, SupportMeasure,
 };
 use ffsm_graph::canonical::CanonicalCode;
-use ffsm_graph::isomorphism::IsoConfig;
+use ffsm_graph::isomorphism::{Embedding, IsoConfig};
 use ffsm_graph::{patterns, Pattern, VertexId};
 use ffsm_obs::{tls, Phase, PhaseTimes, SearchCounters};
 use ffsm_shard::{PartitionedGraph, ShardStoreStats};
@@ -169,7 +182,9 @@ impl ShardedSession {
     ///
     /// * [`FfsmError::Partition`] — `max_edges` exceeds the partition's halo
     ///   depth (with more than one shard), so per-shard enumeration could miss
-    ///   embeddings that dangle past the halo.
+    ///   embeddings that dangle past the halo; or the shard store cannot fetch
+    ///   a shard (a missing or corrupt spill file, a poisoned store), which
+    ///   fails the level it happens in.
     pub fn run(self) -> Result<MiningResult, FfsmError> {
         Ok(self.run_detailed()?.0)
     }
@@ -238,16 +253,79 @@ impl ShardedSession {
 }
 
 /// One evaluated candidate: the merged global support plus shard bookkeeping.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 struct ShardEval {
     support: f64,
     num_occurrences: usize,
     cross_shard: u64,
-    error: Option<FfsmError>,
+}
+
+/// One candidate's kept occurrences from the shards visited so far in a level,
+/// stored flat: image `k` is `images[k * stride..(k + 1) * stride]` with
+/// `stride` the pattern's vertex count.  One allocation per candidate instead
+/// of one per occurrence keeps a whole level's buffers close to the size of
+/// the vertex ids themselves.
+#[derive(Debug)]
+struct LevelBuffer {
+    candidate: usize,
+    images: Vec<VertexId>,
+    complete: bool,
+    cross_shard: u64,
+}
+
+impl LevelBuffer {
+    /// Append one shard's enumeration of the candidate: remap every image to
+    /// global ids and keep it only when `shard` owns its anchor (minimum
+    /// global image vertex).
+    fn append(
+        &mut self,
+        result: EnumerationResult,
+        to_global: &[VertexId],
+        assignment: &[u32],
+        shard: u32,
+    ) {
+        self.complete &= result.complete;
+        for local in result.embeddings {
+            let start = self.images.len();
+            self.images.extend(local.iter().map(|&v| to_global[v as usize]));
+            let image = &self.images[start..];
+            let anchor = *image.iter().min().expect("patterns are non-empty");
+            if assignment[anchor as usize] != shard {
+                self.images.truncate(start);
+            } else if image.iter().any(|&v| assignment[v as usize] != shard) {
+                self.cross_shard += 1;
+            }
+        }
+    }
+}
+
+/// Run `work` once per worker on that worker's bucket and arena — inline for a
+/// single worker, on scoped threads otherwise — and return the results in
+/// worker order.
+fn on_workers<B: Send, R: Send>(
+    buckets: &mut [B],
+    arenas: &mut [SearchArena],
+    work: impl Fn(&mut B, &mut SearchArena) -> R + Sync,
+) -> Vec<R> {
+    if let ([bucket], [arena, ..]) = (&mut *buckets, &mut *arenas) {
+        return vec![work(bucket, arena)];
+    }
+    std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = buckets
+            .iter_mut()
+            .zip(arenas.iter_mut())
+            .map(|(bucket, arena)| scope.spawn(move || work(bucket, arena)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("sharded mining worker panicked"))
+            .collect()
+    })
 }
 
 /// The validated sharded mining loop — a mirror of the unsharded
-/// `EngineState::step` sequence with the per-candidate evaluation swapped out.
+/// `EngineState::step` sequence with the level evaluation swapped out.
 struct ShardedEngine {
     partitioned: Arc<PartitionedGraph>,
     measure: Arc<dyn SupportMeasure>,
@@ -274,98 +352,101 @@ impl ShardedEngine {
         None
     }
 
-    /// Enumerate, remap, anchor-filter and merge one candidate across every
-    /// shard, then measure the merged global occurrence set.
-    fn evaluate_candidate(&self, pattern: &Pattern, arena: &mut SearchArena) -> ShardEval {
+    /// Evaluate one level shard-major: fetch each shard once, enumerate every
+    /// candidate on it into that candidate's [`LevelBuffer`], and measure the
+    /// merged sets only after the last shard.  Shards are visited in ascending
+    /// order, or descending when `descending` — alternating per level lets the
+    /// LRU store start each level with the shards the previous one left
+    /// resident.  Worker `w` of `workers` owns candidates `w, w + workers, …` in
+    /// both passes (the unsharded engine's round-robin split) and the merge
+    /// sorts, so neither the thread count nor the shard order changes the
+    /// result.
+    ///
+    /// # Errors
+    ///
+    /// A shard the store cannot fetch fails the whole level.
+    fn evaluate_level(
+        &self,
+        candidates: &[(Pattern, CanonicalCode)],
+        descending: bool,
+        arenas: &mut [SearchArena],
+    ) -> Result<(Vec<ShardEval>, tls::ThreadTotals), FfsmError> {
+        let workers = self.threads.min(candidates.len()).max(1);
+        let mut buckets: Vec<Vec<LevelBuffer>> = (0..workers)
+            .map(|w| {
+                (w..candidates.len())
+                    .step_by(workers)
+                    .map(|candidate| LevelBuffer {
+                        candidate,
+                        images: Vec::new(),
+                        complete: true,
+                        cross_shard: 0,
+                    })
+                    .collect()
+            })
+            .collect();
+        let arenas = &mut arenas[..workers];
         let assignment: &[u32] = self.partitioned.assignment();
         let use_index = !matches!(self.iso_config.backend, EnumeratorBackend::Naive);
-        let mut merged: Vec<Vec<VertexId>> = Vec::new();
-        let mut complete = true;
-        let mut cross_shard = 0u64;
-        for s in 0..self.partitioned.num_shards() {
-            let shard = match self.partitioned.shard(s) {
-                Ok(shard) => shard,
-                Err(e) => return ShardEval { error: Some(e), ..ShardEval::default() },
-            };
-            let graph = shard.graph();
-            if graph.num_vertices() < pattern.num_vertices() {
-                continue;
-            }
-            let result = if use_index {
-                let index = shard.index();
-                enumerate_with(pattern, graph, Some(&index), self.iso_config.clone(), arena)
-            } else {
-                enumerate_with(pattern, graph, None, self.iso_config.clone(), arena)
-            };
-            complete &= result.complete;
-            let to_global = shard.to_global();
-            let shard_id = s as u32;
-            for local in result.embeddings {
-                let global: Vec<VertexId> = local.iter().map(|&v| to_global[v as usize]).collect();
-                let anchor = *global.iter().min().expect("patterns are non-empty");
-                if assignment[anchor as usize] == shard_id {
-                    if global.iter().any(|&v| assignment[v as usize] != shard_id) {
-                        cross_shard += 1;
+        let num_shards = self.partitioned.num_shards();
+        for step in 0..num_shards {
+            let s = if descending { num_shards - 1 - step } else { step };
+            let shard = self.partitioned.shard(s)?;
+            let index = use_index.then(|| shard.index());
+            let (graph, to_global) = (shard.graph(), shard.to_global());
+            on_workers(&mut buckets, arenas, |bucket, arena| {
+                for buffer in bucket.iter_mut() {
+                    let pattern = &candidates[buffer.candidate].0;
+                    if graph.num_vertices() < pattern.num_vertices() {
+                        continue;
                     }
-                    merged.push(global);
+                    let config = self.iso_config.clone();
+                    let result = enumerate_with(pattern, graph, index.as_deref(), config, arena);
+                    buffer.append(result, to_global, assignment, s as u32);
                 }
+            });
+        }
+
+        let mut results = vec![ShardEval::default(); candidates.len()];
+        let mut measure_totals = tls::ThreadTotals::default();
+        let measured = on_workers(&mut buckets, arenas, |bucket, _| {
+            let before = tls::snapshot();
+            let evals: Vec<(usize, ShardEval)> = bucket
+                .drain(..)
+                .map(|buffer| {
+                    let candidate = buffer.candidate;
+                    (candidate, self.measure_merged(&candidates[candidate].0, buffer))
+                })
+                .collect();
+            (evals, tls::snapshot().delta_since(&before))
+        });
+        for (evals, delta) in measured {
+            measure_totals.overlap_probes += delta.overlap_probes;
+            measure_totals.overlap_build_nanos += delta.overlap_build_nanos;
+            for (i, eval) in evals {
+                results[i] = eval;
             }
         }
+        Ok((results, measure_totals))
+    }
+
+    /// Rebuild a candidate's merged global occurrence set from its flat buffer
+    /// and measure it.  The buffer is consumed, so its memory goes back as soon
+    /// as its candidate is measured.
+    fn measure_merged(&self, pattern: &Pattern, buffer: LevelBuffer) -> ShardEval {
+        let mut merged: Vec<Embedding> =
+            buffer.images.chunks_exact(pattern.num_vertices()).map(<[VertexId]>::to_vec).collect();
+        drop(buffer.images);
         // Canonical global order: the measures are order-invariant (they are
         // graph invariants of the occurrence hypergraph), sorting just makes
         // the merged set independent of the shard iteration.
         merged.sort_unstable();
-        let occ = OccurrenceSet::from_embeddings(pattern.clone(), merged, complete);
+        let occ = OccurrenceSet::from_embeddings(pattern.clone(), merged, buffer.complete);
         ShardEval {
             support: self.measure.support(&occ),
             num_occurrences: occ.num_occurrences(),
-            cross_shard,
-            error: None,
+            cross_shard: buffer.cross_shard,
         }
-    }
-
-    /// Evaluate every candidate in order on `threads` workers — the same
-    /// round-robin partition / in-order merge as the unsharded engine, so the
-    /// thread count never changes the result.
-    fn evaluate_level(
-        &self,
-        candidates: &[(Pattern, CanonicalCode)],
-        arenas: &mut [SearchArena],
-    ) -> (Vec<ShardEval>, tls::ThreadTotals) {
-        let workers = self.threads.min(candidates.len());
-        if workers <= 1 {
-            let (arena, _) = arenas.split_first_mut().expect("at least one arena");
-            let before = tls::snapshot();
-            let results =
-                candidates.iter().map(|(p, _)| self.evaluate_candidate(p, arena)).collect();
-            return (results, tls::snapshot().delta_since(&before));
-        }
-        let mut results = vec![ShardEval::default(); candidates.len()];
-        let mut measure_totals = tls::ThreadTotals::default();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for (w, arena) in arenas[..workers].iter_mut().enumerate() {
-                handles.push(scope.spawn(move || {
-                    let before = tls::snapshot();
-                    let slice = candidates
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| i % workers == w)
-                        .map(|(i, (p, _))| (i, self.evaluate_candidate(p, arena)))
-                        .collect::<Vec<(usize, ShardEval)>>();
-                    (slice, tls::snapshot().delta_since(&before))
-                }));
-            }
-            for handle in handles {
-                let (slice, delta) = handle.join().expect("sharded mining worker panicked");
-                measure_totals.overlap_probes += delta.overlap_probes;
-                measure_totals.overlap_build_nanos += delta.overlap_build_nanos;
-                for (i, r) in slice {
-                    results[i] = r;
-                }
-            }
-        });
-        (results, measure_totals)
     }
 
     fn run(self) -> Result<(MiningResult, ShardedRunStats), FfsmError> {
@@ -480,7 +561,9 @@ impl ShardedEngine {
             }
 
             let eval_start = Instant::now();
-            let (outcomes, measure_totals) = self.evaluate_level(&level, &mut arenas);
+            let descending = stats.levels_completed % 2 == 1;
+            let (outcomes, measure_totals) =
+                self.evaluate_level(&level, descending, &mut arenas)?;
             engine_phase.record(Phase::SupportEval, eval_start.elapsed());
             engine_phase.add_nanos(Phase::OverlapBuild, measure_totals.overlap_build_nanos);
             stats.counters.overlap_probes += measure_totals.overlap_probes;
@@ -488,10 +571,6 @@ impl ShardedEngine {
             engine_phase
                 .add_nanos(Phase::ShardLoad, load_nanos_now.saturating_sub(load_nanos_seen));
             load_nanos_seen = load_nanos_now;
-            // A shard-store failure is a hard error, not a truncation.
-            if let Some(e) = outcomes.iter().find_map(|o| o.error.clone()) {
-                return Err(e);
-            }
             // An interruption during the evaluation may have truncated
             // enumerations arbitrarily; discard the whole level, exactly like
             // the unsharded engine.
@@ -512,7 +591,7 @@ impl ShardedEngine {
             let mut survivors: Vec<Pattern> = Vec::new();
             for ((pattern, _code), outcome) in std::mem::take(&mut level).into_iter().zip(outcomes)
             {
-                let ShardEval { support, num_occurrences, cross_shard, error: _ } = outcome;
+                let ShardEval { support, num_occurrences, cross_shard } = outcome;
                 sharded.cross_shard_occurrences += cross_shard;
                 match self.top_k {
                     None => {
@@ -677,6 +756,29 @@ mod tests {
             .unwrap();
         assert!(result.is_empty());
         assert_eq!(result.completion(), Completion::Cancelled);
+    }
+
+    #[test]
+    fn missing_spill_file_is_a_typed_error() {
+        let graph = generators::community_graph(3, 10, 0.35, 0.03, 3, 31);
+        let parts =
+            Arc::new(PartitionedGraph::build(&graph, PartitionSpec::vertex_range(4, 2)).unwrap());
+        let dir = std::env::temp_dir().join(format!("ffsm-sharded-missing-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        parts.spill_to_disk(&dir, 1).unwrap();
+        // Only the last shard stays resident, so the first level must reload
+        // shard 0 from its file.
+        std::fs::remove_file(dir.join("shard_0.ffs")).unwrap();
+        for threads in [1, 2] {
+            let err = ShardedSession::over(&parts)
+                .min_support(3.0)
+                .max_edges(2)
+                .threads(threads)
+                .run()
+                .unwrap_err();
+            assert!(matches!(err, FfsmError::Partition(_)), "threads = {threads}: {err:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

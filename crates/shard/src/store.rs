@@ -3,9 +3,13 @@
 //! Shards are **immutable** after [`PartitionedGraph`](crate::PartitionedGraph)
 //! builds them, so the store is a read-only cache: spilling writes each shard's
 //! file exactly once, eviction is a pure drop, and a reload parses the file
-//! back.  All bookkeeping sits behind one mutex — loads are rare (amortised
-//! over a whole level of candidate evaluations) and the file I/O itself is the
-//! cost that matters, so a finer-grained scheme would buy nothing.
+//! back.  All bookkeeping sits behind one mutex.  The sharded miner evaluates
+//! each level shard-major — it fetches a shard once, enumerates every
+//! candidate of the level on it into flat per-candidate buffers, then moves on
+//! — so a level costs at most K fetches, each one an uncontended lock, and the
+//! file I/O itself is the cost that matters; a finer-grained scheme would buy
+//! nothing.  A panic while the lock is held poisons the store: later fetches
+//! and spills report [`FfsmError::Partition`] instead of panicking in turn.
 //!
 //! ### Shard file format (plain text, one shard per file)
 //!
@@ -22,7 +26,7 @@ use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// One scrape of the store's residency and load counters.
@@ -104,10 +108,18 @@ impl ShardStore {
         }
     }
 
+    /// The bookkeeping lock, or a typed error when a panicking thread poisoned
+    /// it mid-update (the LRU order or byte tally may then be inconsistent).
+    fn lock(&self) -> Result<MutexGuard<'_, StoreState>, FfsmError> {
+        self.state.lock().map_err(|_| {
+            FfsmError::Partition("shard store lock poisoned by a panicking thread".into())
+        })
+    }
+
     /// Fetch shard `i`, reloading from its spill file when evicted.  Marks `i`
     /// most-recently-used and evicts down to `max_resident`.
     pub fn fetch(&self, i: usize) -> Result<Arc<ResidentShard>, FfsmError> {
-        let mut st = self.state.lock().expect("shard store poisoned");
+        let mut st = self.lock()?;
         if i >= st.slots.len() {
             return Err(FfsmError::Partition(format!(
                 "shard index {i} out of range (have {} shards)",
@@ -157,7 +169,7 @@ impl ShardStore {
         if max_resident == 0 {
             return Err(FfsmError::Partition("max-resident must be at least 1 (got 0)".into()));
         }
-        let mut st = self.state.lock().expect("shard store poisoned");
+        let mut st = self.lock()?;
         if st.dir.is_some() {
             return Err(FfsmError::Partition("shards are already spilled to disk".into()));
         }
@@ -178,9 +190,10 @@ impl ShardStore {
         Ok(())
     }
 
-    /// Current counters.
+    /// Current counters — still readable after a poisoning panic, since they
+    /// only describe the store.
     pub fn stats(&self) -> ShardStoreStats {
-        let st = self.state.lock().expect("shard store poisoned");
+        let st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         ShardStoreStats {
             loads: self.loads.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
@@ -354,6 +367,26 @@ mod tests {
         let dir = temp_dir("zerocap");
         let err = p.spill_to_disk(&dir, 0).unwrap_err();
         assert!(matches!(err, FfsmError::Partition(_)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn poisoned_lock_is_a_typed_error() {
+        let g = ring(8);
+        let store = ShardStore::resident(vec![ResidentShard::new(g, (0..8).collect())]);
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = store.state.lock().unwrap();
+                    panic!("worker dies holding the shard store lock");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        assert!(matches!(store.fetch(0), Err(FfsmError::Partition(_))));
+        let dir = temp_dir("poisoned");
+        assert!(matches!(store.spill(&dir, 1), Err(FfsmError::Partition(_))));
+        assert_eq!(store.stats().resident_shards, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -138,6 +138,49 @@ fn spilled_partition_mines_identically_and_exercises_the_store() {
     }
 }
 
+#[test]
+fn spilled_levels_load_each_shard_at_most_once() {
+    // Far more candidates per level than shards: a candidate-major loop would
+    // reload every evicted shard once per candidate.
+    const K: usize = 4;
+    let graph = generators::community_graph(4, 30, 0.2, 0.01, 4, 13);
+    let prepared = PreparedGraph::new(graph.clone());
+    let whole =
+        MiningSession::over(&prepared).min_support(3.0).max_edges(2).run().expect("unsharded mine");
+    for max_resident in [1usize, 2] {
+        for threads in [1usize, 2, 4, 0] {
+            let context = format!("max_resident {max_resident}, threads {threads}");
+            let partitioned = Arc::new(
+                PartitionedGraph::build(&graph, PartitionSpec::vertex_range(K, 2))
+                    .expect("partition"),
+            );
+            let dir = std::env::temp_dir().join(format!(
+                "ffsm-shard-load-bound-{}-{max_resident}-{threads}",
+                std::process::id()
+            ));
+            partitioned.spill_to_disk(&dir, max_resident).expect("spill");
+            let (sharded, run) = ShardedSession::over(&partitioned)
+                .min_support(3.0)
+                .max_edges(2)
+                .threads(threads)
+                .run_detailed()
+                .expect("sharded mine");
+            std::fs::remove_dir_all(&dir).expect("cleanup");
+            assert_eq!(fingerprints(&sharded), fingerprints(&whole), "{context}: patterns");
+            let levels = sharded.stats.levels_completed;
+            assert!(
+                sharded.stats.candidates_evaluated > K * levels,
+                "{context}: too few candidates to tell shard-major from candidate-major"
+            );
+            assert!(
+                run.store.loads <= (K * levels) as u64,
+                "{context}: {} loads over {levels} levels exceeds {K} per level",
+                run.store.loads
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, .. ProptestConfig::default() })]
 
