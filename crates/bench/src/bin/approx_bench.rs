@@ -30,10 +30,10 @@
 //! a minute while still dominating the bounds arm by more than an order of
 //! magnitude).
 
-use ffsm_bench::report::json_string;
 use ffsm_bench::{flag_value, workloads};
 use ffsm_core::MeasureKind;
 use ffsm_miner::{MiningSession, PreparedGraph};
+use ffsm_serve::events::json_string;
 use std::time::{Duration, Instant};
 
 /// One timed mining run; returns wall time, pattern count, and the two

@@ -17,11 +17,12 @@
 //! Usage: `dynamic_bench [--vertices N] [--edges M] [--labels L] [--out PATH]`
 //! (defaults: 30000 vertices, 45000 edges, 24 labels, `BENCH_dynamic.json`).
 
-use ffsm_bench::report::{json_string, Table};
+use ffsm_bench::report::Table;
 use ffsm_bench::{flag_value, format_duration, timed};
 use ffsm_core::{GraphUpdate, MeasureKind};
 use ffsm_graph::{generators, LabeledGraph};
 use ffsm_miner::{MiningResult, MiningSession, PreparedGraph};
+use ffsm_serve::events::json_string;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;

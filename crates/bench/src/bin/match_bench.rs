@@ -41,13 +41,14 @@
 //! `seed_equiv_us`, `auto_us`, `speedup`) consumed by the CI artifact upload; future
 //! PRs extend the trajectory rather than reformatting it.
 
-use ffsm_bench::report::{json_string, Table};
+use ffsm_bench::report::Table;
 use ffsm_bench::{flag_value, format_duration, timed, workloads};
 use ffsm_graph::isomorphism::{
     count_embeddings, enumerate_embeddings, EnumeratorBackend, IsoConfig,
 };
 use ffsm_graph::{LabeledGraph, Pattern, VertexId};
 use ffsm_match::{auto_backend, GraphIndex, Matcher};
+use ffsm_serve::events::json_string;
 use std::time::Duration;
 
 struct Entry {

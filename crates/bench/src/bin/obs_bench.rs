@@ -24,11 +24,11 @@
 //! [--rounds K] [--requests N] [--out PATH]` (defaults: community size 40,
 //! tau 8, max-edges 2, 5 rounds, 20 requests, `BENCH_obs.json`).
 
-use ffsm_bench::report::json_string;
 use ffsm_bench::{flag_value, workloads};
 use ffsm_core::MeasureKind;
 use ffsm_graph::LabeledGraph;
 use ffsm_miner::{MiningSession, PreparedGraph};
+use ffsm_serve::events::json_string;
 use ffsm_serve::{Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;

@@ -13,10 +13,11 @@
 //! `naive_us`, `indexed_us`, `parallel_us`, `speedup`) consumed by the CI artifact
 //! upload; future PRs extend the trajectory rather than reformatting it.
 
-use ffsm_bench::report::{json_string, Table};
+use ffsm_bench::report::Table;
 use ffsm_bench::{flag_value, format_duration, timed, workloads};
 use ffsm_core::{OccurrenceSet, OverlapAnalysis, OverlapKind};
 use ffsm_graph::isomorphism::IsoConfig;
+use ffsm_serve::events::json_string;
 use std::time::Duration;
 
 struct Entry {

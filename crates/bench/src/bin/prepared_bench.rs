@@ -17,11 +17,12 @@
 //! `cold_us`, `prepared_us`, `index_builds`, `speedup`) consumed by the CI
 //! artifact upload; future PRs extend the trajectory rather than reformatting it.
 
-use ffsm_bench::report::{json_string, Table};
+use ffsm_bench::report::Table;
 use ffsm_bench::{flag_value, format_duration, timed};
 use ffsm_core::MeasureKind;
 use ffsm_graph::{generators, LabeledGraph};
 use ffsm_miner::{MiningResult, MiningSession, PreparedGraph};
+use ffsm_serve::events::json_string;
 use std::time::Duration;
 
 struct Entry {

@@ -23,11 +23,11 @@
 //! 2000 vertices, 4500 edges, 6 labels, tau 20, `BENCH_serve.json`).
 
 use ffsm_bench::flag_value;
-use ffsm_bench::report::json_string;
 use ffsm_core::MeasureKind;
 use ffsm_graph::generators;
 use ffsm_miner::{MiningEvent, MiningSession};
 use ffsm_obs::Histogram;
+use ffsm_serve::events::json_string;
 use ffsm_serve::{events, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};

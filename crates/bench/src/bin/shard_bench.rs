@@ -29,10 +29,11 @@
 //! [--max-edges N] [--rounds K] [--out PATH]` (defaults: 32 communities of
 //! 200, tau 40, max-edges 2, 3 rounds, `BENCH_shard.json`).
 
-use ffsm_bench::{flag_value, report::json_string};
+use ffsm_bench::flag_value;
 use ffsm_core::MeasureKind;
 use ffsm_graph::generators;
-use ffsm_miner::{MiningResult, MiningSession, PreparedGraph, ShardedSession};
+use ffsm_miner::{MiningResult, MiningSession, PreparedGraph};
+use ffsm_serve::events::json_string;
 use ffsm_shard::{PartitionSpec, PartitionedGraph};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -62,18 +63,20 @@ struct ShardedRun {
 
 fn mine_sharded(partitioned: &Arc<PartitionedGraph>, tau: f64, max_edges: usize) -> ShardedRun {
     let start = Instant::now();
-    let (result, run) = ShardedSession::over(partitioned)
+    let result = MiningSession::over(partitioned)
         .measure(MeasureKind::Mni)
         .min_support(tau)
         .max_edges(max_edges)
-        .run_detailed()
+        .run()
         .expect("sharded mine");
+    let elapsed = start.elapsed();
+    let store = partitioned.store_stats();
     ShardedRun {
-        elapsed: start.elapsed(),
+        elapsed,
         levels: result.stats.levels_completed,
         result,
-        peak_resident_bytes: run.store.peak_resident_bytes,
-        loads: run.store.loads,
+        peak_resident_bytes: store.peak_resident_bytes,
+        loads: store.loads,
     }
 }
 

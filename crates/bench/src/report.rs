@@ -68,29 +68,6 @@ impl Table {
     }
 }
 
-/// Escape a string for inclusion in a JSON document (the offline build has no
-/// `serde_json`; the perf reports hand-assemble their JSON through this).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render a JSON string literal (escaped and quoted).
-pub fn json_string(s: &str) -> String {
-    format!("\"{}\"", json_escape(s))
-}
-
 /// Format a float with three decimals, trimming ".000" for integral values.
 pub fn fmt_value(v: f64) -> String {
     if (v - v.round()).abs() < 1e-9 {
@@ -121,14 +98,6 @@ mod tests {
     fn row_width_mismatch_panics() {
         let mut t = Table::new("demo", &["a", "b"]);
         t.add_row(vec!["1".into()]);
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_string("x\t"), "\"x\\t\"");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -124,6 +124,9 @@ pub(crate) struct DeltaContext {
     pub(crate) dirty_old: Vec<VertexId>,
     /// Dirty vertices in the current epoch's id space (sorted).
     pub(crate) dirty_new: Vec<VertexId>,
+    /// The graph's `(vertices, edges)` after the batch — the session's graph
+    /// must match it.
+    pub(crate) expected_size: (usize, usize),
 }
 
 /// `true` when two sorted vertex slices share an element.  Asymmetric sizes

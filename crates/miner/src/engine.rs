@@ -1,12 +1,18 @@
 //! The unified mining engine behind [`crate::MiningSession`].
 //!
 //! One level-synchronous pattern-growth loop serves every mode — threshold,
-//! level-parallel and top-k — exactly as before, but the loop is now a *resumable
-//! state machine* ([`EngineState`]): each [`EngineState::step`] processes one level
-//! and pushes the resulting [`MiningEvent`]s, so the
-//! [`PatternStream`](crate::PatternStream) can pull lazily instead of blocking
-//! until the whole result materialises.  `run()` is a thin collect-the-stream
-//! adapter over the same machine.
+//! level-parallel and top-k — and every source: a whole [`PreparedGraph`] or a
+//! [`PartitionedGraph`].  The loop is a *resumable state machine*
+//! ([`EngineState`]): each [`EngineState::step`] processes one level and pushes
+//! the resulting [`MiningEvent`]s, so the [`PatternStream`](crate::PatternStream)
+//! can pull lazily instead of blocking until the whole result materialises.
+//! `run()` is a thin collect-the-stream adapter over the same machine.
+//!
+//! The source decides only where a candidate's occurrences come from: a whole
+//! graph enumerates each candidate where it is evaluated; a partition fills
+//! the level's undecided candidates shard-major first (see the `sharded`
+//! module).  Delta reuse, bounds, the exact measure and the threshold logic
+//! are shared.
 //!
 //! ## Determinism and interruption
 //!
@@ -23,19 +29,96 @@
 use crate::delta::{occurrences_touch, sorted_intersects, CacheMode, CachedEval, EvalCache};
 use crate::extension::{dedupe_with_codes, extensions, seed_patterns};
 use crate::prepared::PreparedGraph;
+use crate::sharded::{shard_pass, LevelBuffer};
 use crate::stream::{LevelSummary, MiningEvent, RunSummary};
 use crate::types::{
     BudgetKind, Completion, FrequentPattern, MiningResult, MiningStats, UndecidedPattern,
 };
-use ffsm_approx::BoundsEvaluator;
-use ffsm_core::{CancelToken, GraphIndex, OccurrenceSet, SearchArena, SupportMeasure};
+use ffsm_approx::{BoundsEvaluator, BoundsOutcome};
+use ffsm_core::{
+    CancelToken, EnumeratorBackend, FfsmError, GraphIndex, OccurrenceSet, SearchArena,
+    SupportMeasure,
+};
 use ffsm_graph::canonical::CanonicalCode;
 use ffsm_graph::isomorphism::IsoConfig;
-use ffsm_graph::{Pattern, VertexId};
+use ffsm_graph::{patterns, Label, LabeledGraph, Pattern, VertexId};
 use ffsm_obs::{tls, Phase, PhaseTimes, SearchCounters};
+use ffsm_shard::PartitionedGraph;
 use std::collections::{HashSet, VecDeque};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// What a session mines: a whole prepared graph or a partition of one.  Built
+/// through `From` by [`MiningSession::over`](crate::MiningSession::over).
+pub enum GraphSource {
+    /// A whole graph; candidates are enumerated on it with its shared index.
+    Whole(PreparedGraph),
+    /// A graph split into interior+halo shards; candidates are enumerated
+    /// shard-major and merged by the anchor-shard rule.
+    Partitioned(Arc<PartitionedGraph>),
+}
+
+impl From<&PreparedGraph> for GraphSource {
+    fn from(prepared: &PreparedGraph) -> Self {
+        GraphSource::Whole(prepared.clone())
+    }
+}
+
+impl From<&Arc<PartitionedGraph>> for GraphSource {
+    fn from(partitioned: &Arc<PartitionedGraph>) -> Self {
+        GraphSource::Partitioned(partitioned.clone())
+    }
+}
+
+impl GraphSource {
+    /// The single-edge seed patterns, one per label pair of the global edges.
+    fn seeds(&self) -> Vec<Pattern> {
+        match self {
+            GraphSource::Whole(prepared) => seed_patterns(prepared.graph()),
+            GraphSource::Partitioned(parts) => {
+                parts.seed_pairs().iter().map(|&(a, b)| patterns::single_edge(a, b)).collect()
+            }
+        }
+    }
+
+    /// The distinct-label alphabet the candidate generator extends over.
+    fn alphabet(&self) -> &[Label] {
+        match self {
+            GraphSource::Whole(prepared) => prepared.alphabet(),
+            GraphSource::Partitioned(parts) => parts.alphabet(),
+        }
+    }
+
+    /// Per-label vertex counts of the global graph, for the bounds
+    /// evaluator's index-free cardinality cap.
+    fn label_counts(&self) -> &[(Label, usize)] {
+        match self {
+            GraphSource::Whole(prepared) => prepared.label_counts(),
+            GraphSource::Partitioned(parts) => parts.label_counts(),
+        }
+    }
+
+    /// The whole graph's shared matching index, built on first use (`None`
+    /// under the naive backend, and for a partition: its shards carry theirs).
+    fn index(&self, backend: EnumeratorBackend) -> Option<Arc<GraphIndex>> {
+        match self {
+            GraphSource::Whole(prepared) if backend != EnumeratorBackend::Naive => {
+                Some(prepared.index())
+            }
+            _ => None,
+        }
+    }
+
+    /// Cumulative shard load time of the partition's store (0 for a whole
+    /// graph).
+    fn shard_load_nanos(&self) -> u64 {
+        match self {
+            GraphSource::Whole(_) => 0,
+            GraphSource::Partitioned(parts) => parts.store_stats().load_nanos,
+        }
+    }
+}
 
 /// Canonical, validated configuration the engine runs from (the session builder's
 /// output).
@@ -74,7 +157,7 @@ pub(crate) struct EngineConfig {
 }
 
 /// One evaluated (or cache-reused, or bound-decided) candidate.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct EvalOutcome {
     /// The value compared against the threshold.  Exact evaluations report the
     /// exact support; a bound-decided candidate reports the interval side that
@@ -100,132 +183,109 @@ struct EvalOutcome {
     bound_decided: bool,
     /// Nanoseconds spent computing bounds (0 unless fine-grained metrics are on).
     bounds_nanos: u64,
+    /// Kept occurrences that leave their anchor's shard interior (partition
+    /// sources only).
+    cross_shard: u64,
 }
 
-impl Default for EvalOutcome {
-    fn default() -> Self {
-        EvalOutcome {
-            support: 0.0,
-            num_occurrences: 0,
-            touched: Arc::from(Vec::new()),
-            complete: false,
-            reused: false,
-            interval: None,
-            certificate: None,
-            bounded: false,
-            bound_decided: false,
-            bounds_nanos: 0,
-        }
-    }
+/// A candidate that delta reuse and pre-bounds left open: deciding it needs
+/// its occurrences.
+#[derive(Debug, Clone, Copy)]
+struct Open {
+    /// The pre-enumeration bounds, in bounds-first mode.
+    pre: Option<BoundsOutcome>,
+    bounds_nanos: u64,
 }
 
-/// Evaluate the support of every candidate, in order, on `threads` workers.
-///
-/// Candidates are split round-robin and merged back in candidate order, so the result
-/// does not depend on the thread count.  `index` is the prepared graph's shared
-/// matching index (`None` under the naive enumerator backend), consulted read-only by
-/// every worker so no candidate evaluation rebuilds it.
-///
-/// Under [`CacheMode::Delta`] a candidate whose occurrences provably avoid the
-/// dirty region (see the `delta` module docs for the argument) is answered from
-/// the prior epoch's cache without enumerating anything; the decision is
-/// per-candidate and deterministic, so the thread partition still never changes
-/// the result.
-///
-/// `arenas` holds one reusable [`SearchArena`] per worker (at least
-/// `config.threads` of them), owned by the engine state so the search buffers
-/// survive across levels — thousands of pattern evaluations share
-/// `config.threads` allocations instead of allocating each.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_level(
-    prepared: &PreparedGraph,
-    index: Option<&GraphIndex>,
-    candidates: &[(Pattern, CanonicalCode)],
-    parent_hi: &[f64],
-    label_counts: &[(ffsm_graph::Label, usize)],
-    measure: &Arc<dyn SupportMeasure>,
-    config: &EngineConfig,
-    mode: &CacheMode,
-    arenas: &mut [SearchArena],
-) -> (Vec<EvalOutcome>, tls::ThreadTotals) {
-    let graph = prepared.graph();
-    let bounds = config.bounds.as_deref();
-    let evaluate = |i: usize,
-                    (pattern, code): &(Pattern, CanonicalCode),
-                    arena: &mut SearchArena|
-     -> EvalOutcome {
-        if let CacheMode::Delta(ctx) = mode {
+/// Everything a candidate's evaluation reads besides its occurrences, shared
+/// read-only by every worker of a level.
+struct LevelContext<'a> {
+    measure: &'a dyn SupportMeasure,
+    config: &'a EngineConfig,
+    mode: &'a CacheMode,
+    /// Parallel to the level: each candidate's inherited upper bound (empty
+    /// outside bounds-first mode).
+    parent_hi: &'a [f64],
+    label_counts: &'a [(Label, usize)],
+    /// The whole graph's matching index (`None` under the naive backend and
+    /// for a partition).
+    index: Option<&'a GraphIndex>,
+}
+
+impl LevelContext<'_> {
+    /// The first half of a candidate's evaluation, before any occurrence is
+    /// enumerated: delta reuse (`graph` is the whole graph — `run_delta`
+    /// refuses partitions), then the certified pre-enumeration cap (parent
+    /// bound, index or label cardinality).  `Break` carries the decided
+    /// outcome.
+    fn open(
+        &self,
+        i: usize,
+        (pattern, code): &(Pattern, CanonicalCode),
+        graph: Option<&LabeledGraph>,
+    ) -> ControlFlow<EvalOutcome, Open> {
+        if let (CacheMode::Delta(ctx), Some(graph)) = (self.mode, graph) {
             if let Some(cached) = ctx.prior.get(code) {
                 if cached.complete
                     && !sorted_intersects(&cached.touched, &ctx.dirty_old)
-                    && !occurrences_touch(pattern, graph, &config.iso_config, &ctx.dirty_new)
+                    && !occurrences_touch(pattern, graph, &self.config.iso_config, &ctx.dirty_new)
                 {
-                    return EvalOutcome {
+                    return ControlFlow::Break(EvalOutcome {
                         support: cached.support,
                         num_occurrences: cached.num_occurrences,
                         touched: cached.touched.clone(),
                         complete: true,
                         reused: true,
                         ..EvalOutcome::default()
-                    };
+                    });
                 }
             }
         }
-        // Bounds-first stage 1: a certified pre-enumeration cap (parent bound,
-        // index cardinality) can decide the candidate before a single
-        // occurrence is enumerated.
-        let mut bounds_nanos = 0u64;
-        let mut pre = None;
-        if let Some(evaluator) = bounds {
-            let clock = config.metrics.then(Instant::now);
-            let outcome = evaluator.pre_bounds(
-                pattern,
-                label_counts,
-                index,
-                parent_hi.get(i).copied().unwrap_or(f64::INFINITY),
-            );
-            if let Some(clock) = clock {
-                bounds_nanos += clock.elapsed().as_nanos() as u64;
-            }
-            if let Some(frequent) = outcome.decision {
-                return EvalOutcome {
-                    support: if frequent { outcome.interval.lo } else { outcome.interval.hi },
-                    complete: true,
-                    interval: Some(outcome.interval),
-                    certificate: Some(outcome.certificate),
-                    bounded: true,
-                    bound_decided: true,
-                    bounds_nanos,
-                    ..EvalOutcome::default()
-                };
-            }
-            pre = Some(outcome);
-        }
-        let occ = match index {
-            Some(index) => OccurrenceSet::enumerate_with_arena(
-                pattern,
-                graph,
-                index,
-                config.iso_config.clone(),
-                arena,
-            ),
-            None => OccurrenceSet::enumerate(pattern, graph, config.iso_config.clone()),
+        let Some(evaluator) = self.config.bounds.as_deref() else {
+            return ControlFlow::Continue(Open { pre: None, bounds_nanos: 0 });
         };
-        let touched: Arc<[VertexId]> = if mode.caching() {
+        let clock = self.config.metrics.then(Instant::now);
+        let pre = evaluator.pre_bounds(
+            pattern,
+            self.label_counts,
+            self.index,
+            self.parent_hi.get(i).copied().unwrap_or(f64::INFINITY),
+        );
+        let bounds_nanos = clock.map_or(0, |clock| clock.elapsed().as_nanos() as u64);
+        match pre.decision {
+            Some(frequent) => ControlFlow::Break(EvalOutcome {
+                support: if frequent { pre.interval.lo } else { pre.interval.hi },
+                complete: true,
+                interval: Some(pre.interval),
+                certificate: Some(pre.certificate),
+                bounded: true,
+                bound_decided: true,
+                bounds_nanos,
+                ..EvalOutcome::default()
+            }),
+            None => ControlFlow::Continue(Open { pre: Some(pre), bounds_nanos }),
+        }
+    }
+
+    /// The second half, over the candidate's enumerated occurrences: the
+    /// containment chain, greedy packing and LP envelope can still
+    /// short-circuit the expensive exact solve; otherwise the measure runs.
+    /// Every bound is a function of the occurrence set, so the verdict brackets
+    /// exactly the value the exact path would compute on it.
+    fn close(&self, open: Open, occ: &OccurrenceSet) -> EvalOutcome {
+        let Open { pre, mut bounds_nanos } = open;
+        let touched: Arc<[VertexId]> = if self.mode.caching() {
             let mut t: Vec<VertexId> = (0..occ.num_images()).map(|i| occ.image_vertex(i)).collect();
             t.sort_unstable();
             Arc::from(t)
         } else {
-            Arc::from(Vec::new())
+            Arc::default()
         };
-        // Bounds-first stage 2: containment chain, greedy packing and the LP
-        // envelope can still short-circuit the expensive exact solve.  Every
-        // bound is a function of the enumerated occurrence set, so the verdict
-        // brackets exactly the value the exact path would compute on it.
+        let bounds = self.config.bounds.as_deref();
         if let (Some(evaluator), Some(pre)) = (bounds, pre.as_ref()) {
             if evaluator.post_stage() {
-                let clock = config.metrics.then(Instant::now);
-                let post = evaluator.post_bounds(&occ, pre);
+                let clock = self.config.metrics.then(Instant::now);
+                let post = evaluator.post_bounds(occ, pre);
                 if let Some(clock) = clock {
                     bounds_nanos += clock.elapsed().as_nanos() as u64;
                 }
@@ -235,79 +295,189 @@ fn evaluate_level(
                         num_occurrences: occ.num_occurrences(),
                         touched,
                         complete: occ.is_complete(),
-                        reused: false,
                         interval: Some(post.interval),
                         certificate: Some(post.certificate),
                         bounded: true,
                         bound_decided: true,
                         bounds_nanos,
+                        ..EvalOutcome::default()
                     };
                 }
             }
         }
-        let support = measure.support(&occ);
-        let (interval, certificate, bounded) = match bounds {
-            Some(evaluator) => {
-                let exact = evaluator.exact(support);
-                (Some(exact.interval), Some(exact.certificate), true)
-            }
-            None => (None, None, false),
-        };
+        let support = self.measure.support(occ);
+        let exact = bounds.map(|evaluator| evaluator.exact(support));
         EvalOutcome {
             support,
             num_occurrences: occ.num_occurrences(),
             touched,
             complete: occ.is_complete(),
-            reused: false,
-            interval,
-            certificate,
-            bounded,
-            bound_decided: false,
+            interval: exact.map(|e| e.interval),
+            certificate: exact.map(|e| e.certificate),
+            bounded: exact.is_some(),
             bounds_nanos,
+            ..EvalOutcome::default()
         }
-    };
-    let workers = config.threads.min(candidates.len());
-    if workers <= 1 {
-        let (arena, _) = arenas.split_first_mut().expect("at least one arena");
-        let before = tls::snapshot();
-        let results = candidates.iter().enumerate().map(|(i, c)| evaluate(i, c, arena)).collect();
-        return (results, tls::snapshot().delta_since(&before));
     }
-    let mut results = vec![EvalOutcome::default(); candidates.len()];
+}
+
+/// Run `work` once per worker on that worker's bucket and arena — inline for a
+/// single worker, on scoped threads otherwise — and return the results in
+/// worker order.
+pub(crate) fn on_workers<B: Send, R: Send>(
+    buckets: &mut [B],
+    arenas: &mut [SearchArena],
+    work: impl Fn(&mut B, &mut SearchArena) -> R + Sync,
+) -> Vec<R> {
+    if let ([bucket], [arena, ..]) = (&mut *buckets, &mut *arenas) {
+        return vec![work(bucket, arena)];
+    }
+    std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = buckets
+            .iter_mut()
+            .zip(arenas.iter_mut())
+            .map(|(bucket, arena)| scope.spawn(move || work(bucket, arena)))
+            .collect();
+        handles.into_iter().map(|handle| handle.join().expect("mining worker panicked")).collect()
+    })
+}
+
+/// Merge the per-worker results of a round-robin split back into item order:
+/// item `i` is element `i / workers` of worker `i % workers`.  A single
+/// worker's results are returned as they are.
+fn interleave<T>(mut per_worker: Vec<Vec<T>>) -> Vec<T> {
+    if per_worker.len() == 1 {
+        return per_worker.pop().unwrap_or_default();
+    }
+    let total = per_worker.iter().map(Vec::len).sum();
+    let workers = per_worker.len();
+    let mut iters: Vec<_> = per_worker.into_iter().map(Vec::into_iter).collect();
+    (0..total).map(|i| iters[i % workers].next().expect("round-robin split")).collect()
+}
+
+/// Evaluate every candidate of a level, in order, on `config.threads` workers.
+///
+/// Each candidate goes through [`LevelContext::open`] and, unless that decided
+/// it, [`LevelContext::close`] over its occurrences.  Over a whole graph, a
+/// worker enumerates each open candidate right where it evaluates it, against
+/// the graph's shared index, so no level's occurrence sets are ever held at
+/// once.  Over a partition, the open candidates are first filled shard-major by
+/// [`shard_pass`] (shards ascending, or descending when `descending`), then
+/// closed.
+///
+/// Candidates are split round-robin and merged back in candidate order, so the
+/// result does not depend on the thread count.  Under [`CacheMode::Delta`] a
+/// candidate whose occurrences provably avoid the dirty region (see the `delta`
+/// module docs for the argument) is answered from the prior epoch's cache
+/// without enumerating anything; the decision is per-candidate and
+/// deterministic, so the thread partition still never changes the result.
+///
+/// `arenas` holds one reusable [`SearchArena`] per worker (at least
+/// `config.threads` of them), owned by the engine state so the search buffers
+/// survive across levels — thousands of pattern evaluations share
+/// `config.threads` allocations instead of allocating each.
+///
+/// # Errors
+///
+/// A shard the store cannot fetch fails the level.
+fn evaluate_level(
+    source: &GraphSource,
+    cx: &LevelContext<'_>,
+    candidates: &[(Pattern, CanonicalCode)],
+    descending: bool,
+    arenas: &mut [SearchArena],
+) -> Result<(Vec<EvalOutcome>, tls::ThreadTotals), FfsmError> {
+    let n = candidates.len();
+    let iso_config = &cx.config.iso_config;
     // Per-thread observability totals (overlap probes/build time) are sampled
     // around each worker's slice and summed — each candidate's contribution is
     // deterministic, so the sum never depends on the partition.
-    let mut measure_totals = tls::ThreadTotals::default();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for (w, arena) in arenas[..workers].iter_mut().enumerate() {
-            let evaluate = &evaluate;
-            handles.push(scope.spawn(move || {
+    let mut totals = tls::ThreadTotals::default();
+    let mut merge = |per_worker: Vec<(Vec<EvalOutcome>, tls::ThreadTotals)>| {
+        let mut outcomes = Vec::with_capacity(per_worker.len());
+        for (evals, delta) in per_worker {
+            totals.overlap_probes += delta.overlap_probes;
+            totals.overlap_build_nanos += delta.overlap_build_nanos;
+            outcomes.push(evals);
+        }
+        interleave(outcomes)
+    };
+    let outcomes = match source {
+        GraphSource::Whole(prepared) => {
+            let graph = prepared.graph();
+            let workers = cx.config.threads.min(n).max(1);
+            let mut firsts: Vec<usize> = (0..workers).collect();
+            merge(on_workers(&mut firsts, arenas, |&mut first, arena| {
                 let before = tls::snapshot();
-                let slice = candidates
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| i % workers == w)
-                    .map(|(i, p)| (i, evaluate(i, p, arena)))
-                    .collect::<Vec<(usize, EvalOutcome)>>();
-                (slice, tls::snapshot().delta_since(&before))
-            }));
+                let evals = (first..n)
+                    .step_by(workers)
+                    .map(|i| match cx.open(i, &candidates[i], Some(graph)) {
+                        ControlFlow::Break(done) => done,
+                        ControlFlow::Continue(open) => {
+                            let pattern = &candidates[i].0;
+                            let occ = match cx.index {
+                                Some(index) => OccurrenceSet::enumerate_with_arena(
+                                    pattern,
+                                    graph,
+                                    index,
+                                    iso_config.clone(),
+                                    arena,
+                                ),
+                                None => {
+                                    OccurrenceSet::enumerate(pattern, graph, iso_config.clone())
+                                }
+                            };
+                            cx.close(open, &occ)
+                        }
+                    })
+                    .collect();
+                (evals, tls::snapshot().delta_since(&before))
+            }))
         }
-        for handle in handles {
-            let (slice, delta) = handle.join().expect("mining worker panicked");
-            measure_totals.overlap_probes += delta.overlap_probes;
-            measure_totals.overlap_build_nanos += delta.overlap_build_nanos;
-            for (i, r) in slice {
-                results[i] = r;
+        GraphSource::Partitioned(parts) => {
+            let mut outcomes: Vec<Option<EvalOutcome>> = vec![None; n];
+            let mut open: Vec<Option<Open>> = vec![None; n];
+            for (i, candidate) in candidates.iter().enumerate() {
+                match cx.open(i, candidate, None) {
+                    ControlFlow::Break(done) => outcomes[i] = Some(done),
+                    ControlFlow::Continue(state) => open[i] = Some(state),
+                }
             }
+            let pending: Vec<usize> = (0..n).filter(|&i| open[i].is_some()).collect();
+            let workers = cx.config.threads.min(pending.len()).max(1);
+            let mut buckets: Vec<Vec<LevelBuffer>> = (0..workers)
+                .map(|w| {
+                    pending.iter().skip(w).step_by(workers).map(|&i| LevelBuffer::new(i)).collect()
+                })
+                .collect();
+            if !pending.is_empty() {
+                shard_pass(parts, candidates, &mut buckets, arenas, iso_config, descending)?;
+            }
+            let closed = merge(on_workers(&mut buckets, arenas, |bucket, _| {
+                let before = tls::snapshot();
+                let evals = bucket
+                    .drain(..)
+                    .map(|buffer| {
+                        let i = buffer.candidate;
+                        let (occ, cross_shard) = buffer.into_occurrences(&candidates[i].0);
+                        let state = open[i].expect("only open candidates are buffered");
+                        EvalOutcome { cross_shard, ..cx.close(state, &occ) }
+                    })
+                    .collect();
+                (evals, tls::snapshot().delta_since(&before))
+            }));
+            for (i, outcome) in pending.into_iter().zip(closed) {
+                outcomes[i] = Some(outcome);
+            }
+            outcomes.into_iter().map(|o| o.expect("every candidate is decided or closed")).collect()
         }
-    });
-    (results, measure_totals)
+    };
+    Ok((outcomes, totals))
 }
 
 /// Insert `found` into the running top-k list (sorted by descending support, ties by
-/// fewer edges first) and return the updated rising threshold.  Shared with the
-/// sharded engine so the two top-k modes stay semantically identical.
+/// fewer edges first) and return the updated rising threshold.
 pub(crate) fn insert_top_k(
     best: &mut Vec<FrequentPattern>,
     found: FrequentPattern,
@@ -333,13 +503,11 @@ pub(crate) fn insert_top_k(
 
 /// The resumable mining loop: owned state, one level per [`EngineState::step`].
 pub(crate) struct EngineState {
-    prepared: PreparedGraph,
+    /// The graph mined: seeds, extension alphabet, label counts and each
+    /// level's occurrences come from here.
+    source: GraphSource,
     measure: Arc<dyn SupportMeasure>,
     config: EngineConfig,
-    /// The prepared graph's shared index (`None` under the naive backend; `Auto`
-    /// needs it both for the candidate-space runs it resolves to and for the
-    /// per-pattern heuristic itself).
-    index: Option<Arc<GraphIndex>>,
     /// One reusable search arena per worker thread, surviving across levels.
     arenas: Vec<SearchArena>,
     seen: HashSet<CanonicalCode>,
@@ -351,9 +519,6 @@ pub(crate) struct EngineState {
     /// certified `hi`, `+∞` for seeds).  Only meaningful in bounds-first mode;
     /// empty otherwise.
     level_parent_hi: Vec<f64>,
-    /// Per-label vertex counts of the data graph, for the bounds evaluator's
-    /// index-free cardinality cap (empty outside bounds-first mode).
-    label_counts: Vec<(ffsm_graph::Label, usize)>,
     /// Candidates a bounds-first run left undecided at an interruption.
     undecided: Vec<UndecidedPattern>,
     stats: MiningStats,
@@ -378,22 +543,19 @@ pub(crate) struct EngineState {
 
 impl EngineState {
     /// Seed the state machine.  Cheap: no support is evaluated until the first
-    /// [`EngineState::step`] (the prepared graph's index is resolved here, which is
+    /// [`EngineState::step`] (a whole graph's index is resolved here, which is
     /// a shared lazy build — amortised to zero across sessions).
     pub(crate) fn new(
-        prepared: PreparedGraph,
+        source: GraphSource,
         measure: Arc<dyn SupportMeasure>,
         config: EngineConfig,
         quiet: bool,
         mode: CacheMode,
     ) -> Self {
+        // Resolve the shared lazy index build up front, so its cost lands in
+        // IndexBuild rather than in the first level's SupportEval.
         let index_start = Instant::now();
-        let index = match config.iso_config.backend {
-            ffsm_core::EnumeratorBackend::CandidateSpace | ffsm_core::EnumeratorBackend::Auto => {
-                Some(prepared.index())
-            }
-            ffsm_core::EnumeratorBackend::Naive => None,
-        };
+        source.index(config.iso_config.backend);
         let mut engine_phase = PhaseTimes::new();
         engine_phase.record(Phase::IndexBuild, index_start.elapsed());
         let mut arenas: Vec<SearchArena> =
@@ -405,27 +567,23 @@ impl EngineState {
         }
         let mut stats = MiningStats { phase_timings: engine_phase, ..MiningStats::default() };
         let mut seen = HashSet::new();
-        let seeds = seed_patterns(prepared.graph());
+        let seeds = source.seeds();
         stats.candidates_generated += seeds.len();
         let level = dedupe_with_codes(seeds, &mut seen);
         let level_parent_hi =
             if config.bounds.is_some() { vec![f64::INFINITY; level.len()] } else { Vec::new() };
-        let label_counts =
-            if config.bounds.is_some() { prepared.graph().label_histogram() } else { Vec::new() };
         let threshold = config.min_support;
         EngineState {
-            prepared,
+            source,
             measure,
             floor: threshold,
             threshold,
             config,
-            index,
             arenas,
             seen,
             frequent: Vec::new(),
             level,
             level_parent_hi,
-            label_counts,
             undecided: Vec::new(),
             stats,
             start: Instant::now(),
@@ -479,13 +637,13 @@ impl EngineState {
     fn finish(&mut self, completion: Completion, out: &mut VecDeque<MiningEvent>) {
         if matches!(completion, Completion::DeadlineExceeded | Completion::Cancelled) {
             if let Some(evaluator) = self.config.bounds.clone() {
-                let index = self.index.clone();
+                let index = self.source.index(self.config.iso_config.backend);
                 let parent_hi = std::mem::take(&mut self.level_parent_hi);
                 for (i, (pattern, _)) in std::mem::take(&mut self.level).into_iter().enumerate() {
                     let inherited = parent_hi.get(i).copied().unwrap_or(f64::INFINITY);
                     let pre = evaluator.pre_bounds(
                         &pattern,
-                        &self.label_counts,
+                        self.source.label_counts(),
                         index.as_deref(),
                         inherited,
                     );
@@ -516,16 +674,21 @@ impl EngineState {
 
     /// Process one pattern-growth level, pushing every resulting event (quiet
     /// mode pushes only the final `Finished`).  Must not be called after the run
-    /// has finished.
-    pub(crate) fn step(&mut self, out: &mut VecDeque<MiningEvent>) {
+    /// has finished or failed.
+    ///
+    /// # Errors
+    ///
+    /// A partition source whose store cannot fetch a shard fails the level;
+    /// the run then has no `Finished` event.
+    pub(crate) fn step(&mut self, out: &mut VecDeque<MiningEvent>) -> Result<(), FfsmError> {
         debug_assert!(self.completion.is_none(), "step() after Finished");
         if self.level.is_empty() {
             self.finish(Completion::Complete, out);
-            return;
+            return Ok(());
         }
         if let Some(interrupt) = self.interrupted() {
             self.finish(interrupt, out);
-            return;
+            return Ok(());
         }
 
         // Respect the evaluation cap by trimming the level.
@@ -538,30 +701,38 @@ impl EngineState {
         }
         if self.level.is_empty() {
             self.finish(Completion::BudgetExhausted(BudgetKind::Evaluations), out);
-            return;
+            return Ok(());
         }
 
         let eval_start = Instant::now();
-        let (outcomes, measure_totals) = evaluate_level(
-            &self.prepared,
-            self.index.as_deref(),
-            &self.level,
-            &self.level_parent_hi,
-            &self.label_counts,
-            &self.measure,
-            &self.config,
-            &self.mode,
-            &mut self.arenas,
-        );
+        let loads_before = self.source.shard_load_nanos();
+        let index = self.source.index(self.config.iso_config.backend);
+        let cx = LevelContext {
+            measure: &*self.measure,
+            config: &self.config,
+            mode: &self.mode,
+            parent_hi: &self.level_parent_hi,
+            label_counts: self.source.label_counts(),
+            index: index.as_deref(),
+        };
+        // Alternate the shard order per level so a partition's LRU store
+        // starts each level with the shards the previous one left resident.
+        let descending = self.stats.levels_completed % 2 == 1;
+        let (outcomes, measure_totals) =
+            evaluate_level(&self.source, &cx, &self.level, descending, &mut self.arenas)?;
         self.engine_phase.record(Phase::SupportEval, eval_start.elapsed());
         self.engine_phase.add_nanos(Phase::OverlapBuild, measure_totals.overlap_build_nanos);
+        self.engine_phase.add_nanos(
+            Phase::ShardLoad,
+            self.source.shard_load_nanos().saturating_sub(loads_before),
+        );
         self.stats.counters.overlap_probes += measure_totals.overlap_probes;
         // An interruption during the evaluation may have truncated enumerations
         // arbitrarily; discard the whole level so the emitted patterns stay a
         // deterministic prefix of the full run (and never enter the cache).
         if let Some(interrupt) = self.interrupted() {
             self.finish(interrupt, out);
-            return;
+            return Ok(());
         }
         let evaluated = self.level.len();
         self.stats.candidates_evaluated += evaluated;
@@ -594,11 +765,13 @@ impl EngineState {
                 reused,
                 interval,
                 certificate,
+                cross_shard,
                 ..
             } = outcome;
             if reused {
                 self.stats.evaluations_reused += 1;
             }
+            self.stats.counters.cross_shard_occurrences += cross_shard;
             if self.mode.caching() {
                 self.cache_out
                     .insert(code, CachedEval { support, num_occurrences, touched, complete });
@@ -664,7 +837,7 @@ impl EngineState {
         }
         if let Some(kind) = budget_hit {
             self.finish(Completion::BudgetExhausted(kind), out);
-            return;
+            return Ok(());
         }
 
         // Next level: one-edge extensions of every surviving pattern.  Pruned
@@ -677,7 +850,7 @@ impl EngineState {
             if pattern.num_edges() >= self.config.max_pattern_edges {
                 continue;
             }
-            let candidates = extensions(pattern, self.prepared.alphabet());
+            let candidates = extensions(pattern, self.source.alphabet());
             self.stats.candidates_generated += candidates.len();
             next.extend(dedupe_with_codes(candidates, &mut self.seen));
             if bounds_on {
@@ -687,6 +860,7 @@ impl EngineState {
         self.engine_phase.record(Phase::Extension, extension_start.elapsed());
         self.level = next;
         self.level_parent_hi = next_parent_hi;
+        Ok(())
     }
 
     /// Tear the state down into the batch result.  Only meaningful once the run

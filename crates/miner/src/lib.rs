@@ -94,7 +94,8 @@
 //! [`MiningEvent`]s for incremental delivery, and
 //! [`MiningSession::cancel_token`] / [`MiningSession::deadline`] bound a run's
 //! wall-clock cost with a typed [`Completion`] status instead of silent
-//! truncation.
+//! truncation.  A graph split into shards (`ffsm_shard::PartitionedGraph`) is
+//! mined by the same session: `MiningSession::over(&partitioned)`.
 //!
 //! The pre-session entry points (`Miner`, `mine_parallel`, `mine_top_k` and their
 //! config structs), deprecated since 0.2.0, have been removed; the session API

@@ -42,6 +42,26 @@
 //! assert_eq!(prepared.index_build_count(), 1); // shared, never rebuilt
 //! ```
 //!
+//! ## Partitioned graphs
+//!
+//! A graph too large to hold whole is split into interior+halo shards once
+//! ([`PartitionedGraph`]), optionally spilled to disk, and mined by the same
+//! session over the shared `Arc` — streaming, bounds-first, deadlines and
+//! tracing included, with results bit-for-bit identical to the whole graph's:
+//!
+//! ```
+//! use ffsm_graph::{generators, LabeledGraph};
+//! use ffsm_miner::MiningSession;
+//! use ffsm_shard::{PartitionSpec, PartitionedGraph};
+//! use std::sync::Arc;
+//!
+//! let triangle = LabeledGraph::from_edges(&[0, 1, 2], &[(0, 1), (1, 2), (0, 2)]);
+//! let graph = generators::replicated(&triangle, 5, false);
+//! let parts = Arc::new(PartitionedGraph::build(&graph, PartitionSpec::vertex_range(3, 3)).unwrap());
+//! let result = MiningSession::over(&parts).min_support(5.0).max_edges(3).run().unwrap();
+//! assert!(result.patterns.iter().any(|p| p.pattern.num_edges() == 3));
+//! ```
+//!
 //! Sessions are owned and `Send` — no borrows of the graph — so a server thread
 //! can build one and spawn it elsewhere.  [`MiningSession::cancel_token`] and
 //! [`MiningSession::deadline`] bound a run's wall-clock cost; the run then stops
@@ -49,8 +69,9 @@
 //! [`Completion`](crate::Completion) status.
 
 use crate::delta::{CacheMode, DeltaContext, EvalCache};
-use crate::engine::{EngineConfig, EngineState};
+use crate::engine::{EngineConfig, EngineState, GraphSource};
 use crate::prepared::PreparedGraph;
+use crate::sharded::ShardedRunStats;
 use crate::stream::PatternStream;
 use crate::types::MiningResult;
 use ffsm_core::{
@@ -58,6 +79,8 @@ use ffsm_core::{
     SupportMeasure,
 };
 use ffsm_graph::LabeledGraph;
+#[cfg(doc)]
+use ffsm_shard::PartitionedGraph;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -164,23 +187,25 @@ impl Default for SessionConfig {
     }
 }
 
-/// Builder-style mining session over one prepared data graph.  See the module
-/// docs for examples; construct with [`MiningSession::on`] (one-shot, clones the
-/// graph) or [`MiningSession::over`] (shares a [`PreparedGraph`]).
+/// Builder-style mining session over one data graph.  See the module docs for
+/// examples; construct with [`MiningSession::on`] (one-shot, clones the graph)
+/// or [`MiningSession::over`] (shares a [`PreparedGraph`] or a
+/// [`PartitionedGraph`]).
 ///
-/// The session is owned and `Send`: it holds an `Arc` handle to the prepared
-/// graph, never a borrow.
+/// The session is owned and `Send`: it holds an `Arc` handle to the graph,
+/// never a borrow.
 pub struct MiningSession {
-    prepared: PreparedGraph,
+    source: GraphSource,
     config: SessionConfig,
 }
 
 impl MiningSession {
-    /// Start a session over a shared [`PreparedGraph`] with default configuration
-    /// (MNI, τ = 2, patterns up to 4 edges, sequential).  Cheap: clones the `Arc`
-    /// handle, not the graph.
-    pub fn over(prepared: &PreparedGraph) -> Self {
-        MiningSession { prepared: prepared.clone(), config: SessionConfig::default() }
+    /// Start a session with default configuration (MNI, τ = 2, patterns up to
+    /// 4 edges, sequential) over a shared `&PreparedGraph`, or over a shared
+    /// `&Arc<PartitionedGraph>` — whose halo depth must then cover
+    /// `max_edges`.  Cheap: clones the `Arc` handle, not the graph.
+    pub fn over(source: impl Into<GraphSource>) -> Self {
+        Self::with_config(source, SessionConfig::default())
     }
 
     /// Start a one-shot session over `graph` (clones it into a private
@@ -190,16 +215,12 @@ impl MiningSession {
         Self::over(&PreparedGraph::new(graph.clone()))
     }
 
-    /// Start a session over a shared [`PreparedGraph`] with a fully built
-    /// [`SessionConfig`] — the re-run entry point for callers that keep one
-    /// configuration across many epochs (`ffsm-dynamic`'s incremental miner).
-    pub fn with_config(prepared: &PreparedGraph, config: SessionConfig) -> Self {
-        MiningSession { prepared: prepared.clone(), config }
-    }
-
-    /// The prepared graph this session mines.
-    pub fn prepared(&self) -> &PreparedGraph {
-        &self.prepared
+    /// Start a session over either source of [`MiningSession::over`] with a
+    /// fully built [`SessionConfig`] — the re-run entry point for callers that
+    /// keep one configuration across many epochs (`ffsm-dynamic`'s incremental
+    /// miner).
+    pub fn with_config(source: impl Into<GraphSource>, config: SessionConfig) -> Self {
+        MiningSession { source: source.into(), config }
     }
 
     /// The canonical configuration built so far.
@@ -220,7 +241,8 @@ impl MiningSession {
         self
     }
 
-    /// Stop growing patterns beyond `edges` edges.
+    /// Stop growing patterns beyond `edges` edges.  Over a partition, must not
+    /// exceed its halo depth (checked at `run()` / `stream()` time).
     pub fn max_edges(mut self, edges: usize) -> Self {
         self.config.max_edges = edges;
         self
@@ -329,17 +351,24 @@ impl MiningSession {
     /// * [`FfsmError::InvalidConfig`] — non-finite or negative τ, `max_edges(0)`,
     ///   `top_k(0)`, or an `MNI-0` measure;
     /// * [`FfsmError::NotAntiMonotone`] — the selected measure refuses threshold
-    ///   pruning (e.g. the raw occurrence count), which would make mining unsound.
+    ///   pruning (e.g. the raw occurrence count), which would make mining unsound;
+    /// * [`FfsmError::Partition`] — over a partition with more than one shard,
+    ///   `max_edges` exceeds the halo depth, so per-shard enumeration could miss
+    ///   embeddings that dangle past the halo.
+    ///
+    /// A shard the partition's store cannot fetch while mining ends the stream
+    /// with an `Err` item instead (see [`PatternStream`]).
     pub fn stream(self) -> Result<PatternStream, FfsmError> {
         self.stream_with(false, CacheMode::Off)
     }
 
-    /// Shared validation + engine construction behind [`MiningSession::stream`]
-    /// (`quiet = false`) and [`MiningSession::run`] (`quiet = true`: no consumer
-    /// reads per-pattern events, so the engine skips materialising them).
-    /// `mode` selects the cache interaction (off / record / delta reuse).
+    /// The one validation site and engine construction behind
+    /// [`MiningSession::stream`] (`quiet = false`) and [`MiningSession::run`]
+    /// (`quiet = true`: no consumer reads per-pattern events, so the engine
+    /// skips materialising them).  `mode` selects the cache interaction (off /
+    /// record / delta reuse).
     fn stream_with(self, quiet: bool, mode: CacheMode) -> Result<PatternStream, FfsmError> {
-        let MiningSession { prepared, config } = self;
+        let MiningSession { source, config } = self;
         if !config.min_support.is_finite() || config.min_support < 0.0 {
             return Err(FfsmError::InvalidConfig(format!(
                 "min_support must be finite and non-negative, got {}",
@@ -368,6 +397,43 @@ impl MiningSession {
                  cache needs exact supports, which bound-decided candidates never compute"
                     .into(),
             ));
+        }
+        match (&source, &mode) {
+            (GraphSource::Whole(prepared), CacheMode::Delta(context)) => {
+                // A delta from a different graph lineage is refused: the
+                // session's epoch must match the delta's post-batch vertex AND
+                // edge counts (a pure-edge batch leaves the vertex count
+                // unchanged, so either check alone would let a mismatched
+                // pairing through silently).
+                let graph = prepared.graph();
+                let (vertices, edges) = context.expected_size;
+                if graph.num_vertices() != vertices || graph.num_edges() != edges {
+                    return Err(FfsmError::InvalidConfig(format!(
+                        "run_delta: delta describes a batch ending at {vertices} vertices / \
+                         {edges} edges, but the session's graph has {} vertices / {} edges — \
+                         the cache and delta must come from the immediately preceding epoch \
+                         of this graph",
+                        graph.num_vertices(),
+                        graph.num_edges()
+                    )));
+                }
+            }
+            (GraphSource::Partitioned(_), CacheMode::Delta(_)) => {
+                return Err(FfsmError::InvalidConfig(
+                    "run_delta needs a whole graph: a partition has no update path".into(),
+                ));
+            }
+            (GraphSource::Partitioned(parts), _) => {
+                let spec = parts.spec();
+                if spec.num_shards > 1 && config.max_edges > spec.halo_depth {
+                    return Err(FfsmError::Partition(format!(
+                        "patterns of up to {} edges need a halo of at least {} hops, but the \
+                         partition was built with halo depth {} — rebuild it with a deeper halo",
+                        config.max_edges, config.max_edges, spec.halo_depth
+                    )));
+                }
+            }
+            (GraphSource::Whole(_), _) => {}
         }
         // Combine the session token with the deadline into the token the
         // enumerators poll, so interruption reaches inside a running level.
@@ -415,7 +481,7 @@ impl MiningSession {
             metrics: config.metrics,
             bounds,
         };
-        Ok(PatternStream::new(EngineState::new(prepared, measure, engine_config, quiet, mode)))
+        Ok(PatternStream::new(EngineState::new(source, measure, engine_config, quiet, mode)))
     }
 
     /// Validate the configuration and run the miner to completion — a thin
@@ -425,9 +491,26 @@ impl MiningSession {
     ///
     /// # Errors
     ///
-    /// Exactly those of [`MiningSession::stream`].
+    /// Those of [`MiningSession::stream`], plus the error a failed shard fetch
+    /// ends the stream with.
     pub fn run(self) -> Result<MiningResult, FfsmError> {
-        Ok(self.stream_with(true, CacheMode::Off)?.into_result())
+        self.stream_with(true, CacheMode::Off)?.into_result()
+    }
+
+    /// [`MiningSession::run`], also reporting the shard counters.  Kept only
+    /// for the repository benchmark, which still names it; the same numbers
+    /// are `stats.counters.cross_shard_occurrences` and
+    /// `PartitionedGraph::store_stats` (all-zero store counters over a whole
+    /// graph).
+    pub fn run_detailed(self) -> Result<(MiningResult, ShardedRunStats), FfsmError> {
+        let parts = match &self.source {
+            GraphSource::Partitioned(parts) => Some(parts.clone()),
+            GraphSource::Whole(_) => None,
+        };
+        let result = self.run()?;
+        let cross_shard_occurrences = result.stats.counters.cross_shard_occurrences;
+        let store = parts.map(|parts| parts.store_stats()).unwrap_or_default();
+        Ok((result, ShardedRunStats { cross_shard_occurrences, store }))
     }
 
     /// Run to completion like [`MiningSession::run`], additionally recording
@@ -436,7 +519,7 @@ impl MiningSession {
     /// ([`PreparedGraph::apply_updates`]), feed the cache and the batch's
     /// [`GraphDelta`] to [`MiningSession::run_delta`] over the new epoch.
     pub fn run_recorded(self) -> Result<(MiningResult, EvalCache), FfsmError> {
-        Ok(self.stream_with(true, CacheMode::Record)?.into_result_and_cache())
+        self.stream_with(true, CacheMode::Record)?.into_result_and_cache()
     }
 
     /// Re-mine a new graph epoch incrementally: candidates whose occurrences
@@ -454,34 +537,24 @@ impl MiningSession {
     ///
     /// # Errors
     ///
-    /// Exactly those of [`MiningSession::stream`].
+    /// Those of [`MiningSession::run`], plus [`FfsmError::InvalidConfig`] when
+    /// the delta does not end at this session's graph (a different lineage) or
+    /// the session mines a partition, which has no update path.
     pub fn run_delta(
         self,
         prior: EvalCache,
         delta: &GraphDelta,
     ) -> Result<(MiningResult, EvalCache), FfsmError> {
-        // Guard against a delta from a different graph lineage: the session's
-        // epoch must match the delta's post-batch vertex AND edge counts (a
-        // pure-edge batch leaves the vertex count unchanged, so either check
-        // alone would let a mismatched pairing through silently).
-        let expected_vertices = delta.base_vertices + delta.vertices_added - delta.vertices_removed;
-        let expected_edges = delta.base_edges + delta.edges_added - delta.edges_removed;
-        let graph = self.prepared.graph();
-        if graph.num_vertices() != expected_vertices || graph.num_edges() != expected_edges {
-            return Err(FfsmError::InvalidConfig(format!(
-                "run_delta: delta describes a batch ending at {expected_vertices} vertices / \
-                 {expected_edges} edges, but the session's graph has {} vertices / {} edges — \
-                 the cache and delta must come from the immediately preceding epoch of this graph",
-                graph.num_vertices(),
-                graph.num_edges()
-            )));
-        }
         let context = DeltaContext {
             prior,
             dirty_old: delta.dirty_old.clone(),
             dirty_new: delta.dirty_new.clone(),
+            expected_size: (
+                delta.base_vertices + delta.vertices_added - delta.vertices_removed,
+                delta.base_edges + delta.edges_added - delta.edges_removed,
+            ),
         };
-        Ok(self.stream_with(true, CacheMode::Delta(context))?.into_result_and_cache())
+        self.stream_with(true, CacheMode::Delta(context))?.into_result_and_cache()
     }
 }
 

@@ -31,10 +31,12 @@
 //! deterministic *prefix* of the full run's events (whole levels only) and
 //! finishes with [`Completion::Cancelled`] / [`Completion::DeadlineExceeded`].
 //!
-//! Items are `Result<MiningEvent, FfsmError>` so future event sources with
-//! fallible transports can surface errors mid-stream; the in-process engine never
-//! yields `Err` today — interruptions are *events* (a typed `Finished`), not
-//! errors, because the prefix mined so far is still valid.
+//! Items are `Result<MiningEvent, FfsmError>`.  A session over a partition
+//! whose shard store cannot fetch a shard (a missing or corrupt spill file)
+//! ends the stream with exactly one `Err` item in place of `Finished`, then
+//! `None`; [`PatternStream::into_result`] returns that error.  Interruptions, in
+//! contrast, are *events* (a typed `Finished`), not errors, because the prefix
+//! mined so far is still valid.
 
 use crate::engine::EngineState;
 use crate::types::{Completion, FrequentPattern, MiningResult, MiningStats, UndecidedPattern};
@@ -99,15 +101,17 @@ pub struct PatternStream {
     state: EngineState,
     queue: VecDeque<MiningEvent>,
     finished: bool,
+    /// The error that ended the stream, if one did.
+    error: Option<FfsmError>,
 }
 
 impl PatternStream {
     pub(crate) fn new(state: EngineState) -> Self {
-        PatternStream { state, queue: VecDeque::new(), finished: false }
+        PatternStream { state, queue: VecDeque::new(), finished: false, error: None }
     }
 
     /// The typed completion status, once the `Finished` event has been emitted
-    /// (`None` while the run is still in progress).
+    /// (`None` while the run is still in progress, and after it failed).
     pub fn completion(&self) -> Option<Completion> {
         self.state.completion()
     }
@@ -118,17 +122,30 @@ impl PatternStream {
     /// rest of the mining loop itself.  To get a partial result instead, fire the
     /// session's `CancelToken` first: the result then holds the deterministic
     /// prefix with [`Completion::Cancelled`].
-    pub fn into_result(mut self) -> MiningResult {
+    ///
+    /// # Errors
+    ///
+    /// The shard-fetch error that ended the stream, whether or not the
+    /// consumer already pulled it.
+    pub fn into_result(mut self) -> Result<MiningResult, FfsmError> {
         for _event in &mut self {}
-        self.state.into_result()
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok(self.state.into_result()),
+        }
     }
 
     /// Drain the remaining events and return the batch result together with the
     /// per-pattern [`EvalCache`](crate::EvalCache) the run recorded (empty unless
     /// the session asked for recording — `run_recorded` / `run_delta`).
-    pub(crate) fn into_result_and_cache(mut self) -> (MiningResult, crate::EvalCache) {
+    pub(crate) fn into_result_and_cache(
+        mut self,
+    ) -> Result<(MiningResult, crate::EvalCache), FfsmError> {
         for _event in &mut self {}
-        self.state.into_result_and_cache()
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok(self.state.into_result_and_cache()),
+        }
     }
 }
 
@@ -147,8 +164,12 @@ impl Iterator for PatternStream {
                 return None;
             }
             // Lazy pull: advance the engine by one level (which pushes >= 1
-            // events — at minimum the Finished event).
-            self.state.step(&mut self.queue);
+            // events — at minimum the Finished event — unless it fails).
+            if let Err(e) = self.state.step(&mut self.queue) {
+                self.finished = true;
+                self.error = Some(e.clone());
+                return Some(Err(e));
+            }
         }
     }
 }

@@ -146,6 +146,9 @@ pub struct SessionCounters {
     /// an exact support computation — pre-enumeration skips and
     /// containment-chain / greedy / LP short-circuits alike.
     pub bound_decided: u64,
+    /// Occurrences of a partitioned run whose image leaves the anchor's shard
+    /// interior — the ones the halo exists for (always 0 over a whole graph).
+    pub cross_shard_occurrences: u64,
 }
 
 impl SessionCounters {
@@ -162,6 +165,9 @@ impl SessionCounters {
                 .evaluations_bounded
                 .saturating_sub(earlier.evaluations_bounded),
             bound_decided: self.bound_decided.saturating_sub(earlier.bound_decided),
+            cross_shard_occurrences: self
+                .cross_shard_occurrences
+                .saturating_sub(earlier.cross_shard_occurrences),
         }
     }
 }

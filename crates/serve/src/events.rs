@@ -426,6 +426,14 @@ mod tests {
     }
 
     #[test]
+    fn json_escaping() {
+        assert_eq!(json_escape("plain"), "plain");
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_string("x\t"), "\"x\\t\"");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
+    }
+
+    #[test]
     fn trace_frame_carries_counter_and_phase_deltas() {
         let mut counters = SessionCounters::default();
         counters.search.steps = 42;

@@ -52,9 +52,9 @@ impl std::str::FromStr for PartitionStrategy {
 /// A partitioning request: shard count, halo depth, interior strategy.
 ///
 /// `halo_depth` must be at least the maximum pattern edge count that will be
-/// mined over the partition — the sharded session checks this at run time; the
-/// builder checks the spec against the graph itself (`num_shards >= 1`, halo
-/// smaller than the graph when there is more than one shard).
+/// mined over the partition — the mining session checks this when it starts;
+/// the builder checks the spec against the graph itself (`num_shards >= 1`,
+/// halo smaller than the graph when there is more than one shard).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionSpec {
     /// Number of shards `K`.
@@ -148,14 +148,15 @@ pub(crate) fn approx_graph_bytes(vertices: usize, edges: usize) -> u64 {
 
 /// A data graph split into `K` interior+halo shards, with everything the mining
 /// driver needs to reproduce the unsharded engine's behaviour *without* the
-/// global graph in memory: the vertex→shard assignment, the label alphabet, the
-/// seed label pairs, and the cut-boundary flags.
+/// global graph in memory: the vertex→shard assignment, the label alphabet and
+/// counts, the seed label pairs, and the cut-boundary flags.
 #[derive(Debug)]
 pub struct PartitionedGraph {
     spec: PartitionSpec,
     assignment: Arc<Vec<u32>>,
     boundary: Arc<Vec<bool>>,
     alphabet: Arc<Vec<Label>>,
+    label_counts: Vec<(Label, usize)>,
     seed_pairs: Vec<(Label, Label)>,
     num_vertices: usize,
     num_edges: usize,
@@ -209,6 +210,7 @@ impl PartitionedGraph {
             assignment: Arc::new(assignment),
             boundary: Arc::new(boundary),
             alphabet: Arc::new(alphabet),
+            label_counts,
             seed_pairs: pairs.into_iter().collect(),
             num_vertices: n,
             num_edges: graph.num_edges(),
@@ -242,6 +244,12 @@ impl PartitionedGraph {
     /// alphabet, identical to `PreparedGraph::alphabet()` on the same graph.
     pub fn alphabet(&self) -> &[Label] {
         &self.alphabet
+    }
+
+    /// Per-label vertex counts of the *global* graph, ascending by label —
+    /// identical to `PreparedGraph::label_counts()` on the same graph.
+    pub fn label_counts(&self) -> &[(Label, usize)] {
+        &self.label_counts
     }
 
     /// Unordered label pairs of the global edge set, sorted — reproduces
@@ -405,6 +413,7 @@ mod tests {
         let g = path_graph(9);
         let p = PartitionedGraph::build(&g, PartitionSpec::vertex_range(3, 2)).unwrap();
         assert_eq!(p.alphabet(), &[Label(0), Label(1), Label(2)]);
+        assert_eq!(p.label_counts(), g.label_histogram().as_slice());
         // Path 0-1-2-0-1-2-…: unordered edge label pairs {0,1}, {1,2}, {0,2}.
         assert_eq!(
             p.seed_pairs(),

@@ -24,14 +24,16 @@
 //!   per line — `pattern`, `level`, `finished` — flushed as found), `--trace` implies
 //!   `--stream` and follows each `level` frame with a `trace` frame of per-level
 //!   observability deltas (search counters, per-phase wall time), and
-//!   `--deadline-ms` bounds the run's wall-clock time.  `--shards K` mines through
-//!   the partitioned out-of-core engine ([`ffsm::shard`]): the graph is split into
-//!   K interior+halo shards (halo depth = `--max-edges`, so every pattern fits
-//!   inside one shard) and results are bit-for-bit identical to the unsharded run;
-//!   `--max-resident M` additionally spills shards to a temporary directory and
-//!   keeps at most M in memory.  Sharded runs are batch-only (no
-//!   `--stream`/`--trace`); invalid geometry (e.g. `--shards 0`) is a typed
-//!   partition error (exit 2);
+//!   `--deadline-ms` bounds the run's wall-clock time.  `--shards K` builds the
+//!   same session over a partition of the graph ([`ffsm::shard`]): K
+//!   interior+halo shards (halo depth = `--max-edges`, so every pattern fits
+//!   inside one shard, interiors chosen by `--partition`), with results
+//!   bit-for-bit identical to the unsharded run and every other flag —
+//!   `--stream`, `--trace`, `--bounds` — unchanged; `--max-resident M`
+//!   additionally spills shards to a temporary directory, removed on exit, and
+//!   keeps at most M in memory.  `--max-resident` or `--partition` without
+//!   `--shards` is a usage error (exit 1); invalid geometry (e.g. `--shards 0`)
+//!   is a typed partition error (exit 2);
 //! * `topk <graph.lg> --k <K> [--measure NAME] [--max-edges N]` — top-k mining;
 //! * `update <graph.lg> --updates <u.gu> --tau <t> [--measure NAME] [--max-edges N]
 //!   [--threads K] [--cold] [--stream]` — apply batches of graph updates (the `.gu`
@@ -166,9 +168,11 @@ commands:
                                                    --deadline-ms: wall-clock bound —
                                                    a deadline/cancel stop exits 2;
                                                    --shards K: partitioned mining,
-                                                   identical results, batch only;
+                                                   identical results;
                                                    --max-resident M: spill shards,
-                                                   keep at most M in memory)
+                                                   keep at most M in memory;
+                                                   --partition: shard interiors,
+                                                   both need --shards)
   topk     <graph.lg> --k <K> [--measure NAME] [--max-edges N]
                                                    top-k pattern mining
   update   <graph.lg> --updates <u.gu> --tau <t> [--measure NAME] [--max-edges N]
@@ -522,7 +526,8 @@ fn cmd_mine(args: &[String]) -> Result<(), CliError> {
         return Err(CliError::Usage(
             "ffsm mine <graph.lg> --tau <t> [--measure NAME] [--max-edges N] [--threads K] \
              [--parallel] [--backend naive|candidate-space|auto] [--bounds] [--stream] \
-             [--trace] [--deadline-ms MS]"
+             [--trace] [--deadline-ms MS] \
+             [--shards K [--max-resident M] [--partition vertex-range|label-aware]]"
                 .into(),
         ));
     };
@@ -531,14 +536,16 @@ fn cmd_mine(args: &[String]) -> Result<(), CliError> {
         .parse()
         .map_err(|_| CliError::Usage("invalid --tau value".to_string()))?;
     let (measure, max_edges) = mining_params(args)?;
-    let threads = match flag_value(args, "--threads") {
-        Some(v) => {
-            v.parse::<usize>().map_err(|_| CliError::Usage(format!("invalid --threads {v:?}")))?
-        }
-        // `--parallel` without an explicit count means one worker per core.
-        None if args.iter().any(|a| a == "--parallel") => 0,
-        None => 1,
+    let parse_count = |flag: &str| -> Result<Option<usize>, CliError> {
+        flag_value(args, flag)
+            .map(|v| {
+                v.parse::<usize>().map_err(|_| CliError::Usage(format!("invalid {flag} {v:?}")))
+            })
+            .transpose()
     };
+    let parallel = args.iter().any(|a| a == "--parallel");
+    // `--parallel` without an explicit count means one worker per core.
+    let threads = parse_count("--threads")?.unwrap_or(if parallel { 0 } else { 1 });
     let deadline = match flag_value(args, "--deadline-ms") {
         Some(v) => Some(Duration::from_millis(v.parse::<u64>().map_err(|_| {
             CliError::Usage(format!("invalid --deadline-ms {v:?} (expected milliseconds)"))
@@ -552,50 +559,45 @@ fn cmd_mine(args: &[String]) -> Result<(), CliError> {
     let trace = args.iter().any(|a| a == "--trace");
     let stream = trace || args.iter().any(|a| a == "--stream");
     let bounds = args.iter().any(|a| a == "--bounds");
-    if let Some(v) = flag_value(args, "--shards") {
-        if bounds {
-            return Err(CliError::Usage(
-                "--bounds is unsharded-only: it cannot be combined with --shards".into(),
-            ));
+    let shards = parse_count("--shards")?;
+    for flag in ["--max-resident", "--partition"] {
+        if shards.is_none() && flag_value(args, flag).is_some() {
+            return Err(CliError::Usage(format!("{flag} requires --shards")));
         }
-        let shards =
-            v.parse::<usize>().map_err(|_| CliError::Usage(format!("invalid --shards {v:?}")))?;
-        if stream {
-            return Err(CliError::Usage(
-                "--shards is batch-only: it cannot be combined with --stream/--trace".into(),
-            ));
+    }
+    let max_resident = parse_count("--max-resident")?;
+
+    // Declared first so it is dropped last, after every shard handle.
+    let mut spill_dir: Option<SpillDir> = None;
+    // The CLI owns the loaded graph: move it into the prepared handle (or drop
+    // it once partitioned) instead of paying `MiningSession::on`'s clone.
+    let graph = load_graph(graph_path)?;
+    let mut partitioned = None;
+    let session = match shards {
+        None => MiningSession::over(&ffsm::miner::PreparedGraph::new(graph)),
+        Some(num_shards) => {
+            use ffsm::shard::{PartitionSpec, PartitionStrategy, PartitionedGraph};
+            let strategy = match flag_value(args, "--partition") {
+                Some(name) => name.parse::<PartitionStrategy>()?,
+                None => PartitionStrategy::VertexRange,
+            };
+            // Halo depth = max_edges, so every minable pattern fits in one shard.
+            let spec = PartitionSpec { num_shards, halo_depth: max_edges, strategy };
+            let parts = PartitionedGraph::build(&graph, spec)?;
+            drop(graph); // from here on, the shards are the graph
+            if let Some(cap) = max_resident {
+                let dir = spill_dir.insert(SpillDir(
+                    std::env::temp_dir().join(format!("ffsm-shards-{}", std::process::id())),
+                ));
+                parts.spill_to_disk(&dir.0, cap)?;
+            }
+            let parts = std::sync::Arc::new(parts);
+            let session = MiningSession::over(&parts);
+            partitioned = Some(parts);
+            session
         }
-        let max_resident = match flag_value(args, "--max-resident") {
-            Some(v) => Some(
-                v.parse::<usize>()
-                    .map_err(|_| CliError::Usage(format!("invalid --max-resident {v:?}")))?,
-            ),
-            None => None,
-        };
-        let strategy = match flag_value(args, "--partition") {
-            Some(name) => name.parse::<ffsm::shard::PartitionStrategy>()?,
-            None => ffsm::shard::PartitionStrategy::VertexRange,
-        };
-        return mine_sharded(
-            graph_path,
-            tau,
-            measure,
-            max_edges,
-            threads,
-            backend,
-            deadline,
-            shards,
-            strategy,
-            max_resident,
-        );
-    }
-    if flag_value(args, "--max-resident").is_some() {
-        return Err(CliError::Usage("--max-resident requires --shards".into()));
-    }
-    // The CLI owns the loaded graph: move it into the prepared handle instead of
-    // paying `MiningSession::on`'s defensive clone.
-    let prepared = ffsm::miner::PreparedGraph::new(load_graph(graph_path)?);
-    let mut session = MiningSession::over(&prepared)
+    };
+    let mut session = session
         .measure(measure)
         .min_support(tau)
         .max_edges(max_edges)
@@ -617,6 +619,19 @@ fn cmd_mine(args: &[String]) -> Result<(), CliError> {
         result.stats.candidates_evaluated,
         result.stats.elapsed
     );
+    if let Some(parts) = &partitioned {
+        let store = parts.store_stats();
+        println!(
+            "sharded over {} shards ({}, halo {max_edges}): {} cross-shard occurrences \
+             deduplicated, {} shard loads, {} shards / {} bytes resident at peak",
+            parts.num_shards(),
+            parts.spec().strategy,
+            result.stats.counters.cross_shard_occurrences,
+            store.loads,
+            store.resident_shards,
+            store.peak_resident_bytes,
+        );
+    }
     // Why the run stopped — a capped run is no longer indistinguishable from a
     // complete one.
     println!("status: {}", result.completion());
@@ -639,68 +654,15 @@ fn cmd_mine(args: &[String]) -> Result<(), CliError> {
     completion_exit(result.completion(), deadline)
 }
 
-/// The `--shards` path of `cmd_mine`: build the partition (halo depth =
-/// `max_edges`, so every minable pattern fits inside one shard), optionally
-/// spill to a temporary directory, and mine through [`ShardedSession`] — whose
-/// results are bit-for-bit identical to the unsharded engine's.
-#[allow(clippy::too_many_arguments)]
-fn mine_sharded(
-    graph_path: &str,
-    tau: f64,
-    measure: MeasureKind,
-    max_edges: usize,
-    threads: usize,
-    backend: EnumeratorBackend,
-    deadline: Option<Duration>,
-    shards: usize,
-    strategy: ffsm::shard::PartitionStrategy,
-    max_resident: Option<usize>,
-) -> Result<(), CliError> {
-    use ffsm::shard::{PartitionSpec, PartitionedGraph};
-    let graph = load_graph(graph_path)?;
-    let spec = PartitionSpec { num_shards: shards, halo_depth: max_edges, strategy };
-    let partitioned = PartitionedGraph::build(&graph, spec)?;
-    drop(graph); // from here on, the shards are the graph
-    let mut spill_dir = None;
-    if let Some(cap) = max_resident {
-        let dir = std::env::temp_dir().join(format!("ffsm-shards-{}", std::process::id()));
-        partitioned.spill_to_disk(&dir, cap)?;
-        spill_dir = Some(dir);
+/// The `--max-resident` spill directory of `ffsm mine`, removed when dropped —
+/// on every exit path: success, a failed spill, a mining error, or a stream
+/// whose consumer closed the pipe.
+struct SpillDir(std::path::PathBuf);
+
+impl Drop for SpillDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0); // best-effort temp cleanup
     }
-    let partitioned = std::sync::Arc::new(partitioned);
-    let mut session = ffsm::miner::ShardedSession::over(&partitioned)
-        .measure(measure)
-        .min_support(tau)
-        .max_edges(max_edges)
-        .threads(threads)
-        .enumerator(backend);
-    if let Some(d) = deadline {
-        session = session.deadline(d);
-    }
-    let outcome = session.run_detailed();
-    if let Some(dir) = spill_dir {
-        let _ = std::fs::remove_dir_all(dir); // best-effort temp cleanup
-    }
-    let (result, run) = outcome?;
-    println!(
-        "{} frequent patterns under {measure} at tau = {tau} ({} maximal), {} candidates evaluated in {:?}",
-        result.len(),
-        maximal_patterns(&result).len(),
-        result.stats.candidates_evaluated,
-        result.stats.elapsed
-    );
-    println!(
-        "sharded over {} shards ({strategy}, halo {max_edges}): {} cross-shard occurrences \
-         deduplicated, {} shard loads, {} shards / {} bytes resident at peak",
-        partitioned.num_shards(),
-        run.cross_shard_occurrences,
-        run.store.loads,
-        run.store.resident_shards,
-        run.store.peak_resident_bytes,
-    );
-    println!("status: {}", result.completion());
-    print_frequent(&result.patterns);
-    completion_exit(result.completion(), deadline)
 }
 
 fn cmd_topk(args: &[String]) -> Result<(), CliError> {

@@ -54,7 +54,7 @@ pub mod prelude {
     pub use ffsm_match::{auto_backend, CandidateSpace, GraphIndex, Matcher, SearchArena};
     pub use ffsm_miner::{
         Completion, EvalCache, FrequentPattern, MiningBudget, MiningEvent, MiningResult,
-        MiningSession, MiningStats, PatternStream, PreparedGraph, SessionConfig, ShardedSession,
+        MiningSession, MiningStats, PatternStream, PreparedGraph, SessionConfig,
     };
     pub use ffsm_serve::{GraphRegistry, Server, ServerConfig, ServerHandle, SessionScheduler};
     pub use ffsm_shard::{PartitionSpec, PartitionStrategy, PartitionedGraph};

@@ -175,7 +175,7 @@ proptest! {
             );
         }
         // The batch view carries the same undecided set.
-        let result = stream.into_result();
+        let result = stream.into_result().expect("in-memory mining cannot fail");
         prop_assert_eq!(result.undecided.len(), undecided.len(), "seed {}", seed);
     }
 }

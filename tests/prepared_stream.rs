@@ -104,7 +104,8 @@ proptest! {
                 let via_stream = session(&prepared, MeasureKind::Mni, backend, threads, top_k)
                     .stream()
                     .expect("valid session")
-                    .into_result();
+                    .into_result()
+                    .expect("in-memory mining cannot fail");
                 let via_stream_fp: Vec<PatternFingerprint> =
                     via_stream.patterns.iter().map(fingerprint).collect();
                 prop_assert_eq!(&via_stream_fp, &batch_fp, "into_result != run, {}", &context);
@@ -148,7 +149,7 @@ proptest! {
             }
         }
         token.cancel();
-        let partial = stream.into_result();
+        let partial = stream.into_result().expect("in-memory mining cannot fail");
         let partial_fp: Vec<PatternFingerprint> =
             partial.patterns.iter().map(fingerprint).collect();
         prop_assert!(partial_fp.len() <= full_fp.len());
