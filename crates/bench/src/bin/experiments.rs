@@ -1,13 +1,14 @@
-//! Experiment harness: regenerates every table of `EXPERIMENTS.md`.
+//! Experiment harness: prints the paper-reproduction tables E1–E14 as Markdown.
 //!
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p ffsm-bench --bin experiments -- [e1|e2|...|e14|all] [--quick]
+//! cargo run --release -p ffsm-bench --bin experiments -- [e1|e2|...|e14|all]... [--quick]
 //! ```
 //!
-//! Each experiment prints one or more Markdown tables; `all` runs everything in
-//! order.  `--quick` shrinks the workloads (used by CI-style smoke runs).
+//! Each experiment prints one or more Markdown tables; no name or `all` runs
+//! everything in order.  `--quick` shrinks the workloads (used by CI-style smoke
+//! runs).  An unknown name or flag is a usage error: exit 1 before any work runs.
 
 use ffsm_bench::report::{fmt_value, Table};
 use ffsm_bench::workloads;
@@ -22,23 +23,24 @@ use ffsm_graph::{generators, LabeledGraph, Pattern};
 use ffsm_hypergraph::SearchBudget;
 use ffsm_miner::MiningSession;
 
+const EXPERIMENTS: [&str; 14] =
+    ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14"];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let which: Vec<String> = args.iter().filter(|a| !a.starts_with("--")).cloned().collect();
-    let selected = if which.is_empty() || which.iter().any(|a| a == "all") {
-        vec![
-            "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14",
-        ]
-        .into_iter()
-        .map(String::from)
-        .collect()
-    } else {
-        which
-    };
+    let which: Vec<&str> = args.iter().map(String::as_str).filter(|a| *a != "--quick").collect();
+    if let Some(bad) = which.iter().find(|a| **a != "all" && !EXPERIMENTS.contains(a)) {
+        eprintln!(
+            "experiments: unknown experiment or flag {bad:?} (expected e1..e14, all or --quick)"
+        );
+        std::process::exit(1);
+    }
+    let selected: Vec<&str> =
+        if which.is_empty() || which.contains(&"all") { EXPERIMENTS.to_vec() } else { which };
     println!("# ffsm experiment harness (quick = {quick})");
-    for exp in &selected {
-        match exp.as_str() {
+    for exp in selected {
+        match exp {
             "e1" => e1_figures(),
             "e2" => e2_bounding_chain(quick),
             "e3" => e3_value_spectrum(quick),
@@ -53,7 +55,7 @@ fn main() {
             "e12" => e12_reduction(quick),
             "e13" => e13_mcp_spectrum(quick),
             "e14" => e14_search_schemes(quick),
-            other => eprintln!("unknown experiment {other:?} (expected e1..e14 or all)"),
+            _ => unreachable!("names are validated above"),
         }
     }
 }

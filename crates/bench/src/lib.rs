@@ -1,12 +1,14 @@
-//! # ffsm-bench — workloads and reporting helpers shared by the experiment harness
-//! and the Criterion benchmarks.
+//! # ffsm-bench — the CI gate suites and the paper experiment tables
 //!
-//! The experiment identifiers (E1…E14) are defined in `DESIGN.md` §4; the `experiments`
-//! binary regenerates every table recorded in `EXPERIMENTS.md`.
+//! Two binaries share this library: `bench` runs the gate suites through the
+//! [`harness`] (one `BENCH_<suite>.json` report per suite, a non-zero exit on a
+//! failed gate), and `experiments` prints the paper-reproduction tables E1–E14
+//! as Markdown ([`report::Table`]).  Both draw their inputs from [`workloads`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod harness;
 pub mod report;
 pub mod workloads;
 
@@ -17,12 +19,6 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();
     let out = f();
     (out, start.elapsed())
-}
-
-/// The value following `flag` in a raw argument list (`--flag value`), shared by
-/// every bench binary's argument parsing.
-pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
 }
 
 /// Format a `Duration` with a sensible unit for tables.

@@ -1,7 +1,7 @@
 //! Plain-text table rendering for the experiment harness.
 //!
 //! Tables are printed in GitHub-flavoured Markdown so the harness output can be
-//! pasted directly into `EXPERIMENTS.md`.
+//! pasted into a Markdown document as is.
 
 /// A simple Markdown table builder.
 #[derive(Debug, Clone)]

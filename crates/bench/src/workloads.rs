@@ -1,7 +1,7 @@
-//! Workload definitions shared by the experiment harness and the Criterion benches.
+//! Workload definitions shared by the `experiments` tables and the `bench` suites.
 //!
-//! Each workload is deterministic (seeded) so that every run of `experiments` or
-//! `cargo bench` measures the same inputs.
+//! Each workload is deterministic (seeded) so that every run measures the same
+//! inputs.
 
 use ffsm_core::occurrences::OccurrenceSet;
 use ffsm_graph::isomorphism::IsoConfig;
@@ -41,7 +41,7 @@ pub fn pattern_suite() -> Vec<NamedPattern> {
     ]
 }
 
-/// The standard data-graph suite (domain-flavoured synthetic graphs, DESIGN.md §5).
+/// The standard data-graph suite (domain-flavoured synthetic graphs).
 pub fn dataset_suite(seed: u64) -> Vec<datasets::Dataset> {
     datasets::standard_suite(seed)
 }
