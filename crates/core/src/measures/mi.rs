@@ -6,7 +6,7 @@
 //! every pair of which is swapped by an automorphism of some subgraph of the pattern.
 //!
 //! The paper leaves the exact family of subgraphs open; the [`MiStrategy`] enum makes
-//! the choice explicit (see DESIGN.md §2).  All strategies include the singletons, so
+//! the choice explicit.  All strategies include the singletons, so
 //! σMI ≤ σMNI (Theorem 3.4) holds by construction, and all are anti-monotonic because
 //! the candidate family only depends on the pattern and is preserved under pattern
 //! extension (the argument of Theorem 3.2).

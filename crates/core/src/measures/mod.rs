@@ -21,7 +21,7 @@ use std::cell::OnceCell;
 use std::sync::Arc;
 
 /// Strategy for choosing the coarse-grained (transitive) node subsets over which the
-/// MI measure minimises (Definition 3.2.4 leaves this collection open; see DESIGN.md).
+/// MI measure minimises (Definition 3.2.4 leaves this collection open).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MiStrategy {
     /// Only singleton subsets — MI degenerates to MNI.

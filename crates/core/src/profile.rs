@@ -145,7 +145,7 @@ impl MeasureProfile {
         self.bounding_chain_violations().is_empty()
     }
 
-    /// Fixed-width table, one row per measure — the format used in EXPERIMENTS.md.
+    /// Fixed-width table, one row per measure.
     pub fn table(&self) -> String {
         let mut out = String::new();
         if !self.label.is_empty() {

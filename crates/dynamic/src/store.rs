@@ -51,7 +51,7 @@ impl EpochSnapshot {
 }
 
 /// A versioned dynamic graph: apply update batches, get immutable epoch
-/// snapshots.  See the [module docs](self).
+/// snapshots.  See the module docs in `store.rs`.
 #[derive(Debug)]
 pub struct DynamicGraph {
     /// Retained snapshots, ascending by epoch; the last entry is current.

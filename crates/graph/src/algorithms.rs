@@ -3,9 +3,7 @@
 //! These are used throughout the workspace:
 //!
 //! * the dataset generators and the experiment harness report structural statistics
-//!   (diameter, clustering, k-cores) so EXPERIMENTS.md can characterise each workload;
-//! * the miner uses [`bfs_distances`] and [`connected_components`] to restrict
-//!   candidate extension to reachable structure;
+//!   (diameter, clustering, k-cores) to characterise each workload;
 //! * the triangle / clustering routines power the "overlap-heavy vs overlap-light"
 //!   classification of data graphs in the evaluation (overlap-heavy graphs are where
 //!   MNI over-estimates most).
@@ -41,52 +39,6 @@ pub fn bfs_distances(graph: &LabeledGraph, source: VertexId) -> Vec<usize> {
         std::mem::swap(&mut frontier, &mut next);
     }
     dist
-}
-
-/// Breadth-first shortest path from `source` to `target` as a vertex sequence, or
-/// `None` if `target` is unreachable.
-pub fn shortest_path(
-    graph: &LabeledGraph,
-    source: VertexId,
-    target: VertexId,
-) -> Option<Vec<VertexId>> {
-    let n = graph.num_vertices();
-    if (source as usize) >= n || (target as usize) >= n {
-        return None;
-    }
-    if source == target {
-        return Some(vec![source]);
-    }
-    let mut parent: Vec<Option<VertexId>> = vec![None; n];
-    let mut seen = vec![false; n];
-    seen[source as usize] = true;
-    let mut frontier = vec![source];
-    let mut next = Vec::new();
-    while !frontier.is_empty() {
-        next.clear();
-        for &v in &frontier {
-            for &w in graph.neighbors(v) {
-                if !seen[w as usize] {
-                    seen[w as usize] = true;
-                    parent[w as usize] = Some(v);
-                    if w == target {
-                        // Reconstruct.
-                        let mut path = vec![target];
-                        let mut cur = target;
-                        while let Some(p) = parent[cur as usize] {
-                            path.push(p);
-                            cur = p;
-                        }
-                        path.reverse();
-                        return Some(path);
-                    }
-                    next.push(w);
-                }
-            }
-        }
-        std::mem::swap(&mut frontier, &mut next);
-    }
-    None
 }
 
 /// Eccentricity of `source`: the largest finite BFS distance from it.
@@ -313,30 +265,6 @@ pub fn degeneracy(graph: &LabeledGraph) -> usize {
     core_numbers(graph).into_iter().max().unwrap_or(0)
 }
 
-/// A degeneracy ordering: vertices listed so that every vertex has at most
-/// `degeneracy` neighbours appearing later in the order.  Produced by repeatedly
-/// removing a minimum-degree vertex.
-pub fn degeneracy_ordering(graph: &LabeledGraph) -> Vec<VertexId> {
-    let n = graph.num_vertices();
-    let mut degree: Vec<usize> = graph.vertices().map(|v| graph.degree(v)).collect();
-    let mut removed = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    for _ in 0..n {
-        let v = (0..n)
-            .filter(|&v| !removed[v])
-            .min_by_key(|&v| (degree[v], v))
-            .expect("vertex remains");
-        removed[v] = true;
-        order.push(v as VertexId);
-        for &w in graph.neighbors(v as VertexId) {
-            if !removed[w as usize] {
-                degree[w as usize] -= 1;
-            }
-        }
-    }
-    order
-}
-
 /// `true` if the graph is bipartite (2-colourable); the empty graph is bipartite.
 pub fn is_bipartite(graph: &LabeledGraph) -> bool {
     bipartition(graph).is_some()
@@ -365,54 +293,6 @@ pub fn bipartition(graph: &LabeledGraph) -> Option<Vec<u8>> {
         }
     }
     Some(color)
-}
-
-/// Greedy vertex colouring in degeneracy order; returns the colour of each vertex.
-/// Uses at most `degeneracy + 1` colours.
-pub fn greedy_coloring(graph: &LabeledGraph) -> Vec<usize> {
-    let n = graph.num_vertices();
-    let mut color = vec![usize::MAX; n];
-    // Colour in reverse degeneracy order for the degeneracy+1 guarantee.
-    let mut order = degeneracy_ordering(graph);
-    order.reverse();
-    let mut used = Vec::new();
-    for &v in &order {
-        used.clear();
-        for &w in graph.neighbors(v) {
-            if color[w as usize] != usize::MAX {
-                used.push(color[w as usize]);
-            }
-        }
-        used.sort_unstable();
-        used.dedup();
-        let mut c = 0usize;
-        for &u in &used {
-            if u == c {
-                c += 1;
-            } else if u > c {
-                break;
-            }
-        }
-        color[v as usize] = c;
-    }
-    color
-}
-
-/// Number of colours used by [`greedy_coloring`].
-pub fn greedy_chromatic_number(graph: &LabeledGraph) -> usize {
-    greedy_coloring(graph).into_iter().map(|c| c + 1).max().unwrap_or(0)
-}
-
-/// Degree histogram: entry `i` is the number of vertices of degree `i`.
-pub fn degree_histogram(graph: &LabeledGraph) -> Vec<usize> {
-    let mut hist = vec![0usize; graph.max_degree() + 1];
-    for v in graph.vertices() {
-        hist[graph.degree(v)] += 1;
-    }
-    if graph.num_vertices() == 0 {
-        hist.clear();
-    }
-    hist
 }
 
 #[cfg(test)]
@@ -451,16 +331,6 @@ mod tests {
     fn bfs_out_of_range_source() {
         let g = path5();
         assert!(bfs_distances(&g, 99).iter().all(|&d| d == usize::MAX));
-    }
-
-    #[test]
-    fn shortest_path_reconstruction() {
-        let g = path5();
-        assert_eq!(shortest_path(&g, 0, 4), Some(vec![0, 1, 2, 3, 4]));
-        assert_eq!(shortest_path(&g, 3, 3), Some(vec![3]));
-        let tt = two_triangles();
-        assert_eq!(shortest_path(&tt, 0, 5), None);
-        assert_eq!(shortest_path(&tt, 0, 99), None);
     }
 
     #[test]
@@ -537,20 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn degeneracy_ordering_property() {
-        let g = generators::barabasi_albert(120, 3, 4, 5);
-        let order = degeneracy_ordering(&g);
-        assert_eq!(order.len(), g.num_vertices());
-        let d = degeneracy(&g);
-        let pos: std::collections::HashMap<VertexId, usize> =
-            order.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-        for &v in &order {
-            let later = g.neighbors(v).iter().filter(|&&w| pos[&w] > pos[&v]).count();
-            assert!(later <= d, "vertex {v} has {later} later neighbours > degeneracy {d}");
-        }
-    }
-
-    #[test]
     fn bipartite_detection() {
         assert!(is_bipartite(&path5()));
         assert!(!is_bipartite(&two_triangles()));
@@ -563,26 +419,5 @@ mod tests {
         }
         let odd_cycle = crate::patterns::cycle(&[Label(0); 5]);
         assert!(bipartition(&odd_cycle).is_none());
-    }
-
-    #[test]
-    fn greedy_coloring_is_proper_and_bounded() {
-        let g = generators::gnm_random(100, 300, 3, 17);
-        let colors = greedy_coloring(&g);
-        for (u, v) in g.edges() {
-            assert_ne!(colors[u as usize], colors[v as usize]);
-        }
-        assert!(greedy_chromatic_number(&g) <= degeneracy(&g) + 1);
-        assert_eq!(greedy_chromatic_number(&LabeledGraph::new()), 0);
-    }
-
-    #[test]
-    fn degree_histogram_shape() {
-        let g = path5();
-        // Two endpoints of degree 1, three inner vertices of degree 2.
-        assert_eq!(degree_histogram(&g), vec![0, 2, 3]);
-        assert!(degree_histogram(&LabeledGraph::new()).is_empty());
-        let star = crate::patterns::uniform_star(4, Label(0), Label(1));
-        assert_eq!(degree_histogram(&star), vec![0, 4, 0, 0, 1]);
     }
 }

@@ -4,8 +4,7 @@
 //! citation and social networks).  Those datasets are not redistributable here, so we
 //! provide generators that mimic their *relevant* characteristics — label-alphabet
 //! size, degree distribution and the amount of occurrence overlap — which are the
-//! properties the support measures are sensitive to.  See DESIGN.md §5 for the
-//! substitution rationale.
+//! properties the support measures are sensitive to.
 //!
 //! Every dataset is deterministic in its seed.
 

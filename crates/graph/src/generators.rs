@@ -1,8 +1,8 @@
 //! Random labeled-graph generators.
 //!
 //! These generators stand in for the real-world datasets used in the paper's
-//! evaluation (see DESIGN.md §5).  All of them are deterministic given a seed, so
-//! every experiment in EXPERIMENTS.md is reproducible bit for bit.
+//! evaluation.  All of them are deterministic given a seed, so every experiment is
+//! reproducible bit for bit.
 
 use crate::{Label, LabeledGraph, VertexId};
 use rand::rngs::StdRng;
@@ -40,25 +40,6 @@ pub fn gnm_random(n: usize, m: usize, num_labels: u32, seed: u64) -> LabeledGrap
         }
         if g.add_edge(u, v).unwrap_or(false) {
             added += 1;
-        }
-    }
-    g
-}
-
-/// G(n, p) Erdős–Rényi graph (each possible edge present independently with
-/// probability `p`).  Only suitable for moderate `n`.
-pub fn gnp_random(n: usize, p: f64, num_labels: u32, seed: u64) -> LabeledGraph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let labels = random_labels(n, num_labels, &mut rng);
-    let mut g = LabeledGraph::with_capacity(n);
-    for &l in &labels {
-        g.add_vertex(Label(l));
-    }
-    for u in 0..n {
-        for v in (u + 1)..n {
-            if rng.gen_bool(p.clamp(0.0, 1.0)) {
-                g.add_edge(u as VertexId, v as VertexId).expect("edge");
-            }
         }
     }
     g
@@ -273,85 +254,6 @@ pub fn sample_pattern(
     Some((pattern, vertices))
 }
 
-/// Uniformly random labelled tree on `n` vertices (each new vertex attaches to a
-/// uniformly chosen earlier vertex).  Trees have no overlap-inducing cycles, which
-/// makes them the "easy" end of the overlap spectrum in the experiments.
-pub fn random_tree(n: usize, num_labels: u32, seed: u64) -> LabeledGraph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let labels = random_labels(n, num_labels, &mut rng);
-    let mut g = LabeledGraph::with_capacity(n);
-    for &l in &labels {
-        g.add_vertex(Label(l));
-    }
-    for v in 1..n {
-        let parent = rng.gen_range(0..v) as VertexId;
-        g.add_edge(v as VertexId, parent).expect("tree edge");
-    }
-    g
-}
-
-/// Random bipartite graph: `left × right` vertices, each cross edge present with
-/// probability `p`.  Left vertices take labels `0..num_labels/2`, right vertices the
-/// remaining labels, so patterns naturally align with the bipartition.
-pub fn bipartite_random(
-    left: usize,
-    right: usize,
-    p: f64,
-    num_labels: u32,
-    seed: u64,
-) -> LabeledGraph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let num_labels = num_labels.max(2);
-    let split = (num_labels / 2).max(1);
-    let mut g = LabeledGraph::with_capacity(left + right);
-    for _ in 0..left {
-        g.add_vertex(Label(rng.gen_range(0..split)));
-    }
-    for _ in 0..right {
-        g.add_vertex(Label(split + rng.gen_range(0..num_labels - split)));
-    }
-    for u in 0..left {
-        for v in 0..right {
-            if rng.gen_bool(p.clamp(0.0, 1.0)) {
-                g.add_edge(u as VertexId, (left + v) as VertexId).expect("edge");
-            }
-        }
-    }
-    g
-}
-
-/// A ring of `count` cliques of size `clique_size`, consecutive cliques joined by one
-/// bridge edge (and the last joined back to the first when `count >= 3`).  A dense-
-/// local / sparse-global structure with heavy intra-clique occurrence overlap.
-pub fn ring_of_cliques(count: usize, clique_size: usize, num_labels: u32) -> LabeledGraph {
-    let k = clique_size.max(1);
-    let num_labels = num_labels.max(1);
-    let mut g = LabeledGraph::with_capacity(count * k);
-    for c in 0..count {
-        for i in 0..k {
-            g.add_vertex(Label(((c + i) as u32) % num_labels));
-        }
-        let base = (c * k) as VertexId;
-        for i in 0..k {
-            for j in (i + 1)..k {
-                g.add_edge(base + i as VertexId, base + j as VertexId).expect("edge");
-            }
-        }
-    }
-    if count >= 2 && k >= 1 {
-        for c in 0..count {
-            let next = (c + 1) % count;
-            if next == 0 && count == 2 {
-                break; // avoid a duplicate bridge between two cliques
-            }
-            let from = (c * k + (k - 1)) as VertexId;
-            let to = (next * k) as VertexId;
-            let _ = g.add_edge(from, to);
-        }
-    }
-    g
-}
-
 /// Holme–Kim-style power-law cluster graph: preferential attachment where each new
 /// edge is followed, with probability `triad_p`, by a "triad formation" edge closing a
 /// triangle.  Produces the high-clustering, heavy-tailed structure of social graphs —
@@ -422,97 +324,6 @@ pub fn power_law_cluster(
     g
 }
 
-/// A caterpillar: a spine path of `spine` vertices, each carrying `legs` pendant leaf
-/// vertices.  Spine vertices take label 0, leaves label 1 — the many symmetric legs
-/// give patterns large automorphism groups (the MI measure's favourable case).
-pub fn caterpillar(spine: usize, legs: usize) -> LabeledGraph {
-    let mut g = LabeledGraph::with_capacity(spine * (legs + 1));
-    let spine_ids: Vec<VertexId> = (0..spine).map(|_| g.add_vertex(Label(0))).collect();
-    for w in spine_ids.windows(2) {
-        g.add_edge(w[0], w[1]).expect("spine edge");
-    }
-    for &s in &spine_ids {
-        for _ in 0..legs {
-            let leaf = g.add_vertex(Label(1));
-            g.add_edge(s, leaf).expect("leg edge");
-        }
-    }
-    g
-}
-
-/// A molecule-like multi-label graph: `molecules` small components, each a ring or
-/// chain of `atoms_per_molecule` atoms with occasional pendant substituents, atom
-/// labels drawn from a skewed (Zipf-ish) distribution over `num_labels` symbols —
-/// a handful of "carbon"-like labels dominate, rarer "heteroatom" labels appear on
-/// a minority of vertices.  Models chemistry-style datasets: many small components
-/// with heavily repeated fragments, the workload where label-aware partitioning
-/// has the most signal.
-pub fn molecule_like(
-    molecules: usize,
-    atoms_per_molecule: usize,
-    num_labels: u32,
-    seed: u64,
-) -> LabeledGraph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let atoms = atoms_per_molecule.max(1);
-    let mut g = LabeledGraph::with_capacity(molecules * (atoms + atoms / 3));
-    for _ in 0..molecules {
-        let backbone: Vec<VertexId> =
-            (0..atoms).map(|_| g.add_vertex(Label(zipf_label(num_labels, &mut rng)))).collect();
-        for w in backbone.windows(2) {
-            g.add_edge(w[0], w[1]).expect("backbone edge");
-        }
-        // Roughly half the molecules close into a ring (benzene-style).
-        if atoms >= 3 && rng.gen_bool(0.5) {
-            g.add_edge(backbone[0], backbone[atoms - 1]).expect("ring-closing edge");
-        }
-        // Pendant substituents on ~1/3 of the backbone atoms.
-        for &a in &backbone {
-            if rng.gen_bool(1.0 / 3.0) {
-                let sub = g.add_vertex(Label(zipf_label(num_labels, &mut rng)));
-                g.add_edge(a, sub).expect("substituent edge");
-            }
-        }
-    }
-    g
-}
-
-/// Barabási–Albert topology with Zipf-skewed labels instead of uniform ones: the
-/// power-law degree distribution of [`barabasi_albert`] combined with a label
-/// histogram where label 0 is the most common and frequency decays roughly as
-/// `1/(rank+1)`.  Skewed labels make label-aware shard assignment meaningfully
-/// different from vertex-range assignment, which uniform labels do not.
-pub fn barabasi_albert_skewed(
-    n: usize,
-    edges_per_node: usize,
-    num_labels: u32,
-    seed: u64,
-) -> LabeledGraph {
-    // Reuse the BA topology, then relabel deterministically from a second stream
-    // (same seed, offset) so topology and labels stay independently reproducible.
-    let mut g = barabasi_albert(n, edges_per_node, 1, seed);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5e_ed1a_be15_u64);
-    for v in 0..g.num_vertices() {
-        g.relabel(v as VertexId, Label(zipf_label(num_labels, &mut rng))).expect("relabel");
-    }
-    g
-}
-
-/// Draw a label from `0..num_labels` with probability proportional to
-/// `1/(rank+1)` — a harmonic (Zipf s=1) distribution, label 0 most frequent.
-fn zipf_label(num_labels: u32, rng: &mut StdRng) -> u32 {
-    let k = num_labels.max(1);
-    let total: f64 = (0..k).map(|r| 1.0 / (r as f64 + 1.0)).sum();
-    let mut x = rng.gen_range(0.0..total);
-    for r in 0..k {
-        x -= 1.0 / (r as f64 + 1.0);
-        if x <= 0.0 {
-            return r;
-        }
-    }
-    k - 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -534,14 +345,6 @@ mod tests {
     fn gnm_caps_at_complete_graph() {
         let g = gnm_random(5, 100, 2, 1);
         assert_eq!(g.num_edges(), 10);
-    }
-
-    #[test]
-    fn gnp_extremes() {
-        let empty = gnp_random(20, 0.0, 3, 7);
-        assert_eq!(empty.num_edges(), 0);
-        let full = gnp_random(10, 1.0, 3, 7);
-        assert_eq!(full.num_edges(), 45);
     }
 
     #[test]
@@ -609,43 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn random_tree_is_a_tree() {
-        let t = random_tree(50, 3, 2);
-        assert_eq!(t.num_vertices(), 50);
-        assert_eq!(t.num_edges(), 49);
-        assert!(t.is_connected());
-        assert_eq!(random_tree(50, 3, 2), t); // deterministic
-        assert_eq!(random_tree(0, 3, 2).num_vertices(), 0);
-        assert_eq!(random_tree(1, 3, 2).num_edges(), 0);
-    }
-
-    #[test]
-    fn bipartite_random_has_no_odd_cycles() {
-        let g = bipartite_random(15, 20, 0.2, 4, 5);
-        assert_eq!(g.num_vertices(), 35);
-        assert!(crate::algorithms::is_bipartite(&g));
-        // Left and right draw from disjoint label ranges.
-        let left_labels: std::collections::BTreeSet<_> = (0..15).map(|v| g.label(v)).collect();
-        let right_labels: std::collections::BTreeSet<_> = (15..35).map(|v| g.label(v)).collect();
-        assert!(left_labels.intersection(&right_labels).next().is_none());
-        assert_eq!(bipartite_random(0, 0, 0.5, 4, 5).num_vertices(), 0);
-    }
-
-    #[test]
-    fn ring_of_cliques_structure() {
-        let g = ring_of_cliques(4, 4, 3);
-        assert_eq!(g.num_vertices(), 16);
-        // 4 cliques of 6 edges each + 4 bridges.
-        assert_eq!(g.num_edges(), 4 * 6 + 4);
-        assert!(g.is_connected());
-        // Two cliques: only one bridge, no duplicate.
-        let two = ring_of_cliques(2, 3, 2);
-        assert_eq!(two.num_edges(), 2 * 3 + 1);
-        assert_eq!(ring_of_cliques(1, 3, 2).num_edges(), 3);
-        assert_eq!(ring_of_cliques(0, 3, 2).num_vertices(), 0);
-    }
-
-    #[test]
     fn power_law_cluster_is_clustered() {
         let plc = power_law_cluster(200, 2, 0.8, 4, 13);
         let ba = barabasi_albert(200, 2, 4, 13);
@@ -654,54 +420,6 @@ mod tests {
         // Triad formation should produce noticeably more triangles than plain BA.
         assert!(crate::algorithms::triangle_count(&plc) > crate::algorithms::triangle_count(&ba));
         assert_eq!(power_law_cluster(200, 2, 0.8, 4, 13), plc); // deterministic
-    }
-
-    #[test]
-    fn caterpillar_shape() {
-        let c = caterpillar(5, 3);
-        assert_eq!(c.num_vertices(), 5 + 15);
-        assert_eq!(c.num_edges(), 4 + 15);
-        assert!(c.is_connected());
-        assert_eq!(c.vertices_with_label(Label(1)).len(), 15);
-        let bare = caterpillar(3, 0);
-        assert_eq!(bare.num_edges(), 2);
-        assert_eq!(caterpillar(0, 5).num_vertices(), 0);
-    }
-
-    #[test]
-    fn molecule_like_has_many_small_skewed_components() {
-        let g = molecule_like(40, 6, 8, 21);
-        // Backbone atoms plus some substituents; never fewer than the backbones.
-        assert!(g.num_vertices() >= 240);
-        // Molecules are disjoint: many components, none spanning two molecules.
-        assert!(g.num_components() >= 40);
-        // Zipf labels: label 0 strictly more common than the rarest label used.
-        let hist = g.label_histogram();
-        let c0 = hist.iter().find(|(l, _)| *l == Label(0)).map(|&(_, c)| c).unwrap_or(0);
-        let min = hist.iter().map(|&(_, c)| c).min().unwrap();
-        assert!(c0 > 2 * min, "label 0 count {c0} should dominate rarest {min}");
-        assert_eq!(molecule_like(40, 6, 8, 21), g); // deterministic
-        assert_ne!(molecule_like(40, 6, 8, 22), g);
-        assert_eq!(molecule_like(0, 6, 8, 21).num_vertices(), 0);
-        // Single-atom molecules: no backbone or ring edges, only possible pendants.
-        let tiny = molecule_like(3, 1, 8, 21);
-        assert!(tiny.num_edges() <= tiny.num_vertices());
-    }
-
-    #[test]
-    fn barabasi_albert_skewed_keeps_topology_and_skews_labels() {
-        let skewed = barabasi_albert_skewed(300, 2, 6, 17);
-        let plain = barabasi_albert(300, 2, 1, 17);
-        assert_eq!(skewed.num_vertices(), plain.num_vertices());
-        assert_eq!(skewed.num_edges(), plain.num_edges());
-        assert!(skewed.is_connected());
-        // Harmonic label distribution: label 0 carries roughly 1/H(6) ≈ 41% of
-        // vertices — far above the uniform 1/6 share.
-        let hist = skewed.label_histogram();
-        let c0 = hist.iter().find(|(l, _)| *l == Label(0)).map(|&(_, c)| c).unwrap_or(0);
-        assert!(c0 > 300 / 4, "label 0 count {c0} should exceed the uniform share");
-        assert!(hist.len() >= 3, "skew must not collapse the alphabet entirely");
-        assert_eq!(barabasi_albert_skewed(300, 2, 6, 17), skewed); // deterministic
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * [`patterns`] — constructors for the common query shapes (edge, path, star,
 //!   triangle, clique, cycle).
 //! * [`generators`] / [`datasets`] — synthetic data-graph generators standing in for
-//!   the paper's real datasets (see DESIGN.md §5).
+//!   the paper's real datasets.
 //! * [`figures`] — the exact example graphs of the paper's Figures 1–10.
 //! * [`io`] — plain-text readers/writers for `.lg` graphs and `.gu` update batches.
 //! * [`update`] — typed [`GraphUpdate`]s, batch application and the [`GraphDelta`]
@@ -45,7 +45,6 @@ mod graph;
 pub mod io;
 pub mod isomorphism;
 pub mod patterns;
-pub mod refinement;
 pub mod statistics;
 pub mod transform;
 pub mod update;

@@ -1,9 +1,9 @@
 //! Structural summary statistics of labeled graphs.
 //!
 //! The experiment harness prints a [`GraphStatistics`] block for every dataset it
-//! uses, so EXPERIMENTS.md can characterise each workload (size, density, label
-//! skew, clustering, core structure) the way the paper's evaluation tables
-//! characterise their real datasets.
+//! uses, characterising each workload (size, density, label skew, clustering, core
+//! structure) the way the paper's evaluation tables characterise their real
+//! datasets.
 
 use crate::algorithms;
 use crate::{Label, LabeledGraph};

@@ -4,16 +4,11 @@
 //!
 //! * [`shuffle_vertices`] — randomly permutes vertex identifiers; every support
 //!   measure must be invariant under this (isomorphism-invariance property tests);
-//! * [`forget_labels`] / [`coarsen_labels`] — collapse the label alphabet, moving a
-//!   dataset along the "label selectivity" axis of the evaluation (fewer labels →
-//!   more occurrences → more overlap);
+//! * [`forget_labels`] / [`map_labels`] — collapse or rename the label alphabet,
+//!   moving a dataset along the "label selectivity" axis of the evaluation (fewer
+//!   labels → more occurrences → more overlap);
 //! * [`disjoint_union`] — composes data graphs; MVC/MIS/MIES are additive under it
-//!   (the "additiveness" extension of the paper's Section 6), MNI/MI are not;
-//! * [`quotient_by`] — contracts vertex groups (e.g. automorphism orbits of a
-//!   pattern) into single vertices, the construction behind the MI measure's
-//!   "coarse-grained" view of a pattern (Figure 7);
-//! * [`line_graph`] — the classic edge-to-vertex transform, used to re-express
-//!   edge-overlap questions as vertex-overlap questions.
+//!   (the "additiveness" extension of the paper's Section 6), MNI/MI are not.
 
 use crate::{GraphError, Label, LabeledGraph, VertexId};
 use rand::rngs::StdRng;
@@ -36,13 +31,6 @@ pub fn map_labels(graph: &LabeledGraph, f: impl Fn(Label) -> Label) -> LabeledGr
 /// occurrences of any pattern can only grow under this transform.
 pub fn forget_labels(graph: &LabeledGraph) -> LabeledGraph {
     map_labels(graph, |_| Label(0))
-}
-
-/// Reduce the label alphabet to `num_labels` symbols by taking labels modulo
-/// `num_labels` (at least 1).
-pub fn coarsen_labels(graph: &LabeledGraph, num_labels: u32) -> LabeledGraph {
-    let k = num_labels.max(1);
-    map_labels(graph, |l| Label(l.0 % k))
 }
 
 /// Rename vertices by the permutation `perm` (`perm[old] = new`); labels and edges
@@ -115,94 +103,6 @@ pub fn disjoint_union_all(graphs: &[LabeledGraph]) -> LabeledGraph {
     graphs.iter().fold(LabeledGraph::new(), |acc, g| disjoint_union(&acc, g))
 }
 
-/// Contract each group of `groups` into a single vertex.  Vertices not listed in any
-/// group keep their own (singleton) vertex.  Edges between groups become single edges;
-/// edges inside a group disappear.  The contracted vertex takes the label of the
-/// group's smallest original vertex.
-///
-/// Returns the quotient graph and the map `original vertex -> quotient vertex`.
-///
-/// # Errors
-/// Returns an error if a vertex appears in more than one group or is out of range.
-pub fn quotient_by(
-    graph: &LabeledGraph,
-    groups: &[Vec<VertexId>],
-) -> Result<(LabeledGraph, Vec<VertexId>), GraphError> {
-    let n = graph.num_vertices();
-    let mut assignment: Vec<Option<usize>> = vec![None; n];
-    for (gi, group) in groups.iter().enumerate() {
-        for &v in group {
-            if (v as usize) >= n {
-                return Err(GraphError::UnknownVertex(v));
-            }
-            if assignment[v as usize].is_some() {
-                return Err(GraphError::Io(format!("vertex {v} appears in two groups")));
-            }
-            assignment[v as usize] = Some(gi);
-        }
-    }
-    // Build quotient vertices: one per non-empty group (in order), then one per
-    // unassigned vertex (in id order).
-    let mut quotient = LabeledGraph::new();
-    let mut group_vertex: Vec<Option<VertexId>> = vec![None; groups.len()];
-    let mut mapping = vec![0 as VertexId; n];
-    for (gi, group) in groups.iter().enumerate() {
-        if group.is_empty() {
-            continue;
-        }
-        let representative = *group.iter().min().expect("non-empty group");
-        let q = quotient.add_vertex(graph.label(representative));
-        group_vertex[gi] = Some(q);
-    }
-    for v in 0..n {
-        match assignment[v] {
-            Some(gi) => mapping[v] = group_vertex[gi].expect("group has a vertex"),
-            None => {
-                let q = quotient.add_vertex(graph.label(v as VertexId));
-                mapping[v] = q;
-            }
-        }
-    }
-    for (u, v) in graph.edges() {
-        let qu = mapping[u as usize];
-        let qv = mapping[v as usize];
-        if qu != qv {
-            quotient.add_edge(qu, qv).expect("quotient edge valid");
-        }
-    }
-    Ok((quotient, mapping))
-}
-
-/// The line graph `L(G)`: one vertex per edge of `G`, two line-graph vertices adjacent
-/// when the corresponding edges of `G` share an endpoint.  Line-graph vertex `i`
-/// corresponds to the `i`-th edge of `graph.edges()` and is labelled by the smaller of
-/// the two endpoint labels (a symmetric choice).
-///
-/// Returns the line graph and the list of original edges in vertex order.
-pub fn line_graph(graph: &LabeledGraph) -> (LabeledGraph, Vec<(VertexId, VertexId)>) {
-    let edges: Vec<(VertexId, VertexId)> = graph.edges().collect();
-    let mut lg = LabeledGraph::with_capacity(edges.len());
-    for &(u, v) in &edges {
-        let la = graph.label(u);
-        let lb = graph.label(v);
-        lg.add_vertex(if la <= lb { la } else { lb });
-    }
-    // Bucket edges by endpoint so adjacency is built in O(sum deg^2) over vertices.
-    let mut incident: Vec<Vec<usize>> = vec![Vec::new(); graph.num_vertices()];
-    for (i, &(u, v)) in edges.iter().enumerate() {
-        incident[u as usize].push(i);
-        incident[v as usize].push(i);
-    }
-    for bucket in &incident {
-        for (a, &i) in bucket.iter().enumerate() {
-            for &j in &bucket[a + 1..] {
-                lg.add_edge(i as VertexId, j as VertexId).expect("line-graph edge valid");
-            }
-        }
-    }
-    (lg, edges)
-}
-
 /// Complement graph (same labels, edge present iff absent in the input).  Quadratic in
 /// the number of vertices — only intended for patterns and other small graphs.
 pub fn complement(graph: &LabeledGraph) -> LabeledGraph {
@@ -217,21 +117,6 @@ pub fn complement(graph: &LabeledGraph) -> LabeledGraph {
                 g.add_edge(u, v).expect("complement edge valid");
             }
         }
-    }
-    g
-}
-
-/// Subdivide every edge once: each edge `u—v` becomes `u—x—v` with a fresh vertex `x`
-/// labelled `subdivision_label`.  Useful to build sparse, automorphism-rich workloads.
-pub fn subdivide_edges(graph: &LabeledGraph, subdivision_label: Label) -> LabeledGraph {
-    let mut g = LabeledGraph::with_capacity(graph.num_vertices() + graph.num_edges());
-    for v in graph.vertices() {
-        g.add_vertex(graph.label(v));
-    }
-    for (u, v) in graph.edges() {
-        let x = g.add_vertex(subdivision_label);
-        g.add_edge(u, x).expect("edge");
-        g.add_edge(x, v).expect("edge");
     }
     g
 }
@@ -254,11 +139,6 @@ mod tests {
         assert!(f.vertices().all(|v| f.label(v) == Label(0)));
         let mapped = map_labels(&g, |l| Label(l.0 + 10));
         assert_eq!(mapped.label(2), Label(12));
-        let coarse = coarsen_labels(&g, 2);
-        assert_eq!(coarse.label(2), Label(0));
-        assert_eq!(coarse.label(1), Label(1));
-        let degenerate = coarsen_labels(&g, 0); // clamps to 1 label
-        assert!(degenerate.vertices().all(|v| degenerate.label(v) == Label(0)));
     }
 
     #[test]
@@ -306,47 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn quotient_contracts_groups() {
-        // Path 0-1-2-3; contract {1,2}: result is a path of 3 vertices.
-        let g = labelled_path();
-        let (q, map) = quotient_by(&g, &[vec![1, 2]]).unwrap();
-        assert_eq!(q.num_vertices(), 3);
-        assert_eq!(q.num_edges(), 2);
-        assert_eq!(map[1], map[2]);
-        assert_ne!(map[0], map[3]);
-        // Group label comes from the smallest member (vertex 1, Label(1)).
-        assert_eq!(q.label(map[1]), Label(1));
-    }
-
-    #[test]
-    fn quotient_rejects_bad_groups() {
-        let g = labelled_path();
-        assert!(quotient_by(&g, &[vec![1], vec![1]]).is_err());
-        assert!(quotient_by(&g, &[vec![99]]).is_err());
-        // Empty groups are allowed and ignored.
-        let (q, _) = quotient_by(&g, &[vec![], vec![0, 1]]).unwrap();
-        assert_eq!(q.num_vertices(), 3);
-    }
-
-    #[test]
-    fn line_graph_of_path_and_triangle() {
-        // Line graph of a path with 3 edges is a path with 2 edges.
-        let (lg, edges) = line_graph(&labelled_path());
-        assert_eq!(lg.num_vertices(), 3);
-        assert_eq!(lg.num_edges(), 2);
-        assert_eq!(edges.len(), 3);
-        // Line graph of a triangle is a triangle.
-        let t = patterns::uniform_clique(3, Label(4));
-        let (lt, _) = line_graph(&t);
-        assert_eq!(lt.num_vertices(), 3);
-        assert_eq!(lt.num_edges(), 3);
-        // Empty graph.
-        let (le, e) = line_graph(&LabeledGraph::new());
-        assert!(le.is_empty());
-        assert!(e.is_empty());
-    }
-
-    #[test]
     fn complement_roundtrip() {
         let g = patterns::uniform_path(4, Label(0));
         let c = complement(&g);
@@ -354,15 +193,5 @@ mod tests {
         let cc = complement(&c);
         assert_eq!(cc, g);
         assert_eq!(complement(&LabeledGraph::new()).num_vertices(), 0);
-    }
-
-    #[test]
-    fn subdivision_doubles_edges() {
-        let t = patterns::uniform_clique(3, Label(0));
-        let s = subdivide_edges(&t, Label(9));
-        assert_eq!(s.num_vertices(), 3 + 3);
-        assert_eq!(s.num_edges(), 6);
-        assert!(crate::algorithms::is_bipartite(&s));
-        assert_eq!(s.vertices_with_label(Label(9)).len(), 3);
     }
 }

@@ -35,7 +35,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod blocks;
 pub mod clique_cover;
 pub mod connectivity;
 mod hypergraph;
@@ -43,9 +42,7 @@ pub mod independent_set;
 pub mod matching;
 pub mod parallel;
 pub mod reduction;
-pub mod set_cover;
 pub mod statistics;
-pub mod transversal;
 pub mod vertex_cover;
 
 pub use hypergraph::{EdgeId, Hypergraph, HypergraphError};

@@ -8,7 +8,7 @@
 //!   produced by the experiments; reports whether optimality was proven.
 //! * [`greedy_matching_cover`] — the classic *k*-approximation for *k*-uniform
 //!   hypergraphs (take all vertices of a maximal set of pairwise-disjoint edges),
-//!   mirroring the k-competitive algorithm the paper cites (Halperin [7]).
+//!   mirroring the k-competitive algorithm the paper cites (Halperin \[7\]).
 //! * [`greedy_degree_cover`] — pick the highest-degree vertex repeatedly
 //!   (H_d-approximation); often much tighter in practice.
 

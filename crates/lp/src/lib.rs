@@ -38,7 +38,7 @@ mod simplex;
 mod standard;
 
 pub use duality::{dual_of, solve_with_dual, DualityError, DualityReport};
-pub use presolve::{presolve_covering, solve_covering_presolved, PresolveStats, PresolvedCovering};
+pub use presolve::{presolve_covering, PresolveStats, PresolvedCovering};
 pub use problem::{Constraint, ConstraintOp, Objective, Problem};
 pub use simplex::{SimplexOptions, SolveStatus};
 pub use standard::StandardForm;

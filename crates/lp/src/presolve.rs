@@ -183,14 +183,6 @@ impl PresolvedCovering {
     }
 }
 
-/// Convenience: presolve + solve a covering instance in one call.
-pub fn solve_covering_presolved(
-    num_elements: usize,
-    sets: &[Vec<usize>],
-) -> Result<Solution, LpError> {
-    presolve_covering(num_elements, sets).solve(num_elements)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,7 +233,7 @@ mod tests {
                 })
                 .collect();
             let direct = direct_objective(n, &sets);
-            let presolved = solve_covering_presolved(n, &sets).unwrap();
+            let presolved = presolve_covering(n, &sets).solve(n).unwrap();
             assert!(
                 (direct - presolved.objective).abs() < 1e-6,
                 "seed {seed}: direct {direct} presolved {}",

@@ -191,7 +191,7 @@ impl GraphIndex {
     }
 
     /// Repair this index in place after `graph` absorbed the update batch that
-    /// produced `delta` (see the [module docs](self)).  `graph` must be the
+    /// produced `delta` (see the module docs in `index.rs`).  `graph` must be the
     /// **post-batch** graph the index was tracking; the patched index equals
     /// `GraphIndex::build(graph)` exactly.
     ///

@@ -11,7 +11,7 @@
 //!    fingerprint and refined to neighbourhood consistency (CFL-style) before any
 //!    search happens;
 //! 3. [`Matcher`] — an iterative, non-recursive enumerator that streams embeddings
-//!    to an [`EmbeddingVisitor`](ffsm_graph::isomorphism::EmbeddingVisitor)
+//!    to an [`EmbeddingVisitor`]
 //!    (early termination for existence checks and budgets, counting without
 //!    materialisation) in both induced and non-induced semantics, with
 //!    deterministic root-partitioned parallelism.

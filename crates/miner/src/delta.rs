@@ -50,7 +50,7 @@ use ffsm_graph::{LabeledGraph, Pattern, VertexId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// One cached per-pattern evaluation (see the [module docs](self)).
+/// One cached per-pattern evaluation (see the module docs in `delta.rs`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedEval {
     /// The support computed by the session's measure.

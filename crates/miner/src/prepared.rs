@@ -55,8 +55,8 @@ struct PreparedInner {
 }
 
 /// An owned, `Arc`-shared, immutable handle bundling a data graph with its
-/// once-built per-graph artifacts.  See the [module docs](self); cloning is cheap
-/// and shares everything.
+/// once-built per-graph artifacts.  See the module docs in `prepared.rs`;
+/// cloning is cheap and shares everything.
 #[derive(Debug, Clone)]
 pub struct PreparedGraph {
     inner: Arc<PreparedInner>,

@@ -77,7 +77,7 @@ pub struct RunSummary {
     pub stats: MiningStats,
 }
 
-/// One streamed mining event.  See the [module docs](self) for the sequence
+/// One streamed mining event.  See the module docs in `stream.rs` for the sequence
 /// contract.
 #[derive(Debug, Clone)]
 pub enum MiningEvent {

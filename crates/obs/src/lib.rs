@@ -355,7 +355,7 @@ pub struct MetricsSnapshot {
 /// A phase of the mining pipeline, for wall-time attribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// Building (or patching) the shared [`GraphIndex`]-style matching index.
+    /// Building (or patching) the shared `GraphIndex`-style matching index.
     IndexBuild,
     /// Building + refining a per-pattern candidate space (nested in
     /// [`Phase::SupportEval`]).

@@ -50,6 +50,6 @@ mod registry;
 mod scheduler;
 mod server;
 
-pub use registry::{GraphRegistry, GraphStats, GraphSummary, PartitionHandle};
+pub use registry::{GraphRegistry, GraphStats, GraphSummary};
 pub use scheduler::{SchedulerStats, SessionScheduler};
 pub use server::{Server, ServerConfig, ServerHandle};

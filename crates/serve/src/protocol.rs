@@ -9,17 +9,15 @@
 //!
 //! ## Operations
 //!
-//! | `op`        | fields                                                                   |
-//! |-------------|--------------------------------------------------------------------------|
-//! | `mine`      | `graph`, `tau`, [`measure`], [`max_edges`], [`top_k`], [`deadline_ms`],  |
-//! |             | [`bounds`] (boolean: bounds-first certified intervals)                   |
-//! | `update`    | `graph`, `updates` (`.gu`-format text, `t` lines separate batches)       |
-//! | `partition` | `graph`, `shards`, [`halo`] (default 3), [`strategy`] (default           |
-//! |             | `vertex-range`; also `label-aware`)                                      |
-//! | `list`      | —                                                                        |
-//! | `stat`      | [`graph`] (omitted: server-level statistics)                             |
-//! | `metrics`   | — (scrape the server's metrics registry: one `metric` frame per metric)  |
-//! | `shutdown`  | — (begin graceful drain)                                                 |
+//! | `op`       | fields                                                                    |
+//! |------------|---------------------------------------------------------------------------|
+//! | `mine`     | `graph`, `tau`; optional `measure`, `max_edges`, `top_k`, `deadline_ms`,  |
+//! |            | `bounds` (boolean: bounds-first certified intervals)                      |
+//! | `update`   | `graph`, `updates` (`.gu`-format text, `t` lines separate batches)        |
+//! | `list`     | —                                                                         |
+//! | `stat`     | optional `graph` (omitted: server-level statistics)                       |
+//! | `metrics`  | — (scrape the server's metrics registry: one `metric` frame per metric)   |
+//! | `shutdown` | — (begin graceful drain)                                                  |
 //!
 //! Every request may carry a numeric `id`, echoed verbatim in the request's
 //! `error` and `done` frames so clients can correlate.  Malformed requests are
@@ -27,7 +25,6 @@
 
 use ffsm_core::{FfsmError, MeasureKind};
 use ffsm_graph::{io, GraphUpdate};
-use ffsm_shard::{PartitionSpec, PartitionStrategy};
 
 /// A parsed flat JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,13 +73,6 @@ pub enum Request {
         graph: String,
         /// Parsed batches, in application order.
         batches: Vec<Vec<GraphUpdate>>,
-    },
-    /// (Re)build a shard partition over a registered graph's current epoch.
-    Partition {
-        /// Registered graph to partition.
-        graph: String,
-        /// The validated partition geometry (shard count, halo depth, strategy).
-        spec: PartitionSpec,
     },
     /// Enumerate the registered graphs.
     List,
@@ -348,30 +338,13 @@ pub fn parse_request(line: &str) -> Result<Envelope, FfsmError> {
             }
             Request::Update { graph, batches }
         }
-        "partition" => {
-            let graph = fields.required_string("graph")?.to_string();
-            let shards = fields
-                .unsigned("shards")?
-                .ok_or_else(|| protocol_err("partition requires a numeric \"shards\""))?
-                as usize;
-            let halo = fields.unsigned("halo")?.unwrap_or(3) as usize;
-            let strategy = match fields.string("strategy")? {
-                Some(name) => name.parse::<PartitionStrategy>()?,
-                None => PartitionStrategy::VertexRange,
-            };
-            Request::Partition {
-                graph,
-                spec: PartitionSpec { num_shards: shards, halo_depth: halo, strategy },
-            }
-        }
         "list" => Request::List,
         "stat" => Request::Stat { graph: fields.string("graph")?.map(str::to_string) },
         "metrics" => Request::Metrics,
         "shutdown" => Request::Shutdown,
         other => {
             return Err(protocol_err(format!(
-                "unknown op {other:?} (expected mine, update, partition, list, stat, metrics \
-                 or shutdown)"
+                "unknown op {other:?} (expected mine, update, list, stat, metrics or shutdown)"
             )))
         }
     };
@@ -427,39 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_parses_spec_with_defaults() {
-        let Request::Partition { graph, spec } =
-            parse_request("{\"op\": \"partition\", \"graph\": \"g\", \"shards\": 4}")
-                .unwrap()
-                .request
-        else {
-            panic!("expected partition")
-        };
-        assert_eq!(graph, "g");
-        assert_eq!(spec, PartitionSpec::vertex_range(4, 3));
-
-        let Request::Partition { spec, .. } = parse_request(
-            "{\"op\": \"partition\", \"graph\": \"g\", \"shards\": 2, \"halo\": 5, \
-             \"strategy\": \"label-aware\"}",
-        )
-        .unwrap()
-        .request
-        else {
-            panic!("expected partition")
-        };
-        assert_eq!(spec, PartitionSpec::label_aware(2, 5));
-
-        // Missing shards is a protocol error; a bad strategy keeps its type.
-        let err = parse_request("{\"op\": \"partition\", \"graph\": \"g\"}").unwrap_err();
-        assert!(matches!(err, FfsmError::Protocol(_)));
-        let err = parse_request(
-            "{\"op\": \"partition\", \"graph\": \"g\", \"shards\": 2, \"strategy\": \"zzz\"}",
-        )
-        .unwrap_err();
-        assert!(matches!(err, FfsmError::Partition(_)));
-    }
-
-    #[test]
     fn list_stat_shutdown_round_trip() {
         assert!(matches!(parse_request("{\"op\": \"list\"}").unwrap().request, Request::List));
         assert!(matches!(
@@ -497,10 +437,14 @@ mod tests {
             "{\"op\": \"mine\", \"graph\": \"g\", \"tau\": 1, \"bounds\": 1}", // ill-typed flag
             "{\"op\": [1]}",                                                   // nested value
             "{\"op\": \"update\", \"graph\": \"g\", \"updates\": \"\"}",       // empty batch
+            "{\"op\": \"partition\", \"graph\": \"g\", \"shards\": 2}",        // unknown op
         ] {
             let err = parse_request(bad).unwrap_err();
             assert!(matches!(err, FfsmError::Protocol(_)), "{bad:?} -> {err:?}");
         }
+        let err = parse_request("{\"op\": \"nope\"}").unwrap_err().to_string();
+        assert!(err.contains("expected mine, update, list, stat, metrics or shutdown"), "{err}");
+        assert!(!err.contains("partition"), "{err}");
         // Errors below the protocol layer keep their own types.
         let err =
             parse_request("{\"op\": \"mine\", \"graph\": \"g\", \"tau\": 1, \"measure\": \"XX\"}")

@@ -23,7 +23,6 @@
 use ffsm_core::FfsmError;
 use ffsm_dynamic::{DynamicGraph, EpochSnapshot};
 use ffsm_graph::{GraphDelta, GraphUpdate, LabeledGraph};
-use ffsm_shard::{PartitionSpec, PartitionedGraph};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -32,25 +31,10 @@ use std::sync::{Arc, Mutex, RwLock};
 #[derive(Debug)]
 struct GraphEntry {
     store: Mutex<DynamicGraph>,
-    /// The epoch-stamped shard partition, if one has been built.  Invalidated
-    /// (dropped) by every committed update batch: a partition describes exactly
-    /// one epoch's topology, and serving a stale one would break the halo
-    /// invariant silently.
-    partition: Mutex<Option<PartitionHandle>>,
     mines: AtomicU64,
     updates: AtomicU64,
-    partitions: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
-}
-
-/// A built partition pinned to the epoch it was computed over.
-#[derive(Debug, Clone)]
-pub struct PartitionHandle {
-    /// Epoch of the graph the partition was built over.
-    pub epoch: usize,
-    /// The shared partitioned graph (cheap to clone).
-    pub partitioned: Arc<PartitionedGraph>,
 }
 
 /// A point-in-time description of one registered graph (the `list` frame).
@@ -66,9 +50,6 @@ pub struct GraphSummary {
     pub edges: usize,
     /// Distinct labels in the current epoch.
     pub labels: usize,
-    /// Shard count of the current epoch's partition, `None` when the graph is
-    /// unpartitioned (or the partition was invalidated by an update).
-    pub shards: Option<usize>,
 }
 
 /// Serving statistics for one registered graph (the per-graph `stat` frame).
@@ -88,14 +69,9 @@ pub struct GraphStats {
     pub cache_misses: u64,
     /// Whether the *current* epoch's index is built right now.
     pub index_built: bool,
-    /// Partitions built over this graph (each `partition` request counts one,
-    /// whether it replaced an existing partition or not).
-    pub partitions: u64,
-    /// The current partition's `(shards, halo_depth)`, if one is live.
-    pub partition_geometry: Option<(usize, usize)>,
 }
 
-/// The server's named-graph store.  See the [module docs](self).
+/// The server's named-graph store.  See the module docs in `registry.rs`.
 #[derive(Debug)]
 pub struct GraphRegistry {
     graphs: RwLock<BTreeMap<String, Arc<GraphEntry>>>,
@@ -131,10 +107,8 @@ impl GraphRegistry {
             name.to_string(),
             Arc::new(GraphEntry {
                 store: Mutex::new(DynamicGraph::new(graph)),
-                partition: Mutex::new(None),
                 mines: AtomicU64::new(0),
                 updates: AtomicU64::new(0),
-                partitions: AtomicU64::new(0),
                 cache_hits: AtomicU64::new(0),
                 cache_misses: AtomicU64::new(0),
             }),
@@ -188,43 +162,10 @@ impl GraphRegistry {
         let snapshot = store.apply(batch)?;
         let epoch = snapshot.epoch();
         let delta = snapshot.delta().expect("non-initial epoch carries a delta").clone();
-        let summary = summarize(name, snapshot, None);
+        let summary = summarize(name, snapshot);
         store.retain_recent(self.retain_epochs);
         entry.updates.fetch_add(1, Ordering::Relaxed);
-        drop(store);
-        // The committed epoch has new topology: any partition is now stale.
-        *entry.partition.lock().expect("partition lock poisoned") = None;
         Ok((epoch, delta, summary))
-    }
-
-    /// Build (or rebuild) a shard partition over `name`'s current epoch and
-    /// retain it for `list`/`stat` introspection and partitioned checkouts.
-    /// Returns the handle, so callers can report shard geometry immediately.
-    ///
-    /// # Errors
-    ///
-    /// [`FfsmError::UnknownGraph`]; [`FfsmError::Partition`] for an invalid
-    /// spec (zero shards, halo swallowing the graph).
-    pub fn partition(&self, name: &str, spec: PartitionSpec) -> Result<PartitionHandle, FfsmError> {
-        let entry = self.entry(name)?;
-        let snapshot = entry.store.lock().expect("store lock poisoned").current().clone();
-        let partitioned = Arc::new(PartitionedGraph::build(snapshot.prepared().graph(), spec)?);
-        let handle = PartitionHandle { epoch: snapshot.epoch(), partitioned };
-        *entry.partition.lock().expect("partition lock poisoned") = Some(handle.clone());
-        entry.partitions.fetch_add(1, Ordering::Relaxed);
-        Ok(handle)
-    }
-
-    /// The current partition of `name`, if one is live (built and not
-    /// invalidated by a later update).
-    ///
-    /// # Errors
-    ///
-    /// [`FfsmError::UnknownGraph`].
-    pub fn partition_handle(&self, name: &str) -> Result<Option<PartitionHandle>, FfsmError> {
-        let entry = self.entry(name)?;
-        let handle = entry.partition.lock().expect("partition lock poisoned").clone();
-        Ok(handle)
     }
 
     /// Summaries of every registered graph, by name.
@@ -233,14 +174,8 @@ impl GraphRegistry {
         graphs
             .iter()
             .map(|(name, entry)| {
-                let shards = entry
-                    .partition
-                    .lock()
-                    .expect("partition lock poisoned")
-                    .as_ref()
-                    .map(|p| p.partitioned.num_shards());
                 let store = entry.store.lock().expect("store lock poisoned");
-                summarize(name, store.current(), shards)
+                summarize(name, store.current())
             })
             .collect()
     }
@@ -252,21 +187,15 @@ impl GraphRegistry {
     /// [`FfsmError::UnknownGraph`].
     pub fn stats(&self, name: &str) -> Result<GraphStats, FfsmError> {
         let entry = self.entry(name)?;
-        let geometry = entry.partition.lock().expect("partition lock poisoned").as_ref().map(|p| {
-            let spec = p.partitioned.spec();
-            (spec.num_shards, spec.halo_depth)
-        });
         let store = entry.store.lock().expect("store lock poisoned");
         Ok(GraphStats {
-            summary: summarize(name, store.current(), geometry.map(|(shards, _)| shards)),
+            summary: summarize(name, store.current()),
             retained: store.retained_range(),
             mines: entry.mines.load(Ordering::Relaxed),
             updates: entry.updates.load(Ordering::Relaxed),
             cache_hits: entry.cache_hits.load(Ordering::Relaxed),
             cache_misses: entry.cache_misses.load(Ordering::Relaxed),
             index_built: store.current().prepared().index_is_built(),
-            partitions: entry.partitions.load(Ordering::Relaxed),
-            partition_geometry: geometry,
         })
     }
 
@@ -281,7 +210,7 @@ impl GraphRegistry {
     }
 }
 
-fn summarize(name: &str, snapshot: &EpochSnapshot, shards: Option<usize>) -> GraphSummary {
+fn summarize(name: &str, snapshot: &EpochSnapshot) -> GraphSummary {
     let graph = snapshot.prepared().graph();
     GraphSummary {
         name: name.to_string(),
@@ -289,7 +218,6 @@ fn summarize(name: &str, snapshot: &EpochSnapshot, shards: Option<usize>) -> Gra
         vertices: graph.num_vertices(),
         edges: graph.num_edges(),
         labels: snapshot.prepared().alphabet().len(),
-        shards,
     }
 }
 
@@ -374,44 +302,6 @@ mod tests {
         let stats = registry.stats("g").unwrap();
         assert_eq!(stats.updates, 0);
         assert_eq!(stats.summary.epoch, 0);
-    }
-
-    #[test]
-    fn partition_is_epoch_stamped_and_invalidated_by_updates() {
-        let registry = registry_with("g");
-        assert!(registry.partition_handle("g").unwrap().is_none());
-        assert!(registry.list()[0].shards.is_none());
-
-        let handle = registry.partition("g", PartitionSpec::vertex_range(3, 2)).unwrap();
-        assert_eq!(handle.epoch, 0);
-        assert_eq!(handle.partitioned.num_shards(), 3);
-        let stats = registry.stats("g").unwrap();
-        assert_eq!(stats.summary.shards, Some(3));
-        assert_eq!(stats.partitions, 1);
-        assert_eq!(stats.partition_geometry, Some((3, 2)));
-        assert_eq!(registry.list()[0].shards, Some(3));
-
-        // Invalid specs are typed and leave the live partition untouched.
-        let err = registry.partition("g", PartitionSpec::vertex_range(0, 2)).unwrap_err();
-        assert!(matches!(err, FfsmError::Partition(_)));
-        assert!(registry.partition_handle("g").unwrap().is_some());
-
-        // A committed update invalidates the partition but keeps its count.
-        registry.apply("g", &[GraphUpdate::AddVertex(ffsm_graph::Label(0))]).unwrap();
-        assert!(registry.partition_handle("g").unwrap().is_none());
-        let stats = registry.stats("g").unwrap();
-        assert_eq!(stats.summary.shards, None);
-        assert_eq!(stats.partitions, 1);
-        assert_eq!(stats.partition_geometry, None);
-
-        // Rebuilding stamps the new epoch.
-        let handle = registry.partition("g", PartitionSpec::label_aware(2, 2)).unwrap();
-        assert_eq!(handle.epoch, 1);
-        assert_eq!(registry.stats("g").unwrap().partitions, 2);
-        assert!(matches!(
-            registry.partition("nope", PartitionSpec::vertex_range(2, 2)),
-            Err(FfsmError::UnknownGraph(_))
-        ));
     }
 
     #[test]

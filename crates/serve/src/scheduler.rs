@@ -71,7 +71,7 @@ pub struct SchedulerStats {
     pub inflight: usize,
 }
 
-/// The serving pool.  See the [module docs](self).
+/// The serving pool.  See the module docs in `scheduler.rs`.
 #[derive(Debug)]
 pub struct SessionScheduler {
     /// `None` once `shutdown` has disconnected the queue.

@@ -145,7 +145,7 @@ impl ServerHandle {
     }
 }
 
-/// The mining server.  See the [module docs](self).
+/// The mining server.  See the module docs in `server.rs`.
 #[derive(Debug)]
 pub struct Server {
     listener: TcpListener,
@@ -292,7 +292,6 @@ fn handle_request(line: &str, writer: &mut TcpStream, state: &Arc<ServerState>) 
     let op = match &envelope.request {
         Request::Mine(_) => "mine",
         Request::Update { .. } => "update",
-        Request::Partition { .. } => "partition",
         Request::List => "list",
         Request::Stat { .. } => "stat",
         Request::Metrics => "metrics",
@@ -302,7 +301,6 @@ fn handle_request(line: &str, writer: &mut TcpStream, state: &Arc<ServerState>) 
     let alive = match envelope.request {
         Request::Mine(params) => handle_mine(params, id, writer, state),
         Request::Update { graph, batches } => handle_update(&graph, &batches, id, writer, state),
-        Request::Partition { graph, spec } => handle_partition(&graph, spec, id, writer, state),
         Request::List => handle_list(id, writer, state),
         Request::Stat { graph } => handle_stat(graph.as_deref(), id, writer, state),
         Request::Metrics => handle_metrics(id, writer, state),
@@ -541,48 +539,16 @@ fn handle_update(
     send(writer, done, state)
 }
 
-/// Answer a `partition` request: build the shard partition over the graph's
-/// current epoch, report its geometry, terminate with `done`.
-fn handle_partition(
-    graph: &str,
-    spec: ffsm_shard::PartitionSpec,
-    id: Option<u64>,
-    writer: &mut TcpStream,
-    state: &Arc<ServerState>,
-) -> bool {
-    let handle = match state.registry.partition(graph, spec) {
-        Ok(handle) => handle,
-        Err(e) => return send_failure(writer, &e, id, state),
-    };
-    let partitioned = &handle.partitioned;
-    let boundary = partitioned.boundary().iter().filter(|&&b| b).count();
-    let frame = Frame::event("partitioned")
-        .str("graph", graph)
-        .raw("epoch", handle.epoch)
-        .raw("shards", partitioned.num_shards())
-        .raw("halo", partitioned.spec().halo_depth)
-        .str("strategy", &partitioned.spec().strategy.to_string())
-        .raw("boundary_vertices", boundary)
-        .id(id);
-    if !send(writer, frame, state) {
-        return false;
-    }
-    send_done(writer, "complete", id, state)
-}
-
 fn handle_list(id: Option<u64>, writer: &mut TcpStream, state: &Arc<ServerState>) -> bool {
     let graphs = state.registry.list();
     for summary in &graphs {
-        let mut frame = Frame::event("graph")
+        let frame = Frame::event("graph")
             .str("name", &summary.name)
             .raw("epoch", summary.epoch)
             .raw("vertices", summary.vertices)
             .raw("edges", summary.edges)
-            .raw("labels", summary.labels);
-        if let Some(shards) = summary.shards {
-            frame = frame.raw("shards", shards);
-        }
-        let frame = frame.id(id);
+            .raw("labels", summary.labels)
+            .id(id);
         if !send(writer, frame, state) {
             return false;
         }
@@ -611,7 +577,7 @@ fn handle_stat(
 }
 
 fn graph_stat_frame(stats: &GraphStats) -> Frame {
-    let mut frame = Frame::event("stat")
+    Frame::event("stat")
         .str("graph", &stats.summary.name)
         .raw("epoch", stats.summary.epoch)
         .raw("vertices", stats.summary.vertices)
@@ -624,11 +590,6 @@ fn graph_stat_frame(stats: &GraphStats) -> Frame {
         .raw("cache_hits", stats.cache_hits)
         .raw("cache_misses", stats.cache_misses)
         .raw("index_built", stats.index_built)
-        .raw("partitions", stats.partitions);
-    if let Some((shards, halo)) = stats.partition_geometry {
-        frame = frame.raw("shards", shards).raw("halo", halo);
-    }
-    frame
 }
 
 fn server_stat_frame(state: &Arc<ServerState>) -> Frame {
@@ -729,44 +690,6 @@ mod tests {
         let last = frames.last().unwrap();
         assert!(last.starts_with("{\"event\": \"done\", \"status\": \"complete\", \"metrics\": "));
         assert!(last.ends_with("\"id\": 5}"));
-
-        handle.shutdown();
-        thread.join().unwrap();
-    }
-
-    #[test]
-    fn partition_round_trips_and_shows_in_list_and_stat() {
-        let (addr, handle, thread) = spawn_server(ServerConfig::default());
-
-        let frames = request(
-            addr,
-            "{\"op\": \"partition\", \"graph\": \"g\", \"shards\": 3, \"halo\": 2, \"id\": 7}",
-        );
-        assert!(
-            frames[0].starts_with("{\"event\": \"partitioned\", \"graph\": \"g\""),
-            "{frames:?}"
-        );
-        assert!(frames[0].contains("\"shards\": 3"));
-        assert!(frames[0].contains("\"halo\": 2"));
-        assert!(frames[0].contains("\"strategy\": \"vertex-range\""));
-        assert!(frames[0].contains("\"boundary_vertices\": "));
-        assert!(frames[1].contains("\"status\": \"complete\""));
-
-        let frames = request(addr, "{\"op\": \"list\"}");
-        assert!(frames[0].contains("\"shards\": 3"), "{frames:?}");
-
-        let frames = request(addr, "{\"op\": \"stat\", \"graph\": \"g\"}");
-        assert!(frames[0].contains("\"partitions\": 1"), "{frames:?}");
-        assert!(frames[0].contains("\"shards\": 3"));
-
-        // Invalid geometry is a typed partition error, and an update drops the
-        // partition from later list frames.
-        let frames = request(addr, "{\"op\": \"partition\", \"graph\": \"g\", \"shards\": 0}");
-        assert!(frames[0].contains("\"code\": \"partition\""), "{frames:?}");
-        let frames = request(addr, "{\"op\": \"update\", \"graph\": \"g\", \"updates\": \"av 1\"}");
-        assert!(frames.last().unwrap().contains("\"status\": \"complete\""));
-        let frames = request(addr, "{\"op\": \"list\"}");
-        assert!(!frames[0].contains("\"shards\""), "{frames:?}");
 
         handle.shutdown();
         thread.join().unwrap();

@@ -11,7 +11,7 @@ use ffsm::graph::isomorphism::IsoConfig;
 use ffsm::graph::{datasets, patterns, GraphStatistics, Label};
 
 fn main() {
-    // A citation-like synthetic dataset (see DESIGN.md §5 for the substitution).
+    // A citation-like synthetic dataset standing in for the paper's real one.
     let dataset = datasets::citation_like(400, 7);
     println!("dataset `{}`: {}", dataset.name, dataset.description);
     println!("{}\n", GraphStatistics::compute(&dataset.graph));

@@ -90,16 +90,12 @@ fn hypergraph_statistics_match_measure_inputs() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// WL fingerprints and measure profiles agree on isomorphism invariance: a
-    /// shuffled copy has the same fingerprint and the same MNI/MI values.
+    /// Measure profiles are isomorphism invariant: a shuffled copy has the same
+    /// MNI/MI/MVC values.
     #[test]
     fn shuffle_invariance_on_random_graphs(n in 6usize..20, m in 5usize..30, seed in 0u64..300) {
         let graph = generators::gnm_random(n, m, 2, seed);
         let shuffled = transform::shuffle_vertices(&graph, seed + 7);
-        prop_assert_eq!(
-            ffsm::graph::refinement::wl_fingerprint(&graph),
-            ffsm::graph::refinement::wl_fingerprint(&shuffled)
-        );
         let pattern = patterns::single_edge(Label(0), Label(1));
         let config = MeasureConfig::default();
         let a = MeasureProfile::compute(&pattern, &graph, &config);

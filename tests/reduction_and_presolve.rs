@@ -4,9 +4,8 @@
 
 use ffsm::core::{HypergraphBasis, OccurrenceSet};
 use ffsm::graph::isomorphism::IsoConfig;
-use ffsm::graph::{datasets, figures, generators, patterns, Label};
+use ffsm::graph::{figures, generators, patterns, Label};
 use ffsm::hypergraph::reduction::{reduce_for_vertex_cover, reduced_exact_vertex_cover};
-use ffsm::hypergraph::set_cover::greedy_set_cover_vertex_cover;
 use ffsm::hypergraph::vertex_cover::{exact_vertex_cover, is_vertex_cover};
 use ffsm::hypergraph::{Hypergraph, SearchBudget};
 use ffsm::lp::{covering_lp, presolve_covering};
@@ -50,29 +49,6 @@ fn reduction_shrinks_overlap_heavy_instances() {
     let direct = exact_vertex_cover(&h, SearchBudget::default());
     assert_eq!(reduced_exact_vertex_cover(&h, SearchBudget::default()).value, direct.value);
     assert_eq!(direct.value, 4); // the four hubs form a minimum cover
-}
-
-#[test]
-fn greedy_set_cover_is_valid_and_bounded_on_datasets() {
-    for dataset in datasets::small_suite(5) {
-        let pattern = patterns::single_edge(Label(0), Label(1));
-        let h = occurrence_hypergraph(&pattern, &dataset.graph);
-        if h.is_empty() || h.num_edges() > 600 {
-            // Keep the exact branch-and-bound reference at integration-test scale.
-            continue;
-        }
-        let cover = greedy_set_cover_vertex_cover(&h);
-        assert!(is_vertex_cover(&h, &cover), "dataset {}", dataset.name);
-        let exact = exact_vertex_cover(&h, SearchBudget::default());
-        // The approximation guarantees only make sense against a proven optimum; on
-        // very large instances the budgeted search may return an upper bound instead.
-        if exact.optimal {
-            assert!(cover.len() >= exact.value, "dataset {}", dataset.name);
-            let bound =
-                (exact.value as f64 * ((h.num_edges() as f64).ln() + 1.0)).max(exact.value as f64);
-            assert!(cover.len() as f64 <= bound + 1e-9, "dataset {}", dataset.name);
-        }
-    }
 }
 
 #[test]
