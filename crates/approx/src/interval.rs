@@ -71,6 +71,10 @@ pub enum Certificate {
     /// vertex is a data vertex with the same label and at least the pattern
     /// degree, so the smallest such candidate set bounds every chain measure.
     IndexDegree,
+    /// The pattern's candidate space, seeded from its parent's refined
+    /// candidate lists: every MNI image of a pattern vertex lies in that
+    /// vertex's list, so the shortest list bounds every chain measure.
+    CandidateSpace,
     /// The paper's Section 4.4 containment chain
     /// `σMIS = σMIES ≤ νMIES = νMVC ≤ σMVC ≤ σMI ≤ σMNI`: a cheap measure on
     /// one end of the chain bounds the expensive one being mined.
@@ -98,6 +102,7 @@ impl Certificate {
         match self {
             Certificate::ParentSupport => "parent-support",
             Certificate::IndexDegree => "index-degree",
+            Certificate::CandidateSpace => "candidate-space",
             Certificate::ContainmentChain => "containment-chain",
             Certificate::GreedyPacking => "greedy-packing",
             Certificate::LpRelaxation { certified: true } => "lp-relaxation-certified",

@@ -18,14 +18,24 @@
 //! engine is ≥ 5x faster than naive on decoy; the fixed search loop is ≥ 1.5x
 //! faster than the seed-equivalent one on dense community; `Auto` stays within
 //! 10% (+200 µs) of the better fixed backend's counting cost on both.
+//!
+//! A fourth arm, **space cap**, mines a sparse gnm graph under MNI, where a
+//! candidate's space is seeded from its parent's and a seeded list shorter than
+//! τ decides the candidate before any search.  It gates on deterministic work,
+//! not wall time: at least 80% of the candidates past the seed level are capped,
+//! and the frequent patterns (pattern, support bits, occurrence count, order)
+//! equal the naive backend's, which has no candidate space to cap with.
 
 use ffsm_bench::harness::{min_of_k, Run};
 use ffsm_bench::{timed, workloads};
+use ffsm_graph::generators::gnm_random;
 use ffsm_graph::isomorphism::{
     count_embeddings, enumerate_embeddings, EnumeratorBackend, IsoConfig,
 };
 use ffsm_graph::{LabeledGraph, Pattern, VertexId};
 use ffsm_match::{auto_backend, GraphIndex, Matcher};
+use ffsm_miner::extension::seed_patterns;
+use ffsm_miner::{MiningResult, MiningSession, PreparedGraph};
 use std::time::Duration;
 
 const MAX_LAYER: usize = 64;
@@ -215,6 +225,56 @@ fn measure(workload: &'static str, size: usize, graph: &LabeledGraph, pattern: &
     }
 }
 
+/// The space-cap arm (see the module docs): one MNI mine per backend over a
+/// sparse gnm graph, reported and gated on counters.
+fn space_cap(run: &mut Run) {
+    let graph = gnm_random(3000, 6000, 16, 7);
+    let seeds = seed_patterns(&graph).len();
+    let prepared = PreparedGraph::new(graph);
+    let mine = |backend| {
+        MiningSession::over(&prepared)
+            .min_support(15.0)
+            .max_edges(3)
+            .enumerator(backend)
+            .run()
+            .expect("valid session")
+    };
+    let (indexed, indexed_time) = timed(|| mine(EnumeratorBackend::CandidateSpace));
+    let (naive, naive_time) = timed(|| mine(EnumeratorBackend::Naive));
+    let listing = |result: &MiningResult| -> Vec<(Pattern, u64, usize)> {
+        let patterns = result.patterns.iter();
+        patterns.map(|p| (p.pattern.clone(), p.support.to_bits(), p.num_occurrences)).collect()
+    };
+    let later = indexed.stats.candidates_evaluated - seeds;
+    let capped = indexed.stats.counters.space_capped as usize;
+    run.record(
+        run.entry()
+            .str("workload", "space_cap")
+            .raw("evaluated", indexed.stats.candidates_evaluated)
+            .raw("past_seeds", later)
+            .raw("space_capped", capped)
+            .raw("refine_rounds", indexed.stats.counters.search.refine_rounds)
+            .raw("steps", indexed.stats.counters.search.steps)
+            .raw("patterns", indexed.patterns.len())
+            .raw("indexed_us", indexed_time.as_micros())
+            .raw("naive_us", naive_time.as_micros()),
+    );
+    run.gate(
+        "space_cap_share",
+        capped * 5 >= later * 4,
+        format!("only {capped} of {later} candidates past the seeds capped; floor 80%"),
+    );
+    run.gate(
+        "space_cap_same_patterns",
+        listing(&indexed) == listing(&naive),
+        format!(
+            "capped mine found {} patterns, naive mine {}, or their supports differ",
+            indexed.patterns.len(),
+            naive.patterns.len()
+        ),
+    );
+}
+
 pub fn run(run: &mut Run) {
     let mut entries: Vec<Entry> = Vec::new();
     for layer in workloads::match_scaling_sizes(MAX_LAYER) {
@@ -229,6 +289,7 @@ pub fn run(run: &mut Run) {
         let (graph, pattern) = workloads::dense_community_workload(size);
         entries.push(measure("dense_community", size, &graph, &pattern));
     }
+    space_cap(run);
     for e in &entries {
         run.record(
             run.entry()

@@ -41,13 +41,14 @@ pub use error::FfsmError;
 // `ffsm-match` (see `IsoConfig::backend`); the per-graph index, the backend tag
 // and the cancellation token are re-exported so downstream crates (the miner, the
 // CLI) need no direct dependency to share one index across patterns or to plumb
-// cooperative cancellation into the enumerators.
+// cooperative cancellation into the enumerators — and so are the matcher and its
+// two-phase space build, which the miner seeds from each candidate's parent.
 pub use ffsm_graph::isomorphism::EnumeratorBackend;
 pub use ffsm_graph::CancelToken;
 // The dynamic-graph update vocabulary is re-exported for the same reason: the
 // miner's delta-aware mode and the `ffsm-dynamic` store speak these types.
 pub use ffsm_graph::{GraphDelta, GraphUpdate, UpdateError};
-pub use ffsm_match::{GraphIndex, SearchArena};
+pub use ffsm_match::{auto_backend, CandidateSpace, GraphIndex, Matcher, SearchArena};
 // Raw embedding enumeration (without the `OccurrenceSet` wrapper) is what the
 // partitioned miner needs: per-shard embeddings are remapped to global ids and
 // merged *before* one occurrence set is built, so the hypergraph and the support

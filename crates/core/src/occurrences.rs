@@ -18,7 +18,7 @@
 use ffsm_graph::isomorphism::{Embedding, IsoConfig};
 use ffsm_graph::{LabeledGraph, Pattern, VertexId};
 use ffsm_hypergraph::Hypergraph;
-use ffsm_match::{GraphIndex, SearchArena};
+use ffsm_match::GraphIndex;
 use std::collections::{BTreeSet, HashMap};
 
 /// Which hypergraph a measure is evaluated on (the paper defines MVC/MIES/MIS on
@@ -78,22 +78,6 @@ impl OccurrenceSet {
         config: IsoConfig,
     ) -> Self {
         let result = ffsm_match::enumerate(pattern, graph, Some(index), config);
-        Self::from_embeddings(pattern.clone(), result.embeddings, result.complete)
-    }
-
-    /// [`OccurrenceSet::enumerate_with_index`] additionally reusing the caller's
-    /// [`SearchArena`] — the hot-loop entry for the mining engine's level workers,
-    /// which keep one arena each across thousands of candidate evaluations instead
-    /// of allocating search buffers per pattern.  Any arena yields identical
-    /// results.
-    pub fn enumerate_with_arena(
-        pattern: &Pattern,
-        graph: &LabeledGraph,
-        index: &GraphIndex,
-        config: IsoConfig,
-        arena: &mut SearchArena,
-    ) -> Self {
-        let result = ffsm_match::enumerate_with(pattern, graph, Some(index), config, arena);
         Self::from_embeddings(pattern.clone(), result.embeddings, result.complete)
     }
 

@@ -2,9 +2,12 @@
 //!
 //! The builder runs two phases against a [`GraphIndex`]:
 //!
-//! 1. **Initial filtering**: the candidates of pattern vertex `u` are the data
-//!    vertices with `u`'s label, degree ≥ `deg(u)` (via the index's degree buckets)
-//!    and a neighbour-label fingerprint that covers `u`'s.
+//! 1. **Initial filtering** ([`CandidateSpace::initial`]): the candidates of
+//!    pattern vertex `u` are the data vertices with `u`'s label, degree ≥
+//!    `deg(u)` (via the index's degree buckets) and a neighbour-label
+//!    fingerprint that covers `u`'s.  When the pattern extends one whose space
+//!    was already refined, the lists start from that parent's lists instead of
+//!    the graph-wide buckets — same fixpoint, far smaller start.
 //! 2. **Neighbourhood-consistency refinement** (CFL-style, AC-3 flavoured): a
 //!    candidate `v ∈ C(u)` survives only if, for *every* pattern neighbour `u'` of
 //!    `u`, some data neighbour of `v` is in `C(u')`.  Deletions propagate until a
@@ -118,31 +121,54 @@ pub struct CandidateSpace {
     refinement_rounds: usize,
 }
 
-impl CandidateSpace {
-    /// Build and refine the candidate space of `pattern` in `graph` using `index`
-    /// (which must have been built from the same `graph`).
-    pub fn build(pattern: &Pattern, graph: &LabeledGraph, index: &GraphIndex) -> Self {
+/// Phase 1 of a [`CandidateSpace`] build: each pattern vertex's initial
+/// candidate list, ascending by data vertex id, before any bitset is allocated
+/// or any refinement sweep runs.
+///
+/// Every image of pattern vertex `u` in any embedding lies in `u`'s list, so
+/// [`InitialSets::min_len`] already caps the pattern's MNI support (and every
+/// measure below MNI in the paper's containment chain).
+#[derive(Debug)]
+pub struct InitialSets {
+    lists: Vec<Vec<VertexId>>,
+}
+
+impl InitialSets {
+    /// The length of the shortest list (0 for an empty pattern).
+    pub fn min_len(&self) -> usize {
+        self.lists.iter().map(Vec::len).min().unwrap_or(0)
+    }
+
+    /// The sorted union of all lists: a superset of every embedding's image.
+    pub fn touched(&self) -> Vec<VertexId> {
+        let mut all: Vec<VertexId> = self.lists.concat();
+        all.sort_unstable();
+        all.dedup();
+        all
+    }
+
+    /// Phase 2: refine the lists to neighbourhood consistency (see the module
+    /// docs).  `pattern`, `graph` and `index` must be the ones the lists were
+    /// built for.
+    pub fn refine(
+        self,
+        pattern: &Pattern,
+        graph: &LabeledGraph,
+        index: &GraphIndex,
+    ) -> CandidateSpace {
         let n = pattern.num_vertices();
-        let mut candidates: Vec<Vec<VertexId>> = Vec::with_capacity(n);
-        let mut member: Vec<Bitset> = Vec::with_capacity(n);
-        let mut initial_sizes = Vec::with_capacity(n);
-        for u in pattern.vertices() {
-            let need = GraphIndex::neighbor_fingerprint(pattern, u);
-            let mut set: Vec<VertexId> = index
-                .vertices_with_min_degree(pattern.label(u), pattern.degree(u))
-                .iter()
-                .copied()
-                .filter(|&v| need & !index.fingerprint(v) == 0)
-                .collect();
-            set.sort_unstable();
-            let mut bits = Bitset::with_len(graph.num_vertices());
-            for &v in &set {
-                bits.set(v as usize);
-            }
-            initial_sizes.push(set.len());
-            candidates.push(set);
-            member.push(bits);
-        }
+        let mut candidates = self.lists;
+        let initial_sizes: Vec<usize> = candidates.iter().map(Vec::len).collect();
+        let mut member: Vec<Bitset> = candidates
+            .iter()
+            .map(|set| {
+                let mut bits = Bitset::with_len(graph.num_vertices());
+                for &v in set {
+                    bits.set(v as usize);
+                }
+                bits
+            })
+            .collect();
 
         // Refinement to fixpoint, word-parallel.  For each (still-dirty) pattern
         // vertex u', materialise N(C(u')) = ⋃_{w ∈ C(u')} adj(w) in one scratch
@@ -186,6 +212,102 @@ impl CandidateSpace {
             }
         }
         CandidateSpace { candidates, member, initial_sizes, refinement_rounds: rounds }
+    }
+}
+
+impl CandidateSpace {
+    /// Build and refine the candidate space of `pattern` in `graph` using `index`
+    /// (which must have been built from the same `graph`).
+    pub fn build(pattern: &Pattern, graph: &LabeledGraph, index: &GraphIndex) -> Self {
+        let Ok(initial) = Self::initial(pattern, graph, index, None, 0) else {
+            unreachable!("no list is shorter than 0");
+        };
+        initial.refine(pattern, graph, index)
+    }
+
+    /// Phase 1 of the build: the initial candidate lists of `pattern`, or —
+    /// as soon as one list is shorter than `floor` — that list's length as
+    /// `Err` (pass `floor = 0` for every list).  A pattern whose support must
+    /// reach `floor` under MNI, or any measure below it, is then infrequent.
+    ///
+    /// Without `parent`, the list of pattern vertex `u` holds the data vertices
+    /// with `u`'s label, degree ≥ `deg(u)` and a neighbour-label fingerprint
+    /// covering `u`'s.  With `parent` — the refined lists
+    /// ([`CandidateSpace::into_lists`]) of a pattern that `pattern` extends,
+    /// i.e. one whose vertices keep their ids and labels in `pattern` and whose
+    /// edges all remain — the lists start from the parent's instead:
+    ///
+    /// * a vertex `u` the parent has keeps the parent's `C(u)`, filtered by
+    ///   `u`'s degree and fingerprint in `pattern`;
+    /// * a new vertex takes the data neighbours, with its label, degree and
+    ///   fingerprint, of the parent's list of its first pattern neighbour the
+    ///   parent has (the cold filter when it has none).
+    ///
+    /// New vertices are listed first: their lists are usually the shortest.
+    ///
+    /// Refining the seeded lists yields exactly the cold space.  Projected onto
+    /// the parent's vertices, the child's refined sets pass the parent's
+    /// (weaker) initial filter and satisfy the parent's (fewer) neighbourhood
+    /// constraints, so they lie inside the parent's greatest consistent sets;
+    /// and a new vertex's refined set lies in the neighbourhood of its anchor's.
+    /// The seeded lists therefore contain the cold fixpoint and are contained
+    /// in the cold initial lists, so refinement reaches the same greatest
+    /// fixpoint from both.
+    pub fn initial(
+        pattern: &Pattern,
+        graph: &LabeledGraph,
+        index: &GraphIndex,
+        parent: Option<&[Vec<VertexId>]>,
+        floor: usize,
+    ) -> Result<InitialSets, usize> {
+        let parent = parent.unwrap_or(&[]);
+        debug_assert!(parent.len() <= pattern.num_vertices(), "parent lists outnumber the pattern");
+        let mut lists = vec![Vec::new(); pattern.num_vertices()];
+        for u in (0..pattern.num_vertices() as VertexId).rev() {
+            let label = pattern.label(u);
+            let degree = pattern.degree(u);
+            let need = GraphIndex::neighbor_fingerprint(pattern, u);
+            let admits =
+                |v: VertexId| index.degree(v) >= degree && need & !index.fingerprint(v) == 0;
+            let list: Vec<VertexId> = match parent.get(u as usize) {
+                Some(list) => list.iter().copied().filter(|&v| admits(v)).collect(),
+                None => {
+                    let anchor =
+                        pattern.neighbors(u).iter().find(|&&a| (a as usize) < parent.len());
+                    let mut set: Vec<VertexId> = match anchor {
+                        Some(&a) => parent[a as usize]
+                            .iter()
+                            .flat_map(|&w| graph.neighbors(w))
+                            .copied()
+                            .filter(|&x| graph.label(x) == label && admits(x))
+                            .collect(),
+                        None => index
+                            .vertices_with_min_degree(label, degree)
+                            .iter()
+                            .copied()
+                            .filter(|&v| need & !index.fingerprint(v) == 0)
+                            .collect(),
+                    };
+                    set.sort_unstable();
+                    set.dedup();
+                    set
+                }
+            };
+            if list.len() < floor {
+                return Err(list.len());
+            }
+            lists[u as usize] = list;
+        }
+        Ok(InitialSets { lists })
+    }
+
+    /// The surviving candidate lists, one per pattern vertex (ascending) — what
+    /// a seeded [`CandidateSpace::initial`] of an extension starts from.  Each
+    /// list is shrunk to its length: refinement leaves the initial capacity.
+    pub fn into_lists(self) -> Vec<Vec<VertexId>> {
+        let mut lists = self.candidates;
+        lists.iter_mut().for_each(Vec::shrink_to_fit);
+        lists
     }
 
     /// The member bitset words of pattern vertex `u` (for word-parallel pool

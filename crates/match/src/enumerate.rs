@@ -223,10 +223,16 @@ impl SearchArena {
         self.timing
     }
 
-    /// Record a fine-grained span measured by the caller (the dispatch layer
-    /// times candidate-space builds and searches around this arena).
-    pub fn record_phase(&mut self, phase: Phase, d: std::time::Duration) {
-        self.phase.record(phase, d);
+    /// Run `f` on this arena, recording its wall time under `phase` when
+    /// fine-grained timing is on (refinement-round counting stays always on,
+    /// through [`SearchArena::add_refine_rounds`]).
+    pub fn span<R>(&mut self, phase: Phase, f: impl FnOnce(&mut Self) -> R) -> R {
+        let start = self.timing.then(std::time::Instant::now);
+        let result = f(self);
+        if let Some(start) = start {
+            self.phase.record(phase, start.elapsed());
+        }
+        result
     }
 
     /// Note `n` candidate-space refinement sweeps (always counted).

@@ -8,8 +8,8 @@
 //!    buckets, neighbour-label bitset fingerprints) and shared across all patterns
 //!    of a mining session;
 //! 2. [`CandidateSpace`] — per-pattern candidate sets, filtered by label / degree /
-//!    fingerprint and refined to neighbourhood consistency (CFL-style) before any
-//!    search happens;
+//!    fingerprint (or seeded from the refined sets of a pattern it extends) and
+//!    refined to neighbourhood consistency (CFL-style) before any search happens;
 //! 3. [`Matcher`] — an iterative, non-recursive enumerator that streams embeddings
 //!    to an [`EmbeddingVisitor`]
 //!    (early termination for existence checks and budgets, counting without
@@ -54,7 +54,7 @@ mod enumerate;
 mod index;
 mod parallel;
 
-pub use candidates::CandidateSpace;
+pub use candidates::{CandidateSpace, InitialSets};
 pub use enumerate::SearchArena;
 pub use index::GraphIndex;
 
@@ -82,9 +82,25 @@ impl<'a> Matcher<'a> {
     /// Prepare `pattern` against `graph` using `index` (built from the same graph).
     /// The index is retained: the search loop consults its hub adjacency bitsets.
     pub fn new(pattern: &'a Pattern, graph: &'a LabeledGraph, index: &'a GraphIndex) -> Self {
-        let space = CandidateSpace::build(pattern, graph, index);
+        Matcher::with_space(pattern, graph, index, CandidateSpace::build(pattern, graph, index))
+    }
+
+    /// Prepare `pattern` over an already built `space` (of the same pattern,
+    /// graph and index) — e.g. one refined from seeded
+    /// [`CandidateSpace::initial`] lists.
+    pub fn with_space(
+        pattern: &'a Pattern,
+        graph: &'a LabeledGraph,
+        index: &'a GraphIndex,
+        space: CandidateSpace,
+    ) -> Self {
         let order = MatchingOrder::build(pattern, &space);
         Matcher { pattern, graph, index, space, order }
+    }
+
+    /// Give the candidate space back (to seed the spaces of extensions).
+    pub fn into_space(self) -> CandidateSpace {
+        self.space
     }
 
     /// The refined candidate space (for diagnostics: sizes, refinement rounds).
@@ -293,20 +309,10 @@ pub fn enumerate_with(
     arena: &mut SearchArena,
 ) -> EnumerationResult {
     let run_space = |index: &GraphIndex, arena: &mut SearchArena| {
-        // Fine-grained spans are sampled only when the arena's owner opted in;
-        // refinement-round counting is always on (one add per pattern).
-        let space_start = arena.timing_enabled().then(std::time::Instant::now);
-        let matcher = Matcher::new(pattern, graph, index);
-        if let Some(t0) = space_start {
-            arena.record_phase(ffsm_obs::Phase::CandidateSpace, t0.elapsed());
-        }
+        let matcher =
+            arena.span(ffsm_obs::Phase::CandidateSpace, |_| Matcher::new(pattern, graph, index));
         arena.add_refine_rounds(matcher.space().refinement_rounds() as u64);
-        let search_start = arena.timing_enabled().then(std::time::Instant::now);
-        let result = matcher.enumerate_with(config.clone(), arena);
-        if let Some(t0) = search_start {
-            arena.record_phase(ffsm_obs::Phase::Search, t0.elapsed());
-        }
-        result
+        arena.span(ffsm_obs::Phase::Search, |arena| matcher.enumerate_with(config.clone(), arena))
     };
     match config.backend {
         EnumeratorBackend::Naive => {

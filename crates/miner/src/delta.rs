@@ -38,6 +38,12 @@
 //! the level-by-level candidate tree (and every threshold decision, including
 //! rising top-k thresholds and budget cut-offs) is identical.
 //!
+//! A candidate the seeded candidate-space cap decided (see [`CachedEval::capped`])
+//! never enumerated its occurrences: its entry records the cap and, as touched
+//! set, the union of its seeded candidate lists, which contains every image.
+//! The same argument then keeps the occurrence set, so the cap still bounds the
+//! support; it is reused only while it stays below the threshold.
+//!
 //! The cache is sound across thresholds (supports do not depend on τ) but must
 //! come from a run with the same measure, measure configuration and enumeration
 //! backend over the **immediately preceding** epoch; chain epochs by feeding
@@ -64,6 +70,12 @@ pub struct CachedEval {
     /// `false` if the enumeration hit its embedding budget; such entries are
     /// never reused (their touched set is partial).
     pub complete: bool,
+    /// `true` when the seeded candidate-space cap decided the pattern: then
+    /// `support` is that cap, an upper bound below the recording run's
+    /// threshold, `num_occurrences` is 0 and `touched` is the union of the
+    /// seeded candidate lists (a superset of every image).  Reused only while
+    /// the cap stays below the current threshold.
+    pub capped: bool,
 }
 
 /// Per-pattern evaluation results of one mining run, keyed by canonical code.
@@ -425,6 +437,7 @@ mod tests {
                 num_occurrences: 6,
                 touched: Arc::from(vec![1, 2]),
                 complete: true,
+                capped: false,
             },
         );
         assert_eq!(cache.len(), 1);

@@ -14,6 +14,21 @@
 //! module).  Delta reuse, bounds, the exact measure and the threshold logic
 //! are shared.
 //!
+//! ## Seeded candidate spaces
+//!
+//! Over a whole graph on the candidate-space engine, each [`Candidate`] carries
+//! a handle to its [`Parent`]: the parent's refined candidate lists, which seed
+//! the child's [`CandidateSpace`] instead of the graph-wide label/degree
+//! buckets (the refined space is the same — see [`CandidateSpace::initial`]).
+//! The seeded lists also bound the support: every MNI image of pattern vertex
+//! `u` lies in `u`'s list, so for a measure at or below MNI in the containment
+//! chain (those [`BoundsEvaluator::supports`] admits) a shortest list below the
+//! level's threshold decides the candidate infrequent before any refinement,
+//! search or solve.  The cap is an upper bound on the exact value, so it never
+//! changes a verdict, in exact sessions as in bounds-first ones.  Only
+//! candidates that may be frequent and will be extended keep their lists, and
+//! the lists are dropped with the level that holds their children.
+//!
 //! ## Determinism and interruption
 //!
 //! The partition and merge order of the level evaluation are fixed, so results
@@ -34,10 +49,10 @@ use crate::stream::{LevelSummary, MiningEvent, RunSummary};
 use crate::types::{
     BudgetKind, Completion, FrequentPattern, MiningResult, MiningStats, UndecidedPattern,
 };
-use ffsm_approx::{BoundsEvaluator, BoundsOutcome};
+use ffsm_approx::{BoundsEvaluator, BoundsOutcome, Certificate, SupportInterval};
 use ffsm_core::{
-    CancelToken, EnumeratorBackend, FfsmError, GraphIndex, OccurrenceSet, SearchArena,
-    SupportMeasure,
+    auto_backend, enumerate_with, CancelToken, CandidateSpace, EnumeratorBackend, FfsmError,
+    GraphIndex, Matcher, OccurrenceSet, SearchArena, SupportMeasure,
 };
 use ffsm_graph::canonical::CanonicalCode;
 use ffsm_graph::isomorphism::IsoConfig;
@@ -154,6 +169,35 @@ pub(crate) struct EngineConfig {
     /// possible, enumerating occurrences and running the exact solver only
     /// inside the uncertain band.
     pub bounds: Option<Arc<BoundsEvaluator>>,
+    /// The measure sits at or below MNI in the containment chain (a built-in
+    /// kind [`BoundsEvaluator::supports`] admits), so a seeded candidate space
+    /// whose shortest list falls below the threshold decides its candidate.
+    pub space_cap: bool,
+}
+
+/// What a candidate inherits from the pattern it extends.
+struct Parent {
+    /// The parent's certified upper bound (its support outside bounds-first
+    /// mode); by anti-monotonicity it caps the child.
+    hi: f64,
+    /// The parent's refined candidate lists, when they were built over the
+    /// whole graph: they seed the child's candidate space.
+    lists: Option<Vec<Vec<VertexId>>>,
+}
+
+/// One candidate of a level: the pattern, its canonical code and a handle to
+/// its parent (`None` for the seeds).
+pub(crate) struct Candidate {
+    pub(crate) pattern: Pattern,
+    code: CanonicalCode,
+    parent: Option<Arc<Parent>>,
+}
+
+impl Candidate {
+    /// The upper bound inherited from the parent (`+∞` for a seed).
+    fn parent_hi(&self) -> f64 {
+        self.parent.as_ref().map_or(f64::INFINITY, |parent| parent.hi)
+    }
 }
 
 /// One evaluated (or cache-reused, or bound-decided) candidate.
@@ -186,6 +230,12 @@ struct EvalOutcome {
     /// Kept occurrences that leave their anchor's shard interior (partition
     /// sources only).
     cross_shard: u64,
+    /// `true` when `support` is the seeded candidate-space cap, below the
+    /// threshold, rather than the exact support.
+    capped: bool,
+    /// The refined candidate lists, kept when the candidate may be frequent
+    /// and will be extended.
+    lists: Option<Vec<Vec<VertexId>>>,
 }
 
 /// A candidate that delta reuse and pre-bounds left open: deciding it needs
@@ -203,9 +253,9 @@ struct LevelContext<'a> {
     measure: &'a dyn SupportMeasure,
     config: &'a EngineConfig,
     mode: &'a CacheMode,
-    /// Parallel to the level: each candidate's inherited upper bound (empty
-    /// outside bounds-first mode).
-    parent_hi: &'a [f64],
+    /// The threshold when the level starts (a top-k threshold only rises
+    /// during the level, so a value below it stays below).
+    threshold: f64,
     label_counts: &'a [(Label, usize)],
     /// The whole graph's matching index (`None` under the naive backend and
     /// for a partition).
@@ -218,15 +268,19 @@ impl LevelContext<'_> {
     /// refuses partitions), then the certified pre-enumeration cap (parent
     /// bound, index or label cardinality).  `Break` carries the decided
     /// outcome.
+    ///
+    /// A cached cap is reused only while it stays below the threshold: it
+    /// bounds the support, it is not the support.
     fn open(
         &self,
-        i: usize,
-        (pattern, code): &(Pattern, CanonicalCode),
+        candidate: &Candidate,
         graph: Option<&LabeledGraph>,
     ) -> ControlFlow<EvalOutcome, Open> {
+        let pattern = &candidate.pattern;
         if let (CacheMode::Delta(ctx), Some(graph)) = (self.mode, graph) {
-            if let Some(cached) = ctx.prior.get(code) {
+            if let Some(cached) = ctx.prior.get(&candidate.code) {
                 if cached.complete
+                    && (!cached.capped || cached.support < self.threshold)
                     && !sorted_intersects(&cached.touched, &ctx.dirty_old)
                     && !occurrences_touch(pattern, graph, &self.config.iso_config, &ctx.dirty_new)
                 {
@@ -236,6 +290,7 @@ impl LevelContext<'_> {
                         touched: cached.touched.clone(),
                         complete: true,
                         reused: true,
+                        capped: cached.capped,
                         ..EvalOutcome::default()
                     });
                 }
@@ -245,12 +300,8 @@ impl LevelContext<'_> {
             return ControlFlow::Continue(Open { pre: None, bounds_nanos: 0 });
         };
         let clock = self.config.metrics.then(Instant::now);
-        let pre = evaluator.pre_bounds(
-            pattern,
-            self.label_counts,
-            self.index,
-            self.parent_hi.get(i).copied().unwrap_or(f64::INFINITY),
-        );
+        let pre =
+            evaluator.pre_bounds(pattern, self.label_counts, self.index, candidate.parent_hi());
         let bounds_nanos = clock.map_or(0, |clock| clock.elapsed().as_nanos() as u64);
         match pre.decision {
             Some(frequent) => ControlFlow::Break(EvalOutcome {
@@ -264,6 +315,89 @@ impl LevelContext<'_> {
                 ..EvalOutcome::default()
             }),
             None => ControlFlow::Continue(Open { pre: Some(pre), bounds_nanos }),
+        }
+    }
+
+    /// Enumerate an open candidate over the whole graph and close it.
+    ///
+    /// On the candidate-space engine the space is seeded from the parent's
+    /// lists, and when the measure admits the cap and the seeded lists' shortest
+    /// falls below the threshold, the candidate is decided right there (see
+    /// the module docs).  Seeds, and children of parents without lists, build
+    /// cold and are never capped.  A candidate that may be frequent and will be
+    /// extended keeps its refined lists for its children.
+    fn evaluate_whole(
+        &self,
+        candidate: &Candidate,
+        open: Open,
+        graph: &LabeledGraph,
+        arena: &mut SearchArena,
+    ) -> EvalOutcome {
+        let pattern = &candidate.pattern;
+        let iso_config = &self.config.iso_config;
+        let on_space = |index: &&GraphIndex| {
+            iso_config.backend != EnumeratorBackend::Auto
+                || auto_backend(pattern, index) == EnumeratorBackend::CandidateSpace
+        };
+        let Some(index) = self.index.filter(on_space) else {
+            let result = enumerate_with(pattern, graph, self.index, iso_config.clone(), arena);
+            let occ =
+                OccurrenceSet::from_embeddings(pattern.clone(), result.embeddings, result.complete);
+            return self.close(open, &occ);
+        };
+        let parent = candidate.parent.as_ref().and_then(|parent| parent.lists.as_deref());
+        // A list shorter than `floor` proves the candidate infrequent.  A
+        // caching run needs every list (their union is the cached touched
+        // set), so it builds them all before testing the floor.
+        let floor = match parent {
+            Some(_) if self.config.space_cap => self.threshold.ceil() as usize,
+            _ => 0,
+        };
+        let early = if self.mode.caching() { 0 } else { floor };
+        let built = arena.span(Phase::CandidateSpace, |_| {
+            let initial = CandidateSpace::initial(pattern, graph, index, parent, early)
+                .map_err(|short| (short, Vec::new()))?;
+            match initial.min_len() {
+                short if short < floor => Err((short, initial.touched())),
+                _ => Ok(Matcher::with_space(
+                    pattern,
+                    graph,
+                    index,
+                    initial.refine(pattern, graph, index),
+                )),
+            }
+        });
+        let matcher = match built {
+            Ok(matcher) => matcher,
+            Err((short, touched)) => return self.capped(open, short, touched),
+        };
+        arena.add_refine_rounds(matcher.space().refinement_rounds() as u64);
+        let result =
+            arena.span(Phase::Search, |arena| matcher.enumerate_with(iso_config.clone(), arena));
+        let occ =
+            OccurrenceSet::from_embeddings(pattern.clone(), result.embeddings, result.complete);
+        let outcome = self.close(open, &occ);
+        let extended = outcome.support >= self.threshold
+            && pattern.num_edges() < self.config.max_pattern_edges;
+        EvalOutcome { lists: extended.then(|| matcher.into_space().into_lists()), ..outcome }
+    }
+
+    /// The outcome of a candidate with a seeded list of `short` < threshold
+    /// vertices.  In a caching run `touched` is the union of all its lists,
+    /// which contains every image, so delta reuse stays sound.
+    fn capped(&self, open: Open, short: usize, touched: Vec<VertexId>) -> EvalOutcome {
+        let interval = open.pre.map(|_| SupportInterval::new(0.0, short as f64));
+        EvalOutcome {
+            support: short as f64,
+            touched: if self.mode.caching() { Arc::from(touched) } else { Arc::default() },
+            complete: true,
+            interval,
+            certificate: interval.map(|_| Certificate::CandidateSpace),
+            bounded: open.pre.is_some(),
+            bound_decided: open.pre.is_some(),
+            bounds_nanos: open.bounds_nanos,
+            capped: true,
+            ..EvalOutcome::default()
         }
     }
 
@@ -384,7 +518,7 @@ fn interleave<T>(mut per_worker: Vec<Vec<T>>) -> Vec<T> {
 fn evaluate_level(
     source: &GraphSource,
     cx: &LevelContext<'_>,
-    candidates: &[(Pattern, CanonicalCode)],
+    candidates: &[Candidate],
     descending: bool,
     arenas: &mut [SearchArena],
 ) -> Result<(Vec<EvalOutcome>, tls::ThreadTotals), FfsmError> {
@@ -410,25 +544,13 @@ fn evaluate_level(
             let mut firsts: Vec<usize> = (0..workers).collect();
             merge(on_workers(&mut firsts, arenas, |&mut first, arena| {
                 let before = tls::snapshot();
-                let evals = (first..n)
+                let evals = candidates[first..]
+                    .iter()
                     .step_by(workers)
-                    .map(|i| match cx.open(i, &candidates[i], Some(graph)) {
+                    .map(|candidate| match cx.open(candidate, Some(graph)) {
                         ControlFlow::Break(done) => done,
                         ControlFlow::Continue(open) => {
-                            let pattern = &candidates[i].0;
-                            let occ = match cx.index {
-                                Some(index) => OccurrenceSet::enumerate_with_arena(
-                                    pattern,
-                                    graph,
-                                    index,
-                                    iso_config.clone(),
-                                    arena,
-                                ),
-                                None => {
-                                    OccurrenceSet::enumerate(pattern, graph, iso_config.clone())
-                                }
-                            };
-                            cx.close(open, &occ)
+                            cx.evaluate_whole(candidate, open, graph, arena)
                         }
                     })
                     .collect();
@@ -439,7 +561,7 @@ fn evaluate_level(
             let mut outcomes: Vec<Option<EvalOutcome>> = vec![None; n];
             let mut open: Vec<Option<Open>> = vec![None; n];
             for (i, candidate) in candidates.iter().enumerate() {
-                match cx.open(i, candidate, None) {
+                match cx.open(candidate, None) {
                     ControlFlow::Break(done) => outcomes[i] = Some(done),
                     ControlFlow::Continue(state) => open[i] = Some(state),
                 }
@@ -460,7 +582,7 @@ fn evaluate_level(
                     .drain(..)
                     .map(|buffer| {
                         let i = buffer.candidate;
-                        let (occ, cross_shard) = buffer.into_occurrences(&candidates[i].0);
+                        let (occ, cross_shard) = buffer.into_occurrences(&candidates[i].pattern);
                         let state = open[i].expect("only open candidates are buffered");
                         EvalOutcome { cross_shard, ..cx.close(state, &occ) }
                     })
@@ -514,11 +636,7 @@ pub(crate) struct EngineState {
     frequent: Vec<FrequentPattern>,
     threshold: f64,
     floor: f64,
-    level: Vec<(Pattern, CanonicalCode)>,
-    /// Parallel to `level`: each candidate's inherited upper bound (the parent's
-    /// certified `hi`, `+∞` for seeds).  Only meaningful in bounds-first mode;
-    /// empty otherwise.
-    level_parent_hi: Vec<f64>,
+    level: Vec<Candidate>,
     /// Candidates a bounds-first run left undecided at an interruption.
     undecided: Vec<UndecidedPattern>,
     stats: MiningStats,
@@ -569,9 +687,10 @@ impl EngineState {
         let mut seen = HashSet::new();
         let seeds = source.seeds();
         stats.candidates_generated += seeds.len();
-        let level = dedupe_with_codes(seeds, &mut seen);
-        let level_parent_hi =
-            if config.bounds.is_some() { vec![f64::INFINITY; level.len()] } else { Vec::new() };
+        let level = dedupe_with_codes(seeds, &mut seen)
+            .into_iter()
+            .map(|(pattern, code)| Candidate { pattern, code, parent: None })
+            .collect();
         let threshold = config.min_support;
         EngineState {
             source,
@@ -583,7 +702,6 @@ impl EngineState {
             seen,
             frequent: Vec::new(),
             level,
-            level_parent_hi,
             undecided: Vec::new(),
             stats,
             start: Instant::now(),
@@ -638,17 +756,15 @@ impl EngineState {
         if matches!(completion, Completion::DeadlineExceeded | Completion::Cancelled) {
             if let Some(evaluator) = self.config.bounds.clone() {
                 let index = self.source.index(self.config.iso_config.backend);
-                let parent_hi = std::mem::take(&mut self.level_parent_hi);
-                for (i, (pattern, _)) in std::mem::take(&mut self.level).into_iter().enumerate() {
-                    let inherited = parent_hi.get(i).copied().unwrap_or(f64::INFINITY);
+                for candidate in std::mem::take(&mut self.level) {
                     let pre = evaluator.pre_bounds(
-                        &pattern,
+                        &candidate.pattern,
                         self.source.label_counts(),
                         index.as_deref(),
-                        inherited,
+                        candidate.parent_hi(),
                     );
                     let undecided = UndecidedPattern {
-                        pattern,
+                        pattern: candidate.pattern,
                         interval: pre.interval,
                         certificate: pre.certificate,
                     };
@@ -696,7 +812,6 @@ impl EngineState {
         let remaining = self.config.max_evaluations.saturating_sub(self.stats.candidates_evaluated);
         if self.level.len() > remaining {
             self.level.truncate(remaining);
-            self.level_parent_hi.truncate(remaining);
             budget_hit = Some(BudgetKind::Evaluations);
         }
         if self.level.is_empty() {
@@ -711,7 +826,7 @@ impl EngineState {
             measure: &*self.measure,
             config: &self.config,
             mode: &self.mode,
-            parent_hi: &self.level_parent_hi,
+            threshold: self.threshold,
             label_counts: self.source.label_counts(),
             index: index.as_deref(),
         };
@@ -750,12 +865,13 @@ impl EngineState {
         }
 
         // Apply the (possibly rising) threshold in candidate order.  Each
-        // survivor carries its certified upper bound forward: by
-        // anti-monotonicity it caps every child in the next level.
+        // survivor becomes its children's parent: its certified upper bound
+        // caps every child by anti-monotonicity, and its refined lists (when
+        // kept) seed their candidate spaces.
         let mut accepted = 0usize;
-        let mut survivors: Vec<(Pattern, f64)> = Vec::new();
-        self.level_parent_hi.clear();
-        for ((pattern, code), outcome) in std::mem::take(&mut self.level).into_iter().zip(outcomes)
+        let mut survivors: Vec<(Pattern, Parent)> = Vec::new();
+        for (Candidate { pattern, code, .. }, outcome) in
+            std::mem::take(&mut self.level).into_iter().zip(outcomes)
         {
             let EvalOutcome {
                 support,
@@ -766,17 +882,23 @@ impl EngineState {
                 interval,
                 certificate,
                 cross_shard,
+                capped,
+                lists,
                 ..
             } = outcome;
             if reused {
                 self.stats.evaluations_reused += 1;
+            } else if capped {
+                self.stats.counters.space_capped += 1;
             }
             self.stats.counters.cross_shard_occurrences += cross_shard;
             if self.mode.caching() {
-                self.cache_out
-                    .insert(code, CachedEval { support, num_occurrences, touched, complete });
+                self.cache_out.insert(
+                    code,
+                    CachedEval { support, num_occurrences, touched, complete, capped },
+                );
             }
-            let child_hi = interval.map_or(support, |iv| iv.hi);
+            let parent = Parent { hi: interval.map_or(support, |iv| iv.hi), lists };
             match self.config.top_k {
                 None => {
                     if support >= self.threshold {
@@ -797,7 +919,7 @@ impl EngineState {
                         self.stats.counters.patterns_emitted += 1;
                         self.frequent.push(found);
                         accepted += 1;
-                        survivors.push((pattern, child_hi));
+                        survivors.push((pattern, parent));
                     } else {
                         self.stats.candidates_pruned += 1;
                     }
@@ -817,7 +939,7 @@ impl EngineState {
                         self.stats.counters.patterns_emitted += 1;
                         self.threshold = insert_top_k(&mut self.frequent, found, k, self.floor);
                         accepted += 1;
-                        survivors.push((pattern, child_hi));
+                        survivors.push((pattern, parent));
                     } else {
                         self.stats.candidates_pruned += 1;
                     }
@@ -843,23 +965,22 @@ impl EngineState {
         // Next level: one-edge extensions of every surviving pattern.  Pruned
         // candidates are never extended — sound because the measure is anti-monotone.
         let extension_start = Instant::now();
-        let bounds_on = self.config.bounds.is_some();
-        let mut next: Vec<(Pattern, CanonicalCode)> = Vec::new();
-        let mut next_parent_hi: Vec<f64> = Vec::new();
-        for (pattern, hi) in &survivors {
+        let mut next: Vec<Candidate> = Vec::new();
+        for (pattern, parent) in survivors {
             if pattern.num_edges() >= self.config.max_pattern_edges {
                 continue;
             }
-            let candidates = extensions(pattern, self.source.alphabet());
-            self.stats.candidates_generated += candidates.len();
-            next.extend(dedupe_with_codes(candidates, &mut self.seen));
-            if bounds_on {
-                next_parent_hi.resize(next.len(), *hi);
-            }
+            let children = extensions(&pattern, self.source.alphabet());
+            self.stats.candidates_generated += children.len();
+            let parent = Arc::new(parent);
+            next.extend(
+                dedupe_with_codes(children, &mut self.seen).into_iter().map(|(pattern, code)| {
+                    Candidate { pattern, code, parent: Some(parent.clone()) }
+                }),
+            );
         }
         self.engine_phase.record(Phase::Extension, extension_start.elapsed());
         self.level = next;
-        self.level_parent_hi = next_parent_hi;
         Ok(())
     }
 

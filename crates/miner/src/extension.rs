@@ -100,6 +100,33 @@ mod tests {
         }
     }
 
+    /// The invariant seeded candidate spaces rely on: every extension keeps
+    /// the parent's vertex ids `0..n`, labels and edges, and a vertex
+    /// extension appends its new vertex as `n`, joined to one parent vertex.
+    #[test]
+    fn extensions_keep_parent_ids_and_append_the_new_vertex() {
+        let parent = patterns::path(&[Label(0), Label(1), Label(2)]);
+        let n = parent.num_vertices() as u32;
+        let exts = extensions(&parent, &[Label(0), Label(3)]);
+        assert!(
+            exts.iter().any(|e| e.num_vertices() == 3)
+                && exts.iter().any(|e| e.num_vertices() == 4)
+        );
+        for child in &exts {
+            for u in 0..n {
+                assert_eq!(child.label(u), parent.label(u));
+            }
+            for (u, v) in parent.edges() {
+                assert!(child.has_edge(u, v));
+            }
+            if child.num_vertices() > parent.num_vertices() {
+                assert_eq!(child.num_vertices(), parent.num_vertices() + 1);
+                assert_eq!(child.neighbors(n).len(), 1);
+                assert!(child.neighbors(n)[0] < n);
+            }
+        }
+    }
+
     #[test]
     fn edge_extension_closes_triangles() {
         let p = patterns::path(&[Label(0), Label(0), Label(0)]);

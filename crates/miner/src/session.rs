@@ -456,6 +456,12 @@ impl MiningSession {
             }
             _ => None,
         };
+        let space_cap = match &config.measure {
+            MeasureSelection::Kind(kind) => {
+                ffsm_approx::BoundsEvaluator::supports(*kind, &measure_config)
+            }
+            MeasureSelection::Custom(_) => false,
+        };
         let measure: Arc<dyn SupportMeasure> = match config.measure {
             MeasureSelection::Kind(kind) => kind.measure(measure_config.clone()),
             MeasureSelection::Custom(measure) => measure,
@@ -480,6 +486,7 @@ impl MiningSession {
             deadline: deadline_at,
             metrics: config.metrics,
             bounds,
+            space_cap,
         };
         Ok(PatternStream::new(EngineState::new(source, measure, engine_config, quiet, mode)))
     }

@@ -43,12 +43,11 @@
 //!   contract `tests/shard_differential.rs` enforces at shard counts 1, 2, 3
 //!   and 7.
 
-use crate::engine::on_workers;
+use crate::engine::{on_workers, Candidate};
 use crate::session::MiningSession;
 use ffsm_core::{
     enumerate_with, EnumerationResult, EnumeratorBackend, FfsmError, OccurrenceSet, SearchArena,
 };
-use ffsm_graph::canonical::CanonicalCode;
 use ffsm_graph::isomorphism::{Embedding, IsoConfig};
 use ffsm_graph::{Pattern, VertexId};
 use ffsm_shard::{PartitionedGraph, ShardStoreStats};
@@ -124,7 +123,7 @@ impl LevelBuffer {
 /// store) fails the whole pass.
 pub(crate) fn shard_pass(
     partitioned: &PartitionedGraph,
-    candidates: &[(Pattern, CanonicalCode)],
+    candidates: &[Candidate],
     buckets: &mut [Vec<LevelBuffer>],
     arenas: &mut [SearchArena],
     iso_config: &IsoConfig,
@@ -140,7 +139,7 @@ pub(crate) fn shard_pass(
         let (graph, to_global) = (shard.graph(), shard.to_global());
         on_workers(buckets, arenas, |bucket, arena| {
             for buffer in bucket.iter_mut() {
-                let pattern = &candidates[buffer.candidate].0;
+                let pattern = &candidates[buffer.candidate].pattern;
                 if graph.num_vertices() < pattern.num_vertices() {
                     continue;
                 }

@@ -149,6 +149,11 @@ pub struct SessionCounters {
     /// Occurrences of a partitioned run whose image leaves the anchor's shard
     /// interior — the ones the halo exists for (always 0 over a whole graph).
     pub cross_shard_occurrences: u64,
+    /// Candidates decided infrequent by the seeded candidate-space cap: the
+    /// candidate's space, seeded from its parent's refined lists, had a list
+    /// shorter than the threshold, so no refinement, search or solve ran
+    /// (always 0 for partitions, the naive backend and custom measures).
+    pub space_capped: u64,
 }
 
 impl SessionCounters {
@@ -168,6 +173,7 @@ impl SessionCounters {
             cross_shard_occurrences: self
                 .cross_shard_occurrences
                 .saturating_sub(earlier.cross_shard_occurrences),
+            space_capped: self.space_capped.saturating_sub(earlier.space_capped),
         }
     }
 }

@@ -242,6 +242,7 @@ pub fn trace_frame(level: usize, counters: &SessionCounters, phases: &PhaseTimes
         .raw("patterns_emitted", counters.patterns_emitted)
         .raw("evaluations_bounded", counters.evaluations_bounded)
         .raw("bound_decided", counters.bound_decided)
+        .raw("space_capped", counters.space_capped)
         .raw("arena_peak_bytes", counters.arena_peak_bytes);
     for phase in Phase::ALL {
         frame = frame.raw(&format!("{}_us", phase.name()), phases.nanos(phase) / 1_000);
@@ -438,6 +439,7 @@ mod tests {
         let mut counters = SessionCounters::default();
         counters.search.steps = 42;
         counters.overlap_probes = 7;
+        counters.space_capped = 3;
         let mut phases = PhaseTimes::default();
         phases.add_nanos(Phase::SupportEval, 3_000_000);
         let line = trace_frame(2, &counters, &phases).finish();
@@ -447,6 +449,7 @@ mod tests {
         assert!(line.contains("\"extension_us\": 0"));
         assert!(line.contains("\"evaluations_bounded\": 0"));
         assert!(line.contains("\"bound_decided\": 0"));
+        assert!(line.contains("\"space_capped\": 3"));
         assert!(line.contains("\"bounds_eval_us\": 0"));
     }
 

@@ -18,14 +18,18 @@
 //!   of staying folklore.
 //!
 //! All methods take `&self`: lookups share a read lock, and each graph has its
-//! own store mutex, so traffic on different graphs never contends.
+//! own store mutex, so traffic on different graphs never contends.  A lock a
+//! panicking thread poisoned is taken over as is: the map only ever gains
+//! whole entries, and a store commits a batch by pushing one finished epoch
+//! (see `DynamicGraph::apply`), so the guarded state is consistent at every
+//! point a panic can interrupt it, and later requests keep being served.
 
 use ffsm_core::FfsmError;
 use ffsm_dynamic::{DynamicGraph, EpochSnapshot};
 use ffsm_graph::{GraphDelta, GraphUpdate, LabeledGraph};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// One registered graph: its versioned store plus serving counters.
 #[derive(Debug)]
@@ -99,7 +103,7 @@ impl GraphRegistry {
                 "graph name {name:?} must be non-empty printable ASCII without spaces"
             )));
         }
-        let mut graphs = self.graphs.write().expect("registry lock poisoned");
+        let mut graphs = self.graphs.write().unwrap_or_else(PoisonError::into_inner);
         if graphs.contains_key(name) {
             return Err(FfsmError::InvalidConfig(format!("graph {name:?} is already registered")));
         }
@@ -119,7 +123,7 @@ impl GraphRegistry {
     fn entry(&self, name: &str) -> Result<Arc<GraphEntry>, FfsmError> {
         self.graphs
             .read()
-            .expect("registry lock poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .get(name)
             .cloned()
             .ok_or_else(|| FfsmError::UnknownGraph(name.to_string()))
@@ -134,7 +138,7 @@ impl GraphRegistry {
     /// [`FfsmError::UnknownGraph`].
     pub fn checkout(&self, name: &str) -> Result<EpochSnapshot, FfsmError> {
         let entry = self.entry(name)?;
-        let snapshot = entry.store.lock().expect("store lock poisoned").current().clone();
+        let snapshot = entry.store.lock().unwrap_or_else(PoisonError::into_inner).current().clone();
         entry.mines.fetch_add(1, Ordering::Relaxed);
         if snapshot.prepared().index_is_built() {
             entry.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -158,7 +162,7 @@ impl GraphRegistry {
         batch: &[GraphUpdate],
     ) -> Result<(usize, GraphDelta, GraphSummary), FfsmError> {
         let entry = self.entry(name)?;
-        let mut store = entry.store.lock().expect("store lock poisoned");
+        let mut store = entry.store.lock().unwrap_or_else(PoisonError::into_inner);
         let snapshot = store.apply(batch)?;
         let epoch = snapshot.epoch();
         let delta = snapshot.delta().expect("non-initial epoch carries a delta").clone();
@@ -170,11 +174,11 @@ impl GraphRegistry {
 
     /// Summaries of every registered graph, by name.
     pub fn list(&self) -> Vec<GraphSummary> {
-        let graphs = self.graphs.read().expect("registry lock poisoned");
+        let graphs = self.graphs.read().unwrap_or_else(PoisonError::into_inner);
         graphs
             .iter()
             .map(|(name, entry)| {
-                let store = entry.store.lock().expect("store lock poisoned");
+                let store = entry.store.lock().unwrap_or_else(PoisonError::into_inner);
                 summarize(name, store.current())
             })
             .collect()
@@ -187,7 +191,7 @@ impl GraphRegistry {
     /// [`FfsmError::UnknownGraph`].
     pub fn stats(&self, name: &str) -> Result<GraphStats, FfsmError> {
         let entry = self.entry(name)?;
-        let store = entry.store.lock().expect("store lock poisoned");
+        let store = entry.store.lock().unwrap_or_else(PoisonError::into_inner);
         Ok(GraphStats {
             summary: summarize(name, store.current()),
             retained: store.retained_range(),
@@ -201,7 +205,7 @@ impl GraphRegistry {
 
     /// Number of registered graphs.
     pub fn len(&self) -> usize {
-        self.graphs.read().expect("registry lock poisoned").len()
+        self.graphs.read().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// `true` when no graph is registered.
@@ -302,6 +306,26 @@ mod tests {
         let stats = registry.stats("g").unwrap();
         assert_eq!(stats.updates, 0);
         assert_eq!(stats.summary.epoch, 0);
+    }
+
+    #[test]
+    fn a_poisoned_store_lock_keeps_serving_the_graph() {
+        let registry = Arc::new(registry_with("g"));
+        let entry = registry.entry("g").unwrap();
+        let panicked = std::thread::spawn(move || {
+            let _held = entry.store.lock().unwrap();
+            panic!("a request panics while holding the store lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(registry.entry("g").unwrap().store.is_poisoned());
+        let snapshot = registry.checkout("g").unwrap();
+        assert_eq!(snapshot.epoch(), 0);
+        let (epoch, _, _) =
+            registry.apply("g", &[GraphUpdate::AddVertex(ffsm_graph::Label(1))]).unwrap();
+        assert_eq!(epoch, 1);
+        assert_eq!(registry.stats("g").unwrap().summary.epoch, 1);
+        assert_eq!(registry.list().len(), 1);
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //! level boundary and still emit their terminal frame), queued-but-unstarted
 //! jobs run with their token already cancelled (so their clients get a
 //! `cancelled` completion, not silence), and the pool is joined.
+//!
+//! A lock a panicking thread poisoned is taken over as is: each critical
+//! section is one insert, removal, take or dequeue, so the guarded state is
+//! consistent wherever a panic interrupts it.
 
 use ffsm_core::FfsmError;
 use ffsm_graph::CancelToken;
@@ -21,7 +25,7 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -40,7 +44,7 @@ impl Inflight {
     /// window).  Returns the table key.
     fn register(&self, token: &CancelToken) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.tokens.lock().expect("inflight lock poisoned").insert(id, token.clone());
+        self.tokens.lock().unwrap_or_else(PoisonError::into_inner).insert(id, token.clone());
         if self.draining.load(Ordering::SeqCst) {
             token.cancel();
         }
@@ -48,11 +52,11 @@ impl Inflight {
     }
 
     fn deregister(&self, id: u64) {
-        self.tokens.lock().expect("inflight lock poisoned").remove(&id);
+        self.tokens.lock().unwrap_or_else(PoisonError::into_inner).remove(&id);
     }
 
     fn cancel_all(&self) {
-        for token in self.tokens.lock().expect("inflight lock poisoned").values() {
+        for token in self.tokens.lock().unwrap_or_else(PoisonError::into_inner).values() {
             token.cancel();
         }
     }
@@ -136,7 +140,7 @@ impl SessionScheduler {
             job();
             inflight.deregister(id);
         });
-        let sender = self.sender.lock().expect("sender lock poisoned");
+        let sender = self.sender.lock().unwrap_or_else(PoisonError::into_inner);
         let result = match sender.as_ref() {
             Some(sender) => sender.try_send(wrapped),
             None => return Err(FfsmError::ShuttingDown),
@@ -172,8 +176,9 @@ impl SessionScheduler {
         self.inflight.draining.store(true, Ordering::SeqCst);
         self.inflight.cancel_all();
         // Disconnect the queue: workers finish what is queued, then exit.
-        drop(self.sender.lock().expect("sender lock poisoned").take());
-        let handles = std::mem::take(&mut *self.workers.lock().expect("workers lock poisoned"));
+        drop(self.sender.lock().unwrap_or_else(PoisonError::into_inner).take());
+        let handles =
+            std::mem::take(&mut *self.workers.lock().unwrap_or_else(PoisonError::into_inner));
         for handle in handles {
             let _ = handle.join();
         }
@@ -195,7 +200,7 @@ impl SessionScheduler {
             admitted: self.admitted.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             finished: self.finished.load(Ordering::Relaxed),
-            inflight: self.inflight.tokens.lock().expect("inflight lock poisoned").len(),
+            inflight: self.inflight.tokens.lock().unwrap_or_else(PoisonError::into_inner).len(),
         }
     }
 }
@@ -209,7 +214,7 @@ impl Drop for SessionScheduler {
 fn worker_loop(receiver: &Mutex<Receiver<Job>>, finished: &AtomicU64) {
     loop {
         // Hold the lock only to dequeue, never while running a job.
-        let job = match receiver.lock().expect("receiver lock poisoned").recv() {
+        let job = match receiver.lock().unwrap_or_else(PoisonError::into_inner).recv() {
             Ok(job) => job,
             Err(_) => return, // queue disconnected and drained
         };
@@ -232,6 +237,28 @@ mod tests {
         move || {
             let _ = release.lock().unwrap().recv_timeout(Duration::from_secs(10));
         }
+    }
+
+    #[test]
+    fn a_poisoned_inflight_lock_keeps_admitting() {
+        let scheduler = SessionScheduler::new(1, 4);
+        let inflight = Arc::clone(&scheduler.inflight);
+        let panicked = std::thread::spawn(move || {
+            let _held = inflight.tokens.lock().unwrap();
+            panic!("a thread panics while holding the in-flight table");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(scheduler.inflight.tokens.is_poisoned());
+        let (done, ran) = channel();
+        scheduler
+            .submit(&CancelToken::new(), move || {
+                let _ = done.send(());
+            })
+            .unwrap();
+        ran.recv_timeout(Duration::from_secs(10)).expect("the job ran");
+        assert_eq!(scheduler.stats().admitted, 1);
+        scheduler.shutdown();
     }
 
     #[test]
