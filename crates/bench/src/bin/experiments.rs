@@ -1,4 +1,5 @@
-//! Experiment harness: prints the paper-reproduction tables E1–E14 as Markdown.
+//! Experiment harness: prints the paper-reproduction tables E1–E14 as Markdown
+//! (there is no E10).
 //!
 //! Usage:
 //!
@@ -23,8 +24,8 @@ use ffsm_graph::{generators, LabeledGraph, Pattern};
 use ffsm_hypergraph::SearchBudget;
 use ffsm_miner::MiningSession;
 
-const EXPERIMENTS: [&str; 14] =
-    ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14"];
+const EXPERIMENTS: [&str; 13] =
+    ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e11", "e12", "e13", "e14"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -32,7 +33,7 @@ fn main() {
     let which: Vec<&str> = args.iter().map(String::as_str).filter(|a| *a != "--quick").collect();
     if let Some(bad) = which.iter().find(|a| **a != "all" && !EXPERIMENTS.contains(a)) {
         eprintln!(
-            "experiments: unknown experiment or flag {bad:?} (expected e1..e14, all or --quick)"
+            "experiments: unknown experiment or flag {bad:?} (expected e1..e9, e11..e14, all or --quick)"
         );
         std::process::exit(1);
     }
@@ -50,9 +51,8 @@ fn main() {
             "e7" => e7_ablation(quick),
             "e8" => e8_overlap(quick),
             "e9" => e9_hypergraphs(),
-            "e10" => e10_decomposition(quick),
             "e11" => e11_overlap_variants(quick),
-            "e12" => e12_reduction(quick),
+            "e12" => e12_presolve(quick),
             "e13" => e13_mcp_spectrum(quick),
             "e14" => e14_search_schemes(quick),
             _ => unreachable!("names are validated above"),
@@ -60,7 +60,7 @@ fn main() {
     }
 }
 
-fn measures_for(pattern: &Pattern, graph: &LabeledGraph, limit: usize) -> SupportMeasures {
+fn measures_for(pattern: &Pattern, graph: &LabeledGraph, limit: usize) -> SupportMeasures<'static> {
     let occ = OccurrenceSet::enumerate(pattern, graph, IsoConfig::with_limit(limit));
     SupportMeasures::new(occ, MeasureConfig::default())
 }
@@ -438,62 +438,6 @@ fn e9_hypergraphs() {
     println!("expected shape: occurrences = automorphisms x instances whenever instances do not share automorphic images.\n");
 }
 
-/// E10: additiveness — per-component decomposition of MVC / MIES / νMVC vs the direct
-/// whole-hypergraph solve, sequentially and in parallel.
-fn e10_decomposition(quick: bool) {
-    use ffsm_core::decompose::{
-        mies_by_components, mvc_by_components, relaxed_mvc_by_components, DecompositionConfig,
-    };
-    use ffsm_core::HypergraphBasis;
-
-    let copies_list: Vec<usize> = if quick { vec![4, 16] } else { vec![4, 16, 64, 128] };
-    let mut table = Table::new(
-        "E10 — additive (per-component) evaluation vs direct evaluation",
-        &[
-            "components",
-            "occ",
-            "MVC direct",
-            "MVC decomposed",
-            "t direct",
-            "t decomposed",
-            "t parallel",
-            "MIES equal",
-            "nuMVC equal",
-        ],
-    );
-    for &copies in &copies_list {
-        let block = generators::star_overlap(3, 4);
-        let graph = generators::replicated(&block, copies, false);
-        let pattern = ffsm_graph::patterns::single_edge(ffsm_graph::Label(0), ffsm_graph::Label(1));
-        let occ = workloads::enumerate(&pattern, &graph, 1_000_000);
-        let n = occ.num_occurrences();
-        let h = occ.hypergraph(HypergraphBasis::Occurrence);
-        let m = SupportMeasures::new(occ, MeasureConfig::default());
-        let (direct, t_direct) = timed(|| m.mvc_with(MvcAlgorithm::Exact));
-        let seq = DecompositionConfig { parallel: false, ..Default::default() };
-        let par = DecompositionConfig { parallel: true, ..Default::default() };
-        let (decomposed, t_dec) = timed(|| mvc_by_components(&h, MvcAlgorithm::Exact, seq));
-        let (_, t_par) = timed(|| mvc_by_components(&h, MvcAlgorithm::Exact, par));
-        let mies_direct = m.mies().value as f64;
-        let mies_dec = mies_by_components(&h, seq).value;
-        let relaxed_direct = m.relaxed_mvc();
-        let relaxed_dec = relaxed_mvc_by_components(&h, seq).value;
-        table.add_row(vec![
-            decomposed.num_components.to_string(),
-            n.to_string(),
-            direct.value.to_string(),
-            fmt_value(decomposed.value),
-            format_duration(t_direct),
-            format_duration(t_dec),
-            format_duration(t_par),
-            ((mies_direct - mies_dec).abs() < 1e-9).to_string(),
-            ((relaxed_direct - relaxed_dec).abs() < 1e-6).to_string(),
-        ]);
-    }
-    table.print();
-    println!("expected shape: identical values, decomposed/parallel times growing much slower with the number of components.\n");
-}
-
 /// E11: the full overlap-notion matrix — census of overlapping pairs and MIS/MCP under
 /// simple, harmful, structural and edge overlap.
 fn e11_overlap_variants(quick: bool) {
@@ -551,39 +495,20 @@ fn e11_overlap_variants(quick: bool) {
     println!("expected shape: harmful/structural/edge pair counts <= simple pair counts, and the corresponding MIS values >= MIS(simple); MCP(simple) >= MIS(simple).\n");
 }
 
-/// E12: kernelization / presolve effect — hypergraph vertex-cover reduction rules and
-/// covering-LP presolve, on overlap-heavy workloads.
-fn e12_reduction(quick: bool) {
+/// E12: covering-LP presolve before νMVC, on overlap-heavy workloads.
+fn e12_presolve(quick: bool) {
     use ffsm_core::HypergraphBasis;
-    use ffsm_hypergraph::reduction::{reduce_for_vertex_cover, reduced_exact_vertex_cover};
-    use ffsm_hypergraph::vertex_cover::exact_vertex_cover;
     use ffsm_lp::{covering_lp, presolve_covering};
 
     let mut table = Table::new(
-        "E12 — reduction rules before exact MVC and LP presolve before nuMVC",
-        &[
-            "workload",
-            "edges",
-            "edges after reduction",
-            "forced",
-            "MVC direct",
-            "MVC reduced",
-            "t direct",
-            "t reduced",
-            "LP rows after presolve",
-            "nuMVC equal",
-        ],
+        "E12 — LP presolve before nuMVC",
+        &["workload", "edges", "LP rows after presolve", "nuMVC", "nuMVC equal"],
     );
     let sizes: Vec<usize> = if quick { vec![64, 256] } else { vec![64, 256, 1024] };
     for &target in &sizes {
         let (graph, pattern) = workloads::star_overlap_workload(target);
         let occ = workloads::enumerate(&pattern, &graph, 2_000_000);
         let h = occ.hypergraph(HypergraphBasis::Occurrence);
-        let budget = SearchBudget::default();
-        let (direct, t_direct) = timed(|| exact_vertex_cover(&h, budget));
-        let reduced_instance = reduce_for_vertex_cover(&h);
-        let (reduced, t_reduced) = timed(|| reduced_exact_vertex_cover(&h, budget));
-        // LP presolve comparison.
         let sets: Vec<Vec<usize>> = h.edges().map(|(_, e)| e.to_vec()).collect();
         let direct_lp =
             covering_lp(h.num_vertices(), &sets).solve().map(|s| s.objective).unwrap_or(f64::NAN);
@@ -593,18 +518,13 @@ fn e12_reduction(quick: bool) {
         table.add_row(vec![
             format!("star-overlap({target})"),
             h.num_edges().to_string(),
-            reduced_instance.hypergraph.num_edges().to_string(),
-            reduced_instance.forced.len().to_string(),
-            direct.value.to_string(),
-            reduced.value.to_string(),
-            format_duration(t_direct),
-            format_duration(t_reduced),
             presolved.rows.len().to_string(),
+            fmt_value(direct_lp),
             ((direct_lp - presolved_lp).abs() < 1e-6).to_string(),
         ]);
     }
     table.print();
-    println!("expected shape: identical optima with far fewer edges/rows after reduction; the reduced exact solve is never slower on overlap-heavy inputs.\n");
+    println!("expected shape: nuMVC equal with and without presolve; a star overlap's single-edge occurrences have no duplicate, dominated or singleton rows, so presolve keeps every row.\n");
 }
 
 /// E13: MCP in the value spectrum — where the clique-partition measure falls relative

@@ -9,7 +9,7 @@
 //! [`BoundsReport`] that the experiment harness prints and the property tests assert
 //! on random inputs.
 
-use crate::measures::{MeasureConfig, SupportMeasures};
+use crate::measures::{Evaluation, MeasureConfig, MeasureKind, MvcAlgorithm, SupportMeasures};
 use crate::occurrences::OccurrenceSet;
 use ffsm_graph::isomorphism::IsoConfig;
 use ffsm_graph::{LabeledGraph, Pattern};
@@ -44,6 +44,30 @@ pub struct BoundsReport {
 }
 
 impl BoundsReport {
+    /// Assemble the report from one [`Evaluation`] per chain measure: `chain(kind)`
+    /// is called once for every kind of [`MeasureKind::bounding_chain`].  The MIS,
+    /// MIES and MVC optimality flags decide `all_exact`.
+    pub(crate) fn from_evaluations(
+        occurrences: usize,
+        instances: usize,
+        mut chain: impl FnMut(MeasureKind) -> Evaluation,
+    ) -> Self {
+        let (mis, mies, mvc) =
+            (chain(MeasureKind::Mis), chain(MeasureKind::Mies), chain(MeasureKind::Mvc));
+        BoundsReport {
+            occurrences,
+            instances,
+            mis: mis.value as usize,
+            mies: mies.value as usize,
+            relaxed_mies: chain(MeasureKind::RelaxedMies).value,
+            relaxed_mvc: chain(MeasureKind::RelaxedMvc).value,
+            mvc: mvc.value as usize,
+            mi: chain(MeasureKind::Mi).value as usize,
+            mni: chain(MeasureKind::Mni).value as usize,
+            all_exact: mis.optimal && mies.optimal && mvc.optimal,
+        }
+    }
+
     /// Violations of the chain, as human-readable strings; empty when everything is
     /// consistent.
     pub fn violations(&self) -> Vec<String> {
@@ -104,24 +128,13 @@ pub fn verify_bounding_chain(
     bounding_chain_for(occ, config)
 }
 
-/// Compute the chain from an already-enumerated occurrence set.
+/// Compute the chain from an already-enumerated occurrence set (MVC always exact).
 pub fn bounding_chain_for(occurrences: OccurrenceSet, config: &MeasureConfig) -> BoundsReport {
-    let measures = SupportMeasures::new(occurrences, config.clone());
-    let mis = measures.mis();
-    let mies = measures.mies();
-    let mvc = measures.mvc_with(crate::measures::MvcAlgorithm::Exact);
-    BoundsReport {
-        occurrences: measures.occurrence_count(),
-        instances: measures.instance_count(),
-        mis: mis.value,
-        mies: mies.value,
-        relaxed_mies: measures.relaxed_mies(),
-        relaxed_mvc: measures.relaxed_mvc(),
-        mvc: mvc.value,
-        mi: measures.mi(),
-        mni: measures.mni(),
-        all_exact: mis.optimal && mies.optimal && mvc.optimal,
-    }
+    let config = MeasureConfig { mvc_algorithm: MvcAlgorithm::Exact, ..config.clone() };
+    let measures = SupportMeasures::new(occurrences, config);
+    BoundsReport::from_evaluations(measures.occurrence_count(), measures.instance_count(), |kind| {
+        measures.evaluate(kind)
+    })
 }
 
 /// Convenience wrapper with the default configuration and a custom embedding budget.

@@ -27,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod bounds;
-pub mod decompose;
 pub mod error;
 pub mod measures;
 pub mod occurrences;
@@ -35,7 +34,6 @@ pub mod overlap;
 pub mod profile;
 
 pub use bounds::{verify_bounding_chain, BoundsReport};
-pub use decompose::{DecomposedOutcome, DecompositionConfig};
 pub use error::FfsmError;
 // Occurrence enumeration is dispatched to the candidate-space engine of
 // `ffsm-match` (see `IsoConfig::backend`); the per-graph index, the backend tag
@@ -56,7 +54,8 @@ pub use ffsm_match::{auto_backend, CandidateSpace, GraphIndex, Matcher, SearchAr
 pub use ffsm_graph::isomorphism::EnumerationResult;
 pub use ffsm_match::enumerate_with;
 pub use measures::{
-    MeasureConfig, MeasureKind, MiStrategy, MvcAlgorithm, SupportMeasure, SupportMeasures,
+    Evaluation, MeasureConfig, MeasureKind, MiStrategy, MvcAlgorithm, SupportMeasure,
+    SupportMeasures,
 };
 pub use occurrences::{HypergraphBasis, Instance, OccurrenceSet};
 pub use overlap::{

@@ -21,25 +21,15 @@ use super::MeasureOutcome;
 use ffsm_hypergraph::clique_cover::{clique_cover_number, greedy_clique_partition};
 use ffsm_hypergraph::{Hypergraph, SearchBudget};
 
-/// MCP support on an already-built overlap graph — the single solving path shared by
-/// [`mcp`], `SupportMeasures` (which caches the graph) and the miner.
+/// Exact (budgeted) minimum clique partition of an already-built overlap graph —
+/// the single solving path.  `SupportMeasures` builds and caches the graph, sharing
+/// one build with σMIS.
 pub fn mcp_on_graph(
     overlap: &ffsm_hypergraph::independent_set::SimpleGraph,
     budget: SearchBudget,
 ) -> MeasureOutcome {
     let res = clique_cover_number(overlap, budget);
     MeasureOutcome { value: res.value, optimal: res.optimal }
-}
-
-/// Exact (budgeted) minimum clique partition of the overlap graph of `hypergraph`,
-/// built through the inverted incidence index ([`Hypergraph::overlap_graph`]).
-/// Callers that also need σMIS should go through `SupportMeasures`, whose
-/// `OverlapCache` shares one overlap-graph build between the two.
-pub fn mcp(hypergraph: &Hypergraph, budget: SearchBudget) -> MeasureOutcome {
-    if hypergraph.is_empty() {
-        return MeasureOutcome { value: 0, optimal: true };
-    }
-    mcp_on_graph(&hypergraph.overlap_graph(), budget)
 }
 
 /// Greedy clique-partition upper bound on σMCP.
@@ -53,7 +43,7 @@ pub fn mcp_greedy(hypergraph: &Hypergraph) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::measures::mis::mis;
+    use crate::measures::mis::mis_on_graph;
     use crate::occurrences::{HypergraphBasis, OccurrenceSet};
     use ffsm_graph::isomorphism::IsoConfig;
     use ffsm_graph::{figures, generators};
@@ -61,6 +51,14 @@ mod tests {
     fn occurrence_hypergraph(example: &ffsm_graph::figures::FigureExample) -> Hypergraph {
         let occ = OccurrenceSet::enumerate(&example.pattern, &example.graph, IsoConfig::default());
         occ.hypergraph(HypergraphBasis::Occurrence)
+    }
+
+    fn mis(hypergraph: &Hypergraph, budget: SearchBudget) -> MeasureOutcome {
+        mis_on_graph(&hypergraph.overlap_graph(), budget)
+    }
+
+    fn mcp(hypergraph: &Hypergraph, budget: SearchBudget) -> MeasureOutcome {
+        mcp_on_graph(&hypergraph.overlap_graph(), budget)
     }
 
     #[test]

@@ -15,23 +15,12 @@ use ffsm_hypergraph::independent_set::{exact_max_independent_set, SimpleGraph};
 use ffsm_hypergraph::matching::exact_independent_edge_set;
 use ffsm_hypergraph::{Hypergraph, SearchBudget};
 
-/// MIS support on an already-built overlap graph — the single solving path shared by
-/// [`mis`], `SupportMeasures` (which caches the graph) and the miner.
+/// MIS support on an already-built overlap graph (vertex overlap, Definition
+/// 2.2.3/2.2.5) — the single solving path.  `SupportMeasures` builds and caches the
+/// graph, sharing one build with σMCP.
 pub fn mis_on_graph(overlap: &SimpleGraph, budget: SearchBudget) -> MeasureOutcome {
     let res = exact_max_independent_set(overlap, budget);
     MeasureOutcome { value: res.value, optimal: res.optimal }
-}
-
-/// Overlap-graph maximum-independent-set support: builds the overlap graph of the
-/// hypergraph's edges (vertex overlap, Definition 2.2.3/2.2.5) through the inverted
-/// incidence index ([`Hypergraph::overlap_graph`]) and solves MIS on it.  Callers
-/// that also need σMCP should go through `SupportMeasures`, whose `OverlapCache`
-/// shares one overlap-graph build between the two.
-pub fn mis(hypergraph: &Hypergraph, budget: SearchBudget) -> MeasureOutcome {
-    if hypergraph.is_empty() {
-        return MeasureOutcome { value: 0, optimal: true };
-    }
-    mis_on_graph(&hypergraph.overlap_graph(), budget)
 }
 
 /// Maximum independent edge set support on the hypergraph itself (set packing).
@@ -53,6 +42,10 @@ mod tests {
     fn hypergraphs(example: &ffsm_graph::figures::FigureExample) -> (Hypergraph, Hypergraph) {
         let occ = OccurrenceSet::enumerate(&example.pattern, &example.graph, IsoConfig::default());
         (occ.hypergraph(HypergraphBasis::Occurrence), occ.hypergraph(HypergraphBasis::Instance))
+    }
+
+    fn mis(hypergraph: &Hypergraph, budget: SearchBudget) -> MeasureOutcome {
+        mis_on_graph(&hypergraph.overlap_graph(), budget)
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The support measures of the paper, unified behind one calculator.
 //!
 //! [`SupportMeasures`] is built from an [`OccurrenceSet`] and a [`MeasureConfig`]; it
-//! exposes one method per measure plus a generic [`SupportMeasures::compute`] keyed by
-//! [`MeasureKind`] (used by the miner and the experiment harness).  The occurrence and
-//! instance hypergraphs are built lazily and cached.
+//! exposes one method per measure plus [`SupportMeasures::evaluate`] keyed by
+//! [`MeasureKind`] — the one dispatch from a kind to its solver, which the miner's
+//! built-in measures, [`SupportMeasures::compute`] and the profile all go through.
+//! The occurrence and instance hypergraphs are built lazily and cached.
 
 pub mod mcp;
 pub mod mi;
@@ -13,10 +14,11 @@ pub mod mvc;
 pub mod relaxed;
 
 use crate::occurrences::{HypergraphBasis, OccurrenceSet};
-use crate::overlap::{OverlapAnalysis, OverlapCache, OverlapConfig};
+use crate::overlap::{OverlapAnalysis, OverlapBuild, OverlapCache, OverlapConfig};
 use ffsm_graph::isomorphism::IsoConfig;
 use ffsm_hypergraph::independent_set::SimpleGraph;
 use ffsm_hypergraph::{Hypergraph, SearchBudget};
+use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::sync::Arc;
 
@@ -186,6 +188,14 @@ pub trait SupportMeasure: Send + Sync {
     /// The support of the pattern whose occurrences are `occurrences`.
     fn support(&self, occurrences: &OccurrenceSet) -> f64;
 
+    /// The support together with whether it is proven optimal.  A measure backed by
+    /// a budgeted exact search reports `optimal == false` when the budget ran out;
+    /// the default, for measures that compute their value outright, is
+    /// [`SupportMeasure::support`] marked optimal.
+    fn evaluate(&self, occurrences: &OccurrenceSet) -> Evaluation {
+        Evaluation { value: self.support(occurrences), optimal: true }
+    }
+
     /// Whether the measure is anti-monotone (Definition 2.2.2).  The miner refuses to
     /// threshold-prune with a measure that answers `false`.
     fn is_anti_monotone(&self) -> bool;
@@ -204,7 +214,13 @@ struct BuiltinMeasure {
 
 impl SupportMeasure for BuiltinMeasure {
     fn support(&self, occurrences: &OccurrenceSet) -> f64 {
-        compute_kind(occurrences, &self.config, self.kind)
+        self.evaluate(occurrences).value
+    }
+
+    /// One calculator per call over the borrowed occurrences: the hypergraph and
+    /// overlap graph are built only if the kind needs them, at most once.
+    fn evaluate(&self, occurrences: &OccurrenceSet) -> Evaluation {
+        SupportMeasures::borrowed(occurrences, &self.config).evaluate(self.kind)
     }
 
     fn is_anti_monotone(&self) -> bool {
@@ -213,48 +229,6 @@ impl SupportMeasure for BuiltinMeasure {
 
     fn name(&self) -> &str {
         &self.name
-    }
-}
-
-/// Build the overlap graph of `hypergraph` under the configured strategy — the one
-/// place [`OverlapConfig`] is interpreted for the measure and mining paths.
-fn overlap_graph_for(hypergraph: &Hypergraph, overlap: &OverlapConfig) -> SimpleGraph {
-    match overlap.build {
-        crate::overlap::OverlapBuild::Indexed => hypergraph.overlap_graph_parallel(overlap.threads),
-        crate::overlap::OverlapBuild::Naive => {
-            SimpleGraph::from_adjacency(hypergraph.overlap_adjacency())
-        }
-    }
-}
-
-/// Compute one measure of `occ` directly, without the cached-hypergraph calculator
-/// (each call builds the hypergraph it needs, which is the right trade-off when only
-/// one measure is evaluated per occurrence set — the miner's access pattern).
-fn compute_kind(occ: &OccurrenceSet, config: &MeasureConfig, kind: MeasureKind) -> f64 {
-    let overlap_measure = |solve: fn(&SimpleGraph, SearchBudget) -> MeasureOutcome| {
-        let hypergraph = occ.hypergraph(config.basis);
-        if hypergraph.is_empty() {
-            return 0.0;
-        }
-        solve(&overlap_graph_for(&hypergraph, &config.overlap), config.search_budget).value as f64
-    };
-    match kind {
-        MeasureKind::OccurrenceCount => occ.num_occurrences() as f64,
-        MeasureKind::InstanceCount => occ.num_instances() as f64,
-        MeasureKind::Mni => mni::mni(occ) as f64,
-        MeasureKind::MniK(k) => mni::mni_k(occ, k) as f64,
-        MeasureKind::Mi => mi::mi(occ, config.mi_strategy) as f64,
-        MeasureKind::Mvc => {
-            mvc::mvc(&occ.hypergraph(config.basis), config.mvc_algorithm, config.search_budget)
-                .value as f64
-        }
-        MeasureKind::Mis => overlap_measure(mis::mis_on_graph),
-        MeasureKind::Mies => {
-            mis::mies(&occ.hypergraph(config.basis), config.search_budget).value as f64
-        }
-        MeasureKind::RelaxedMvc => relaxed::relaxed_mvc(&occ.hypergraph(config.basis)),
-        MeasureKind::RelaxedMies => relaxed::relaxed_mies(&occ.hypergraph(config.basis)),
-        MeasureKind::Mcp => overlap_measure(mcp::mcp_on_graph),
     }
 }
 
@@ -267,6 +241,23 @@ pub struct MeasureOutcome {
     /// `false` if the search budget was exhausted and `value` is only the best bound
     /// found (an upper bound for minimisation problems, lower bound for maximisation).
     pub optimal: bool,
+}
+
+/// A support value of any measure plus whether it is proven: what
+/// [`SupportMeasures::evaluate`] and [`SupportMeasure::evaluate`] return.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Evaluation {
+    /// The measure value (integral measures reported as `f64`).
+    pub value: f64,
+    /// `false` when a budgeted exact search ran out of [`SearchBudget`], or the MVC
+    /// algorithm is a greedy approximation: `value` is then only a bound.
+    pub optimal: bool,
+}
+
+impl From<MeasureOutcome> for Evaluation {
+    fn from(outcome: MeasureOutcome) -> Self {
+        Evaluation { value: outcome.value as f64, optimal: outcome.optimal }
+    }
 }
 
 /// Configuration shared by all measures.
@@ -296,18 +287,31 @@ pub struct MeasureConfig {
 /// performs exactly one overlap-graph build — [`SupportMeasures::overlap_builds`]
 /// is the counter the cache tests assert on.  The cache lives and dies with this
 /// calculator, so a new pattern (a new `SupportMeasures`) starts cold.
+///
+/// The calculator either owns its occurrences and configuration
+/// ([`SupportMeasures::new`]) or borrows them (the built-in [`SupportMeasure`]s, which
+/// see the miner's occurrence set by reference).
 #[derive(Debug)]
-pub struct SupportMeasures {
-    occurrences: OccurrenceSet,
-    config: MeasureConfig,
+pub struct SupportMeasures<'a> {
+    occurrences: Cow<'a, OccurrenceSet>,
+    config: Cow<'a, MeasureConfig>,
     occurrence_hg: OnceCell<Hypergraph>,
     instance_hg: OnceCell<Hypergraph>,
     overlap_cache: OverlapCache,
 }
 
-impl SupportMeasures {
+impl<'a> SupportMeasures<'a> {
     /// Build a calculator from an occurrence set.
     pub fn new(occurrences: OccurrenceSet, config: MeasureConfig) -> Self {
+        Self::from_cows(Cow::Owned(occurrences), Cow::Owned(config))
+    }
+
+    /// A calculator over borrowed occurrences and configuration.
+    fn borrowed(occurrences: &'a OccurrenceSet, config: &'a MeasureConfig) -> Self {
+        Self::from_cows(Cow::Borrowed(occurrences), Cow::Borrowed(config))
+    }
+
+    fn from_cows(occurrences: Cow<'a, OccurrenceSet>, config: Cow<'a, MeasureConfig>) -> Self {
         SupportMeasures {
             occurrences,
             config,
@@ -348,8 +352,15 @@ impl SupportMeasures {
             HypergraphBasis::Occurrence => 0,
             HypergraphBasis::Instance => 1,
         };
-        self.overlap_cache
-            .get_or_build(slot, || overlap_graph_for(self.hypergraph(basis), &self.config.overlap))
+        self.overlap_cache.get_or_build(slot, || {
+            let hypergraph = self.hypergraph(basis);
+            match self.config.overlap.build {
+                OverlapBuild::Indexed => {
+                    hypergraph.overlap_graph_parallel(self.config.overlap.threads)
+                }
+                OverlapBuild::Naive => SimpleGraph::from_adjacency(hypergraph.overlap_adjacency()),
+            }
+        })
     }
 
     /// How many overlap graphs this calculator has actually built (at most one per
@@ -439,22 +450,30 @@ impl SupportMeasures {
         relaxed::relaxed_mies(self.hypergraph(self.config.basis))
     }
 
-    /// Generic computation keyed by [`MeasureKind`]; integral measures are returned as
+    /// The measure `kind` with its optimality flag — the one dispatch from a
+    /// [`MeasureKind`] to its solver.  Only the budgeted searches (MVC, MIS, MIES,
+    /// MCP) can report `optimal == false`.
+    pub fn evaluate(&self, kind: MeasureKind) -> Evaluation {
+        let proven = |value: f64| Evaluation { value, optimal: true };
+        match kind {
+            MeasureKind::OccurrenceCount => proven(self.occurrence_count() as f64),
+            MeasureKind::InstanceCount => proven(self.instance_count() as f64),
+            MeasureKind::Mni => proven(self.mni() as f64),
+            MeasureKind::MniK(k) => proven(self.mni_k(k) as f64),
+            MeasureKind::Mi => proven(self.mi() as f64),
+            MeasureKind::Mvc => self.mvc().into(),
+            MeasureKind::Mis => self.mis().into(),
+            MeasureKind::Mies => self.mies().into(),
+            MeasureKind::RelaxedMvc => proven(self.relaxed_mvc()),
+            MeasureKind::RelaxedMies => proven(self.relaxed_mies()),
+            MeasureKind::Mcp => self.mcp().into(),
+        }
+    }
+
+    /// The value of [`SupportMeasures::evaluate`]; integral measures are returned as
     /// `f64` for uniformity.
     pub fn compute(&self, kind: MeasureKind) -> f64 {
-        match kind {
-            MeasureKind::OccurrenceCount => self.occurrence_count() as f64,
-            MeasureKind::InstanceCount => self.instance_count() as f64,
-            MeasureKind::Mni => self.mni() as f64,
-            MeasureKind::MniK(k) => self.mni_k(k) as f64,
-            MeasureKind::Mi => self.mi() as f64,
-            MeasureKind::Mvc => self.mvc().value as f64,
-            MeasureKind::Mis => self.mis().value as f64,
-            MeasureKind::Mies => self.mies().value as f64,
-            MeasureKind::RelaxedMvc => self.relaxed_mvc(),
-            MeasureKind::RelaxedMies => self.relaxed_mies(),
-            MeasureKind::Mcp => self.mcp().value as f64,
-        }
+        self.evaluate(kind).value
     }
 }
 
@@ -463,7 +482,7 @@ mod tests {
     use super::*;
     use ffsm_graph::figures;
 
-    fn calculator(example: &ffsm_graph::figures::FigureExample) -> SupportMeasures {
+    fn calculator(example: &ffsm_graph::figures::FigureExample) -> SupportMeasures<'static> {
         let occ = OccurrenceSet::enumerate(&example.pattern, &example.graph, IsoConfig::default());
         SupportMeasures::new(occ, MeasureConfig::default())
     }

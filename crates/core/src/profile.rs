@@ -9,9 +9,11 @@
 //! σMIS = σMIES ≤ νMIES = νMVC ≤ σMVC ≤ σMI ≤ σMNI
 //! ```
 //!
-//! on its own data.
+//! on its own data, through [`BoundsReport::violations`], which skips the links
+//! that rest on a value a search budget left unproven.
 
-use crate::measures::{MeasureConfig, MeasureKind, SupportMeasures};
+use crate::bounds::BoundsReport;
+use crate::measures::{Evaluation, MeasureConfig, MeasureKind, SupportMeasures};
 use crate::occurrences::OccurrenceSet;
 use ffsm_graph::{LabeledGraph, Pattern};
 use std::time::{Duration, Instant};
@@ -79,27 +81,21 @@ impl MeasureProfile {
         let enumeration_complete = occurrences.is_complete();
         let measures = SupportMeasures::new(occurrences, config.clone());
 
-        let mut entries = Vec::new();
-        let mut push = |kind: MeasureKind, measures: &SupportMeasures| {
-            let start = Instant::now();
-            let value = measures.compute(kind);
-            let elapsed = start.elapsed();
-            let optimal = match kind {
-                MeasureKind::Mvc => measures.mvc().optimal,
-                MeasureKind::Mis => measures.mis().optimal,
-                MeasureKind::Mies => measures.mies().optimal,
-                MeasureKind::Mcp => measures.mcp().optimal,
-                _ => true,
-            };
-            entries.push(ProfileEntry { kind, value, elapsed, optimal });
-        };
-        for kind in MeasureKind::bounding_chain() {
-            push(kind, &measures);
-        }
-        push(MeasureKind::Mcp, &measures);
-        push(MeasureKind::MniK(2), &measures);
-        push(MeasureKind::OccurrenceCount, &measures);
-        push(MeasureKind::InstanceCount, &measures);
+        let extras = [
+            MeasureKind::Mcp,
+            MeasureKind::MniK(2),
+            MeasureKind::OccurrenceCount,
+            MeasureKind::InstanceCount,
+        ];
+        let entries = MeasureKind::bounding_chain()
+            .into_iter()
+            .chain(extras)
+            .map(|kind| {
+                let start = Instant::now();
+                let Evaluation { value, optimal } = measures.evaluate(kind);
+                ProfileEntry { kind, value, elapsed: start.elapsed(), optimal }
+            })
+            .collect();
 
         MeasureProfile {
             label,
@@ -116,28 +112,14 @@ impl MeasureProfile {
         self.entries.iter().find(|e| e.kind == kind).map(|e| e.value)
     }
 
-    /// Check the bounding chain on the profiled values (with a small tolerance for
-    /// the fractional LP entries).  Returns the list of violated links, empty when the
-    /// chain holds.
+    /// Check the bounding chain on the profiled values ([`BoundsReport::violations`]).
+    /// Returns the list of violated links, empty when the chain holds.
     pub fn bounding_chain_violations(&self) -> Vec<String> {
-        let chain = MeasureKind::bounding_chain();
-        let mut violations = Vec::new();
-        // MIS = MIES (Theorem 4.1), νMIES = νMVC (Theorem 4.6), the rest ≤.
-        let value = |k: MeasureKind| self.value_of(k).unwrap_or(f64::NAN);
-        let eq = |a: MeasureKind, b: MeasureKind, violations: &mut Vec<String>| {
-            if (value(a) - value(b)).abs() > 1e-6 {
-                violations.push(format!("{} != {}", a.name(), b.name()));
-            }
-        };
-        eq(MeasureKind::Mis, MeasureKind::Mies, &mut violations);
-        eq(MeasureKind::RelaxedMies, MeasureKind::RelaxedMvc, &mut violations);
-        for pair in chain.windows(2) {
-            let (a, b) = (pair[0], pair[1]);
-            if value(a) > value(b) + 1e-6 {
-                violations.push(format!("{} > {}", a.name(), b.name()));
-            }
-        }
-        violations
+        BoundsReport::from_evaluations(self.num_occurrences, self.num_instances, |kind| {
+            let entry = self.entries.iter().find(|e| e.kind == kind).expect("chain is profiled");
+            Evaluation { value: entry.value, optimal: entry.optimal }
+        })
+        .violations()
     }
 
     /// `true` when the bounding chain holds on this profile.

@@ -265,36 +265,6 @@ pub fn degeneracy(graph: &LabeledGraph) -> usize {
     core_numbers(graph).into_iter().max().unwrap_or(0)
 }
 
-/// `true` if the graph is bipartite (2-colourable); the empty graph is bipartite.
-pub fn is_bipartite(graph: &LabeledGraph) -> bool {
-    bipartition(graph).is_some()
-}
-
-/// A 2-colouring of the graph (`colors[v] ∈ {0, 1}`), or `None` if the graph contains
-/// an odd cycle.
-pub fn bipartition(graph: &LabeledGraph) -> Option<Vec<u8>> {
-    let n = graph.num_vertices();
-    let mut color = vec![u8::MAX; n];
-    for start in 0..n {
-        if color[start] != u8::MAX {
-            continue;
-        }
-        color[start] = 0;
-        let mut stack = vec![start as VertexId];
-        while let Some(v) = stack.pop() {
-            for &w in graph.neighbors(v) {
-                if color[w as usize] == u8::MAX {
-                    color[w as usize] = 1 - color[v as usize];
-                    stack.push(w);
-                } else if color[w as usize] == color[v as usize] {
-                    return None;
-                }
-            }
-        }
-    }
-    Some(color)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,20 +374,5 @@ mod tests {
         assert_eq!(cores[1], 2);
         assert_eq!(cores[2], 2);
         assert!(core_numbers(&LabeledGraph::new()).is_empty());
-    }
-
-    #[test]
-    fn bipartite_detection() {
-        assert!(is_bipartite(&path5()));
-        assert!(!is_bipartite(&two_triangles()));
-        assert!(is_bipartite(&LabeledGraph::new()));
-        let even_cycle = crate::patterns::cycle(&[Label(0); 4]);
-        assert!(is_bipartite(&even_cycle));
-        let colors = bipartition(&even_cycle).unwrap();
-        for (u, v) in even_cycle.edges() {
-            assert_ne!(colors[u as usize], colors[v as usize]);
-        }
-        let odd_cycle = crate::patterns::cycle(&[Label(0); 5]);
-        assert!(bipartition(&odd_cycle).is_none());
     }
 }

@@ -103,24 +103,6 @@ pub fn disjoint_union_all(graphs: &[LabeledGraph]) -> LabeledGraph {
     graphs.iter().fold(LabeledGraph::new(), |acc, g| disjoint_union(&acc, g))
 }
 
-/// Complement graph (same labels, edge present iff absent in the input).  Quadratic in
-/// the number of vertices — only intended for patterns and other small graphs.
-pub fn complement(graph: &LabeledGraph) -> LabeledGraph {
-    let n = graph.num_vertices();
-    let mut g = LabeledGraph::with_capacity(n);
-    for v in graph.vertices() {
-        g.add_vertex(graph.label(v));
-    }
-    for u in 0..n as VertexId {
-        for v in (u + 1)..n as VertexId {
-            if !graph.has_edge(u, v) {
-                g.add_edge(u, v).expect("complement edge valid");
-            }
-        }
-    }
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,15 +165,5 @@ mod tests {
         let all = disjoint_union_all(&[a.clone(), a.clone(), a]);
         assert_eq!(all.num_components(), 3);
         assert_eq!(disjoint_union_all(&[]).num_vertices(), 0);
-    }
-
-    #[test]
-    fn complement_roundtrip() {
-        let g = patterns::uniform_path(4, Label(0));
-        let c = complement(&g);
-        assert_eq!(g.num_edges() + c.num_edges(), 4 * 3 / 2);
-        let cc = complement(&c);
-        assert_eq!(cc, g);
-        assert_eq!(complement(&LabeledGraph::new()).num_vertices(), 0);
     }
 }

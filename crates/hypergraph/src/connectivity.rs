@@ -3,9 +3,8 @@
 //! Occurrence/instance hypergraphs of a pattern in a large data graph usually split
 //! into many connected components (distant occurrences never share an image vertex).
 //! The NP-hard measures (MVC, MIES/MIS) and the LP relaxations are *additive* over
-//! these components, so solving per component and summing is both exact and much
-//! faster — this is the "additiveness" extension the paper lists as future work
-//! (Section 6, item 4).  `ffsm-core::decompose` builds on this module.
+//! these components (Section 6, item 4); [`HypergraphStatistics`](crate::HypergraphStatistics)
+//! reports the component structure.
 
 use crate::{EdgeId, Hypergraph};
 

@@ -41,7 +41,6 @@ mod hypergraph;
 pub mod independent_set;
 pub mod matching;
 pub mod parallel;
-pub mod reduction;
 pub mod statistics;
 pub mod vertex_cover;
 

@@ -51,8 +51,8 @@ use crate::types::{
 };
 use ffsm_approx::{BoundsEvaluator, BoundsOutcome, Certificate, SupportInterval};
 use ffsm_core::{
-    auto_backend, enumerate_with, CancelToken, CandidateSpace, EnumeratorBackend, FfsmError,
-    GraphIndex, Matcher, OccurrenceSet, SearchArena, SupportMeasure,
+    auto_backend, enumerate_with, CancelToken, CandidateSpace, EnumeratorBackend, Evaluation,
+    FfsmError, GraphIndex, Matcher, OccurrenceSet, SearchArena, SupportMeasure,
 };
 use ffsm_graph::canonical::CanonicalCode;
 use ffsm_graph::isomorphism::IsoConfig;
@@ -233,6 +233,9 @@ struct EvalOutcome {
     /// `true` when `support` is the seeded candidate-space cap, below the
     /// threshold, rather than the exact support.
     capped: bool,
+    /// `true` when this evaluation's measure could not prove its value optimal
+    /// (a budgeted exact solve ran out of its search budget).
+    budget_exhausted: bool,
     /// The refined candidate lists, kept when the candidate may be frequent
     /// and will be extended.
     lists: Option<Vec<Vec<VertexId>>>,
@@ -439,10 +442,11 @@ impl LevelContext<'_> {
                 }
             }
         }
-        let support = self.measure.support(occ);
+        let Evaluation { value: support, optimal } = self.measure.evaluate(occ);
         let exact = bounds.map(|evaluator| evaluator.exact(support));
         EvalOutcome {
             support,
+            budget_exhausted: !optimal,
             num_occurrences: occ.num_occurrences(),
             touched,
             complete: occ.is_complete(),
@@ -883,6 +887,7 @@ impl EngineState {
                 certificate,
                 cross_shard,
                 capped,
+                budget_exhausted,
                 lists,
                 ..
             } = outcome;
@@ -891,6 +896,7 @@ impl EngineState {
             } else if capped {
                 self.stats.counters.space_capped += 1;
             }
+            self.stats.counters.solve_budget_exhausted += budget_exhausted as u64;
             self.stats.counters.cross_shard_occurrences += cross_shard;
             if self.mode.caching() {
                 self.cache_out.insert(
@@ -899,52 +905,32 @@ impl EngineState {
                 );
             }
             let parent = Parent { hi: interval.map_or(support, |iv| iv.hi), lists };
-            match self.config.top_k {
-                None => {
-                    if support >= self.threshold {
-                        if self.frequent.len() >= self.config.max_patterns {
-                            budget_hit.get_or_insert(BudgetKind::Patterns);
-                            continue;
-                        }
-                        let found = FrequentPattern {
-                            pattern: pattern.clone(),
-                            support,
-                            num_occurrences,
-                            support_interval: interval,
-                            certificate,
-                        };
-                        if !self.quiet {
-                            out.push_back(MiningEvent::Pattern(found.clone()));
-                        }
-                        self.stats.counters.patterns_emitted += 1;
-                        self.frequent.push(found);
-                        accepted += 1;
-                        survivors.push((pattern, parent));
-                    } else {
-                        self.stats.candidates_pruned += 1;
-                    }
-                }
-                Some(k) => {
-                    if support >= self.threshold {
-                        let found = FrequentPattern {
-                            pattern: pattern.clone(),
-                            support,
-                            num_occurrences,
-                            support_interval: interval,
-                            certificate,
-                        };
-                        if !self.quiet {
-                            out.push_back(MiningEvent::Pattern(found.clone()));
-                        }
-                        self.stats.counters.patterns_emitted += 1;
-                        self.threshold = insert_top_k(&mut self.frequent, found, k, self.floor);
-                        accepted += 1;
-                        survivors.push((pattern, parent));
-                    } else {
-                        self.stats.candidates_pruned += 1;
-                    }
-                }
+            let frequent = support >= self.threshold;
+            if !frequent {
+                self.stats.candidates_pruned += 1;
+                continue;
             }
+            if self.config.top_k.is_none() && self.frequent.len() >= self.config.max_patterns {
+                budget_hit.get_or_insert(BudgetKind::Patterns);
+                continue;
+            }
+            let found = FrequentPattern {
+                pattern: pattern.clone(),
+                support,
+                num_occurrences,
+                support_interval: interval,
+                certificate,
+            };
+            if !self.quiet {
+                out.push_back(MiningEvent::Pattern(found.clone()));
+            }
+            self.stats.counters.patterns_emitted += 1;
+            match self.config.top_k {
+                None => self.frequent.push(found),
+                Some(k) => self.threshold = insert_top_k(&mut self.frequent, found, k, self.floor),
+            }
+            accepted += 1;
+            survivors.push((pattern, parent));
         }
         self.stats.levels_completed += 1;
         self.refresh_observability();

@@ -154,6 +154,12 @@ pub struct SessionCounters {
     /// shorter than the threshold, so no refinement, search or solve ran
     /// (always 0 for partitions, the naive backend and custom measures).
     pub space_capped: u64,
+    /// Support evaluations this run performed whose value the measure could not
+    /// prove optimal: exact branch-and-bound solves (MVC, MIS, MIES, MCP) that
+    /// ran out of their [`SearchBudget`](ffsm_core::measures::MeasureConfig::search_budget),
+    /// plus every solve of a greedy MVC algorithm.  Cache-reused, capped and
+    /// bound-decided candidates run no solve and never count.
+    pub solve_budget_exhausted: u64,
 }
 
 impl SessionCounters {
@@ -174,6 +180,9 @@ impl SessionCounters {
                 .cross_shard_occurrences
                 .saturating_sub(earlier.cross_shard_occurrences),
             space_capped: self.space_capped.saturating_sub(earlier.space_capped),
+            solve_budget_exhausted: self
+                .solve_budget_exhausted
+                .saturating_sub(earlier.solve_budget_exhausted),
         }
     }
 }

@@ -243,6 +243,7 @@ pub fn trace_frame(level: usize, counters: &SessionCounters, phases: &PhaseTimes
         .raw("evaluations_bounded", counters.evaluations_bounded)
         .raw("bound_decided", counters.bound_decided)
         .raw("space_capped", counters.space_capped)
+        .raw("solve_budget_exhausted", counters.solve_budget_exhausted)
         .raw("arena_peak_bytes", counters.arena_peak_bytes);
     for phase in Phase::ALL {
         frame = frame.raw(&format!("{}_us", phase.name()), phases.nanos(phase) / 1_000);
@@ -440,6 +441,7 @@ mod tests {
         counters.search.steps = 42;
         counters.overlap_probes = 7;
         counters.space_capped = 3;
+        counters.solve_budget_exhausted = 2;
         let mut phases = PhaseTimes::default();
         phases.add_nanos(Phase::SupportEval, 3_000_000);
         let line = trace_frame(2, &counters, &phases).finish();
@@ -450,6 +452,7 @@ mod tests {
         assert!(line.contains("\"evaluations_bounded\": 0"));
         assert!(line.contains("\"bound_decided\": 0"));
         assert!(line.contains("\"space_capped\": 3"));
+        assert!(line.contains("\"solve_budget_exhausted\": 2"));
         assert!(line.contains("\"bounds_eval_us\": 0"));
     }
 

@@ -477,6 +477,7 @@ fn fold_session_stats(stats: &MiningStats, state: &Arc<ServerState>) {
     state.metrics.counter("mine_evaluations_bounded").add(counters.evaluations_bounded);
     state.metrics.counter("mine_bound_decided").add(counters.bound_decided);
     state.metrics.counter("mine_space_capped").add(counters.space_capped);
+    state.metrics.counter("mine_solve_budget_exhausted").add(counters.solve_budget_exhausted);
 }
 
 /// Answer a `metrics` scrape: refresh the point-in-time gauges, then emit one

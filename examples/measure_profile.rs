@@ -1,13 +1,11 @@
 //! Profile every support measure (value, runtime, optimality) on a realistic
 //! citation-style workload and print the full comparison table, including the MCP
-//! measure and the additive per-component decomposition.
+//! measure.
 //!
 //! Run with: `cargo run --release --example measure_profile`
 
-use ffsm::core::decompose::{mvc_by_components, DecompositionConfig};
-use ffsm::core::measures::{MeasureConfig, MvcAlgorithm};
-use ffsm::core::{HypergraphBasis, MeasureProfile, OccurrenceSet};
-use ffsm::graph::isomorphism::IsoConfig;
+use ffsm::core::measures::MeasureConfig;
+use ffsm::core::MeasureProfile;
 use ffsm::graph::{datasets, patterns, GraphStatistics, Label};
 
 fn main() {
@@ -33,18 +31,4 @@ fn main() {
             if profile.chain_holds() { "yes" } else { "NO (unexpected)" }
         );
     }
-
-    // The additive decomposition of MVC over hypergraph components (Section 6, item 4).
-    let pattern = patterns::single_edge(Label(0), Label(1));
-    let occ = OccurrenceSet::enumerate(&pattern, &dataset.graph, IsoConfig::default());
-    let hypergraph = occ.hypergraph(HypergraphBasis::Occurrence);
-    let decomposed = mvc_by_components(
-        &hypergraph,
-        MvcAlgorithm::Exact,
-        DecompositionConfig { parallel: true, ..Default::default() },
-    );
-    println!(
-        "additive MVC for `edge 0-1`: value {} over {} hypergraph components (optimal: {})",
-        decomposed.value, decomposed.num_components, decomposed.optimal
-    );
 }

@@ -1,15 +1,11 @@
-//! Additiveness (per-component decomposition) of the hypergraph-based measures —
-//! the Section 6 "parallel computation" extension — checked end to end: build a data
-//! graph as a disjoint union of blocks, enumerate occurrences through the public API,
-//! and verify that the decomposed value equals the direct value for every additive
-//! measure, while MNI / MI are correctly flagged as non-additive.
+//! Additiveness of the hypergraph-based measures — the Section 6 "parallel
+//! computation" extension — checked end to end: build a data graph as a disjoint union
+//! of blocks, enumerate occurrences through the public API, and verify that the
+//! union's value equals the sum of the per-block values for every additive measure,
+//! while MNI is not additive.
 
-use ffsm::core::decompose::{
-    mcp_by_components, mies_by_components, mis_by_components, mvc_by_components,
-    relaxed_mies_by_components, relaxed_mvc_by_components, DecompositionConfig,
-};
-use ffsm::core::measures::{MeasureConfig, MvcAlgorithm, SupportMeasures};
-use ffsm::core::{HypergraphBasis, OccurrenceSet};
+use ffsm::core::measures::{MeasureConfig, SupportMeasures};
+use ffsm::core::OccurrenceSet;
 use ffsm::graph::isomorphism::IsoConfig;
 use ffsm::graph::{generators, patterns, transform, Label, LabeledGraph, Pattern};
 use proptest::prelude::*;
@@ -18,51 +14,32 @@ fn union_workload(blocks: &[LabeledGraph]) -> LabeledGraph {
     transform::disjoint_union_all(blocks)
 }
 
-fn calculator(pattern: &Pattern, graph: &LabeledGraph) -> SupportMeasures {
+fn calculator(pattern: &Pattern, graph: &LabeledGraph) -> SupportMeasures<'static> {
     let occ = OccurrenceSet::enumerate(pattern, graph, IsoConfig::default());
     SupportMeasures::new(occ, MeasureConfig::default())
 }
 
-#[test]
-fn all_additive_measures_decompose_exactly() {
-    // Mixed blocks: star overlaps of different shapes plus a triangle block.
-    let blocks = vec![
-        generators::star_overlap(2, 3),
-        generators::star_overlap(3, 2),
-        generators::star_overlap(1, 4),
-        transform::map_labels(&patterns::uniform_clique(3, Label(0)), |_| Label(0)),
-    ];
-    let graph = union_workload(&blocks);
-    let pattern = patterns::single_edge(Label(0), Label(1));
-    let m = calculator(&pattern, &graph);
-    let occ = OccurrenceSet::enumerate(&pattern, &graph, IsoConfig::default());
-    let h = occ.hypergraph(HypergraphBasis::Occurrence);
-    let config = DecompositionConfig::default();
-
-    assert_eq!(mvc_by_components(&h, MvcAlgorithm::Exact, config).value, m.mvc().value as f64);
-    assert_eq!(mies_by_components(&h, config).value, m.mies().value as f64);
-    assert_eq!(mis_by_components(&h, config).value, m.mis().value as f64);
-    assert_eq!(mcp_by_components(&h, config).value, m.mcp().value as f64);
-    assert!((relaxed_mvc_by_components(&h, config).value - m.relaxed_mvc()).abs() < 1e-6);
-    assert!((relaxed_mies_by_components(&h, config).value - m.relaxed_mies()).abs() < 1e-6);
-}
-
-#[test]
-fn parallel_decomposition_equals_sequential_on_large_union() {
-    let block = generators::star_overlap(2, 4);
-    let graph = generators::replicated(&block, 24, false);
-    let pattern = patterns::single_edge(Label(0), Label(1));
-    let occ = OccurrenceSet::enumerate(&pattern, &graph, IsoConfig::default());
-    let h = occ.hypergraph(HypergraphBasis::Occurrence);
-    let seq = DecompositionConfig { parallel: false, ..Default::default() };
-    let par = DecompositionConfig { parallel: true, ..Default::default() };
-    assert_eq!(
-        mvc_by_components(&h, MvcAlgorithm::Exact, seq),
-        mvc_by_components(&h, MvcAlgorithm::Exact, par)
-    );
-    assert_eq!(mies_by_components(&h, seq), mies_by_components(&h, par));
-    assert_eq!(mis_by_components(&h, seq).value, mis_by_components(&h, par).value);
-    assert_eq!(mvc_by_components(&h, MvcAlgorithm::Exact, seq).num_components, 24);
+/// The union's (MVC, MIS, MIES, MCP, νMVC, νMIES) next to the sums of the
+/// per-block values, each block through its own occurrence set.
+fn union_and_block_sums(pattern: &Pattern, blocks: &[LabeledGraph]) -> ([f64; 6], [f64; 6]) {
+    let values = |m: &SupportMeasures| {
+        [
+            m.mvc().value as f64,
+            m.mis().value as f64,
+            m.mies().value as f64,
+            m.mcp().value as f64,
+            m.relaxed_mvc(),
+            m.relaxed_mies(),
+        ]
+    };
+    let whole = values(&calculator(pattern, &union_workload(blocks)));
+    let mut sums = [0.0; 6];
+    for block in blocks {
+        for (sum, value) in sums.iter_mut().zip(values(&calculator(pattern, block))) {
+            *sum += value;
+        }
+    }
+    (whole, sums)
 }
 
 #[test]
@@ -75,23 +52,32 @@ fn union_value_equals_sum_of_block_values_for_additive_measures() {
         generators::star_overlap(3, 3),
     ];
     let pattern = patterns::single_edge(Label(0), Label(1));
-    let union = union_workload(&blocks);
-    let whole = calculator(&pattern, &union);
-    let block_mvc: usize = blocks.iter().map(|b| calculator(&pattern, b).mvc().value).sum();
-    let block_mis: usize = blocks.iter().map(|b| calculator(&pattern, b).mis().value).sum();
-    let block_relaxed: f64 = blocks.iter().map(|b| calculator(&pattern, b).relaxed_mvc()).sum();
-    assert_eq!(whole.mvc().value, block_mvc);
-    assert_eq!(whole.mis().value, block_mis);
-    assert!((whole.relaxed_mvc() - block_relaxed).abs() < 1e-6);
+    let (whole, sums) = union_and_block_sums(&pattern, &blocks);
+    for (w, s) in whole.iter().zip(sums) {
+        assert!((w - s).abs() < 1e-6, "union {whole:?} != block sums {sums:?}");
+    }
+}
+
+#[test]
+fn mni_is_not_additive() {
+    // MNI takes a minimum over pattern nodes of *summed* per-block image counts, so
+    // it can exceed the sum of per-block MNIs (here: 4 vs 1 + 1).
+    let pattern = patterns::single_edge(Label(0), Label(1));
+    let block_a = generators::star_overlap(1, 3); // one L0 hub, three L1 leaves: MNI 1
+    let block_b = generators::star_overlap(3, 1); // three L0 hubs, one L1 leaf:  MNI 1
+    let whole = calculator(&pattern, &union_workload(&[block_a.clone(), block_b.clone()]));
+    assert_eq!(calculator(&pattern, &block_a).mni(), 1);
+    assert_eq!(calculator(&pattern, &block_b).mni(), 1);
+    assert_eq!(whole.mni(), 4);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random unions of random blocks: decomposed MVC/MIES always equal the direct
-    /// values and the bounding chain keeps holding on the union.
+    /// Random unions of random blocks: every additive measure of the union equals
+    /// the sum over its blocks.
     #[test]
-    fn decomposition_is_exact_on_random_unions(
+    fn union_value_is_sum_of_block_values_on_random_unions(
         num_blocks in 1usize..5,
         hubs in 1usize..3,
         leaves in 1usize..4,
@@ -106,17 +92,10 @@ proptest! {
                 blocks.push(generators::gnm_random(8, 12, 2, seed + i as u64));
             }
         }
-        let graph = union_workload(&blocks);
         let pattern = patterns::single_edge(Label(0), Label(1));
-        let occ = OccurrenceSet::enumerate(&pattern, &graph, IsoConfig::default());
-        if occ.num_occurrences() == 0 {
-            return Ok(());
+        let (whole, sums) = union_and_block_sums(&pattern, &blocks);
+        for (w, s) in whole.iter().zip(sums) {
+            prop_assert!((w - s).abs() < 1e-6, "union {:?} != block sums {:?}", whole, sums);
         }
-        let h = occ.hypergraph(HypergraphBasis::Occurrence);
-        let m = SupportMeasures::new(occ, MeasureConfig::default());
-        let config = DecompositionConfig::default();
-        prop_assert_eq!(mvc_by_components(&h, MvcAlgorithm::Exact, config).value, m.mvc().value as f64);
-        prop_assert_eq!(mies_by_components(&h, config).value, m.mies().value as f64);
-        prop_assert!((relaxed_mvc_by_components(&h, config).value - m.relaxed_mvc()).abs() < 1e-6);
     }
 }

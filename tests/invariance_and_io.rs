@@ -37,7 +37,7 @@ fn measures_of(
     pattern: &Pattern,
     graph: &LabeledGraph,
     config: &MeasureConfig,
-) -> ffsm::core::SupportMeasures {
+) -> ffsm::core::SupportMeasures<'static> {
     let occ = ffsm::core::OccurrenceSet::enumerate(pattern, graph, config.iso_config.clone());
     ffsm::core::SupportMeasures::new(occ, config.clone())
 }

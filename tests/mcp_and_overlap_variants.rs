@@ -13,7 +13,7 @@ fn calculator(
     pattern: &ffsm::graph::Pattern,
     graph: &ffsm::graph::LabeledGraph,
     limit: usize,
-) -> SupportMeasures {
+) -> SupportMeasures<'static> {
     let occ = OccurrenceSet::enumerate(pattern, graph, IsoConfig::with_limit(limit));
     SupportMeasures::new(occ, MeasureConfig::default())
 }

@@ -7,7 +7,7 @@ use ffsm::core::occurrences::OccurrenceSet;
 use ffsm::graph::figures;
 use ffsm::graph::isomorphism::IsoConfig;
 
-fn calculator(example: &ffsm::graph::figures::FigureExample) -> SupportMeasures {
+fn calculator(example: &ffsm::graph::figures::FigureExample) -> SupportMeasures<'static> {
     let occ = OccurrenceSet::enumerate(&example.pattern, &example.graph, IsoConfig::default());
     SupportMeasures::new(occ, MeasureConfig::default())
 }

@@ -3,12 +3,12 @@
 //! graph / hypergraph statistics must describe the workloads consistently with what
 //! the measures see.
 
-use ffsm::core::measures::MeasureConfig;
+use ffsm::core::measures::{MeasureConfig, SupportMeasures};
 use ffsm::core::{HypergraphBasis, MeasureKind, MeasureProfile, OccurrenceSet};
 use ffsm::graph::isomorphism::IsoConfig;
 use ffsm::graph::statistics::DegreeSummary;
 use ffsm::graph::{datasets, figures, generators, patterns, transform, GraphStatistics, Label};
-use ffsm::hypergraph::HypergraphStatistics;
+use ffsm::hypergraph::{HypergraphStatistics, SearchBudget};
 use proptest::prelude::*;
 
 #[test]
@@ -85,6 +85,30 @@ fn hypergraph_statistics_match_measure_inputs() {
     assert_eq!(os.uniform_rank, Some(3));
     assert_eq!(os.num_components, 1);
     assert!(os.overlap_density() > 0.99);
+}
+
+#[test]
+fn profile_with_exhausted_budgets_flags_them_and_keeps_the_chain() {
+    // A one-node budget leaves MIS, MIES and MVC unproven on the protein-like graph;
+    // the chain check must skip the links that rest on those values instead of
+    // reporting violations.
+    let graph = datasets::protein_like(4, 20, 7).graph;
+    let config = MeasureConfig { search_budget: SearchBudget(1), ..MeasureConfig::default() };
+    for pattern in
+        [patterns::single_edge(Label(0), Label(1)), patterns::single_edge(Label(0), Label(0))]
+    {
+        let profile = MeasureProfile::compute(&pattern, &graph, &config);
+        for kind in [MeasureKind::Mis, MeasureKind::Mies, MeasureKind::Mvc] {
+            let entry = profile.entries.iter().find(|e| e.kind == kind).expect("profiled");
+            assert!(!entry.optimal, "{kind} proven within a one-node budget");
+        }
+        assert!(profile.chain_holds(), "{:?}", profile.bounding_chain_violations());
+        let occ = OccurrenceSet::enumerate(&pattern, &graph, config.iso_config.clone());
+        let measures = SupportMeasures::new(occ, config.clone());
+        for entry in &profile.entries {
+            assert_eq!(entry.value, measures.compute(entry.kind), "{}", entry.kind);
+        }
+    }
 }
 
 proptest! {

@@ -1,12 +1,11 @@
-//! End-to-end checks that the vertex-cover kernelization (ffsm-hypergraph) and the
-//! covering-LP presolve (ffsm-lp) never change the MVC / νMVC values of real
-//! occurrence hypergraphs built through the public API.
+//! End-to-end checks that the covering-LP presolve reduction rules (ffsm-lp) never
+//! change the νMVC values of real occurrence hypergraphs built through the public
+//! API.
 
 use ffsm::core::{HypergraphBasis, OccurrenceSet};
 use ffsm::graph::isomorphism::IsoConfig;
-use ffsm::graph::{figures, generators, patterns, Label};
-use ffsm::hypergraph::reduction::{reduce_for_vertex_cover, reduced_exact_vertex_cover};
-use ffsm::hypergraph::vertex_cover::{exact_vertex_cover, is_vertex_cover};
+use ffsm::graph::{figures, generators};
+use ffsm::hypergraph::vertex_cover::exact_vertex_cover;
 use ffsm::hypergraph::{Hypergraph, SearchBudget};
 use ffsm::lp::{covering_lp, presolve_covering};
 use proptest::prelude::*;
@@ -17,38 +16,6 @@ fn occurrence_hypergraph(
 ) -> Hypergraph {
     OccurrenceSet::enumerate(pattern, graph, IsoConfig::with_limit(1_500))
         .hypergraph(HypergraphBasis::Occurrence)
-}
-
-#[test]
-fn reduction_preserves_mvc_on_paper_figures() {
-    for example in figures::all_figures() {
-        let h = occurrence_hypergraph(&example.pattern, &example.graph);
-        if h.is_empty() {
-            continue;
-        }
-        let direct = exact_vertex_cover(&h, SearchBudget::default());
-        let reduced = reduced_exact_vertex_cover(&h, SearchBudget::default());
-        assert_eq!(direct.value, reduced.value, "figure {}", example.name);
-        assert!(is_vertex_cover(&h, &reduced.witness), "figure {}", example.name);
-    }
-}
-
-#[test]
-fn reduction_shrinks_overlap_heavy_instances() {
-    // star_overlap(4, 6) queried with the leaf-hub-leaf wedge: every occurrence image
-    // {hub, leaf, leaf} is hit by two embeddings (the wedge's automorphism swaps the
-    // leaves), so half the hyperedges are duplicates and the duplicate-edge rule
-    // halves the instance.
-    let graph = generators::star_overlap(4, 6);
-    let pattern = patterns::path(&[Label(1), Label(0), Label(1)]);
-    let h = occurrence_hypergraph(&pattern, &graph);
-    assert_eq!(h.num_edges(), 4 * 6 * 5); // ordered leaf pairs per hub
-    let reduced = reduce_for_vertex_cover(&h);
-    assert!(reduced.hypergraph.num_edges() < h.num_edges());
-    assert_eq!(reduced.hypergraph.num_edges(), 4 * 6 * 5 / 2);
-    let direct = exact_vertex_cover(&h, SearchBudget::default());
-    assert_eq!(reduced_exact_vertex_cover(&h, SearchBudget::default()).value, direct.value);
-    assert_eq!(direct.value, 4); // the four hubs form a minimum cover
 }
 
 #[test]
@@ -73,10 +40,10 @@ fn lp_presolve_preserves_relaxed_mvc_on_figures() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random occurrence hypergraphs from random graphs/patterns: reduction and
-    /// presolve never change the exact or relaxed optimum.
+    /// Random occurrence hypergraphs from random graphs/patterns: presolve never
+    /// changes the relaxed optimum, which never exceeds the exact one.
     #[test]
-    fn reduction_and_presolve_preserve_values_on_random_workloads(
+    fn presolve_preserves_values_on_random_workloads(
         n in 10usize..40,
         m in 10usize..80,
         labels in 1u32..3,
@@ -91,13 +58,7 @@ proptest! {
         if h.is_empty() {
             return Ok(());
         }
-        let budget = SearchBudget::default();
-        let direct = exact_vertex_cover(&h, budget);
-        let reduced = reduced_exact_vertex_cover(&h, budget);
-        if direct.optimal && reduced.optimal {
-            prop_assert_eq!(direct.value, reduced.value);
-        }
-        prop_assert!(is_vertex_cover(&h, &reduced.witness));
+        let direct = exact_vertex_cover(&h, SearchBudget::default());
 
         let sets: Vec<Vec<usize>> = h.edges().map(|(_, e)| e.to_vec()).collect();
         let direct_lp = covering_lp(h.num_vertices(), &sets).solve().unwrap().objective;

@@ -191,3 +191,32 @@ fn parallel_and_top_k_modes_agree_with_sequential() {
     let topk_supports: Vec<f64> = topk.patterns.iter().map(|p| p.support).collect();
     assert_eq!(topk_supports, best);
 }
+
+#[test]
+fn solve_budget_exhaustions_are_counted() {
+    // A one-node search budget cannot prove the MIS of the protein-like graph's
+    // overlap graphs, and the engine counts every such solve.
+    let graph = ffsm::graph::datasets::protein_like(4, 20, 7).graph;
+    let starved = MeasureConfig {
+        search_budget: ffsm::hypergraph::SearchBudget(1),
+        ..MeasureConfig::default()
+    };
+    let result = MiningSession::on(&graph)
+        .measure(MeasureKind::Mis)
+        .measure_config(starved)
+        .min_support(5.0)
+        .max_edges(1)
+        .run()
+        .expect("valid session");
+    assert!(result.stats.counters.solve_budget_exhausted > 0);
+
+    // The disjoint triangle forest's overlap graphs are proven within the default
+    // budget.
+    let forest = MiningSession::on(&replicated_triangles(4, false))
+        .measure(MeasureKind::Mis)
+        .min_support(2.0)
+        .run()
+        .expect("valid session");
+    assert!(!forest.patterns.is_empty());
+    assert_eq!(forest.stats.counters.solve_budget_exhausted, 0);
+}
