@@ -3,21 +3,17 @@
 //! * **decoy** — the layered decoy-cycle workload, where the naive oracle walks
 //!   `Θ(n⁴)` doomed partial paths and the candidate-space engine prunes the
 //!   whole block before searching;
-//! * **dense triangle** — disjoint cliques, timing the indexed engine at 1, 2, 4
-//!   and 8 worker threads;
+//! * **dense triangle** — disjoint cliques, many embeddings per candidate;
 //! * **dense community** — the two-label matcher pathology, where the label
 //!   filter prunes almost nothing.  Each entry also times a *seed-equivalent*
 //!   search (the pre-fix loop) over the same candidate space; both sides count
 //!   without materialising, so the ratio measures the search loops themselves.
 //!
-//! Every entry also times the `Auto` backend end to end (heuristic decision plus
-//! the engine it resolves to, counting), and every run is cross-checked against
-//! the naive oracle's embedding count.
+//! Every run is cross-checked against the naive oracle's embedding count.
 //!
 //! Gates, on the largest decoy / dense-community sizes: the candidate-space
 //! engine is ≥ 5x faster than naive on decoy; the fixed search loop is ≥ 1.5x
-//! faster than the seed-equivalent one on dense community; `Auto` stays within
-//! 10% (+200 µs) of the better fixed backend's counting cost on both.
+//! faster than the seed-equivalent one on dense community.
 //!
 //! A fourth arm, **space cap**, mines a sparse gnm graph under MNI, where a
 //! candidate's space is seeded from its parent's and a seeded list shorter than
@@ -26,14 +22,12 @@
 //! and the frequent patterns (pattern, support bits, occurrence count, order)
 //! equal the naive backend's, which has no candidate space to cap with.
 
-use ffsm_bench::harness::{min_of_k, Run};
+use ffsm_bench::harness::Run;
 use ffsm_bench::{timed, workloads};
 use ffsm_graph::generators::gnm_random;
-use ffsm_graph::isomorphism::{
-    count_embeddings, enumerate_embeddings, EnumeratorBackend, IsoConfig,
-};
+use ffsm_graph::isomorphism::{enumerate_embeddings, EnumeratorBackend, IsoConfig};
 use ffsm_graph::{LabeledGraph, Pattern, VertexId};
-use ffsm_match::{auto_backend, GraphIndex, Matcher};
+use ffsm_match::{GraphIndex, Matcher};
 use ffsm_miner::extension::seed_patterns;
 use ffsm_miner::{MiningResult, MiningSession, PreparedGraph};
 use std::time::Duration;
@@ -51,30 +45,17 @@ struct Entry {
     space: Duration,
     /// Sequential enumeration over the prepared space.
     indexed: Duration,
-    threaded: [Duration; 3], // 2, 4, 8 workers, enumeration only
     /// Sequential counting over the prepared space — the search loop without the
     /// cost of materialising embeddings; the fixed side of the seed-equivalent gate.
     count: Duration,
     /// The pre-fix search loop over the same candidate space (counting only).
     seed_equiv: Duration,
-    /// The `Auto` backend end to end: heuristic decision + resolved engine
-    /// (including the candidate-space build when it resolves there), counting
-    /// without materialising — the same discipline as `count`/`seed_equiv`.
-    auto: Duration,
 }
 
 impl Entry {
     /// Naive time over the *total* per-pattern indexed cost (setup + search).
     fn speedup(&self) -> f64 {
         self.naive.as_secs_f64() / (self.space + self.indexed).as_secs_f64().max(1e-9)
-    }
-
-    /// Counting cost of the better *fixed* backend — what the (counting) `Auto`
-    /// measurement competes with.  The naive side reuses the materialising run,
-    /// which can only overstate the naive cost and therefore never loosens the
-    /// gate in `Auto`'s favour when the fixed engine is the faster one.
-    fn best_fixed_count(&self) -> Duration {
-        self.naive.min(self.space + self.count)
     }
 }
 
@@ -167,8 +148,8 @@ fn seed_equivalent_count(graph: &LabeledGraph, pattern: &Pattern, matcher: &Matc
     count
 }
 
-/// Run one workload through both engines and every thread count, cross-checking all
-/// embedding counts against the naive oracle.
+/// Run one workload through both engines, cross-checking all embedding counts
+/// against the naive oracle.
 fn measure(workload: &'static str, size: usize, graph: &LabeledGraph, pattern: &Pattern) -> Entry {
     let naive_config = IsoConfig::default().with_backend(EnumeratorBackend::Naive);
     let (naive_result, naive) = timed(|| enumerate_embeddings(pattern, graph, naive_config));
@@ -179,50 +160,15 @@ fn measure(workload: &'static str, size: usize, graph: &LabeledGraph, pattern: &
     // work (candidate space + search) like the miner sees it.
     let index = GraphIndex::build(graph);
     let (matcher, space) = timed(|| Matcher::new(pattern, graph, &index));
-    let run_indexed = |threads: usize| -> Duration {
-        let config = IsoConfig { threads, ..IsoConfig::default() };
-        let (result, elapsed) = timed(|| matcher.enumerate(config));
-        assert_eq!(
-            result.len(),
-            expected,
-            "indexed diverged ({workload}/{size}, {threads} threads)"
-        );
-        elapsed
-    };
-    let indexed = run_indexed(1);
-    let threaded = [run_indexed(2), run_indexed(4), run_indexed(8)];
+    let (result, indexed) = timed(|| matcher.enumerate(IsoConfig::default()));
+    assert_eq!(result.len(), expected, "indexed diverged ({workload}/{size})");
 
     let (counted, count) = timed(|| matcher.count(IsoConfig::default()));
     assert_eq!(counted, (expected, true), "counting diverged ({workload}/{size})");
     let (seed_count, seed_equiv) = timed(|| seed_equivalent_count(graph, pattern, &matcher));
     assert_eq!(seed_count, expected, "seed-equivalent search diverged ({workload}/{size})");
 
-    // `Auto` with the shared index already built, counting like `count`; best of
-    // three to suppress single-sample scheduler noise.
-    let auto = min_of_k(
-        3,
-        &mut [&mut || {
-            let auto_count = match auto_backend(pattern, &index) {
-                EnumeratorBackend::Naive => count_embeddings(pattern, graph, IsoConfig::default()),
-                _ => Matcher::new(pattern, graph, &index).count(IsoConfig::default()).0,
-            };
-            assert_eq!(auto_count, expected, "auto backend diverged ({workload}/{size})");
-        }],
-    )[0]
-    .0;
-
-    Entry {
-        workload,
-        size,
-        embeddings: expected,
-        naive,
-        space,
-        indexed,
-        threaded,
-        count,
-        seed_equiv,
-        auto,
-    }
+    Entry { workload, size, embeddings: expected, naive, space, indexed, count, seed_equiv }
 }
 
 /// The space-cap arm (see the module docs): one MNI mine per backend over a
@@ -299,12 +245,8 @@ pub fn run(run: &mut Run) {
                 .raw("naive_us", e.naive.as_micros())
                 .raw("space_us", e.space.as_micros())
                 .raw("indexed_us", e.indexed.as_micros())
-                .raw("t2_us", e.threaded[0].as_micros())
-                .raw("t4_us", e.threaded[1].as_micros())
-                .raw("t8_us", e.threaded[2].as_micros())
                 .raw("count_us", e.count.as_micros())
                 .raw("seed_equiv_us", e.seed_equiv.as_micros())
-                .raw("auto_us", e.auto.as_micros())
                 .raw("speedup", format!("{:.2}", e.speedup())),
         );
     }
@@ -337,19 +279,4 @@ pub fn run(run: &mut Run) {
             dense.size, dense.count, dense.seed_equiv
         ),
     );
-    // The 200 µs grace absorbs timing noise on sub-millisecond entries.
-    for e in [decoy, dense] {
-        let budget = e.best_fixed_count().mul_f64(1.1) + Duration::from_micros(200);
-        run.gate(
-            &format!("auto_near_best_{}", e.workload),
-            e.auto <= budget,
-            format!(
-                "auto backend {:?} at {}/{} vs best fixed {:?} (budget {budget:?})",
-                e.auto,
-                e.workload,
-                e.size,
-                e.best_fixed_count()
-            ),
-        );
-    }
 }

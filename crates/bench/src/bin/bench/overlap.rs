@@ -1,8 +1,7 @@
 //! `overlap` — overlap-graph construction on the overlap-heavy star workload
-//! (experiment E4) at doubling occurrence counts, three ways per notion: the
-//! retained naive all-pairs oracle, the indexed (inverted-index) builder, and
-//! the indexed builder with one worker per core.  Every build is cross-checked
-//! against the oracle's edge count.
+//! (experiment E4) at doubling occurrence counts, two ways per notion: the
+//! retained naive all-pairs oracle and the indexed (inverted-index) builder.
+//! Every build is cross-checked against the oracle's edge count.
 //!
 //! Gate: the indexed builder beats the naive oracle at the largest size.
 
@@ -26,10 +25,8 @@ pub fn run(run: &mut Run) {
         for kind in [OverlapKind::Simple, OverlapKind::Structural] {
             let (naive_graph, naive) = timed(|| analysis.overlap_graph_naive(kind));
             let (indexed_graph, indexed) = timed(|| analysis.overlap_graph_indexed(kind));
-            let (parallel_graph, parallel) = timed(|| analysis.overlap_graph_parallel(kind, 0));
             let edges = naive_graph.num_edges();
             assert_eq!(indexed_graph.num_edges(), edges, "indexed diverged ({kind}, {n} occ)");
-            assert_eq!(parallel_graph.num_edges(), edges, "parallel diverged ({kind}, {n} occ)");
             let speedup = naive.as_secs_f64() / indexed.as_secs_f64().max(1e-9);
             run.record(
                 run.entry()
@@ -38,7 +35,6 @@ pub fn run(run: &mut Run) {
                     .raw("edges", edges)
                     .raw("naive_us", naive.as_micros())
                     .raw("indexed_us", indexed.as_micros())
-                    .raw("parallel_us", parallel.as_micros())
                     .raw("speedup", format!("{speedup:.2}")),
             );
             timings.push((n, kind, naive, indexed));

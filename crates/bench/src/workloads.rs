@@ -117,10 +117,10 @@ pub fn decoy_cycle_workload(layer_size: usize, real_cycles: usize) -> (LabeledGr
     (graph, patterns::cycle(&[Label(0), Label(1), Label(2), Label(3)]))
 }
 
-/// The embedding-heavy workload of the `match_scaling` thread sweep: `copies`
-/// disjoint 4-cliques of one label, queried with the one-label triangle — every
-/// copy contributes `4·3·2 = 24` embeddings and the root candidates split evenly
-/// across workers, so the workload isolates parallel enumeration overhead.
+/// The embedding-heavy workload of the `match` suite: `copies` disjoint
+/// 4-cliques of one label, queried with the one-label triangle — every copy
+/// contributes `4·3·2 = 24` embeddings, so enumeration cost is dominated by
+/// emitting embeddings rather than pruning.
 pub fn dense_triangle_workload(copies: usize) -> (LabeledGraph, Pattern) {
     let clique = patterns::uniform_clique(4, Label(0));
     (generators::replicated(&clique, copies, false), patterns::uniform_clique(3, Label(0)))

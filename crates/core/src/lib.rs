@@ -46,7 +46,7 @@ pub use ffsm_graph::CancelToken;
 // The dynamic-graph update vocabulary is re-exported for the same reason: the
 // miner's delta-aware mode and the `ffsm-dynamic` store speak these types.
 pub use ffsm_graph::{GraphDelta, GraphUpdate, UpdateError};
-pub use ffsm_match::{auto_backend, CandidateSpace, GraphIndex, Matcher, SearchArena};
+pub use ffsm_match::{CandidateSpace, GraphIndex, Matcher, SearchArena};
 // Raw embedding enumeration (without the `OccurrenceSet` wrapper) is what the
 // partitioned miner needs: per-shard embeddings are remapped to global ids and
 // merged *before* one occurrence set is built, so the hypergraph and the support
@@ -58,9 +58,7 @@ pub use measures::{
     SupportMeasures,
 };
 pub use occurrences::{HypergraphBasis, Instance, OccurrenceSet};
-pub use overlap::{
-    OverlapAnalysis, OverlapBuild, OverlapCache, OverlapCensus, OverlapConfig, OverlapKind,
-};
+pub use overlap::{OverlapAnalysis, OverlapCache, OverlapCensus, OverlapKind};
 pub use profile::{MeasureProfile, ProfileEntry};
 
 use ffsm_graph::{LabeledGraph, Pattern};

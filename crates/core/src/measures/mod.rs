@@ -14,7 +14,7 @@ pub mod mvc;
 pub mod relaxed;
 
 use crate::occurrences::{HypergraphBasis, OccurrenceSet};
-use crate::overlap::{OverlapAnalysis, OverlapBuild, OverlapCache, OverlapConfig};
+use crate::overlap::{OverlapAnalysis, OverlapCache};
 use ffsm_graph::isomorphism::IsoConfig;
 use ffsm_hypergraph::independent_set::SimpleGraph;
 use ffsm_hypergraph::{Hypergraph, SearchBudget};
@@ -273,9 +273,6 @@ pub struct MeasureConfig {
     pub basis: HypergraphBasis,
     /// Node budget for exact branch-and-bound searches.
     pub search_budget: SearchBudget,
-    /// Overlap-graph construction options (builder selection, worker threads) for
-    /// the overlap-graph measures (MIS, MCP) and [`SupportMeasures::overlap_analysis`].
-    pub overlap: OverlapConfig,
 }
 
 /// Calculator for every support measure over one pattern/data-graph pair.
@@ -344,23 +341,14 @@ impl<'a> SupportMeasures<'a> {
     }
 
     /// The (cached) overlap graph of the hypergraph for `basis` — the object MIS and
-    /// MCP are solved on.  Built at most once per basis with the configured
-    /// [`OverlapConfig`] strategy (indexed by default, optionally thread-parallel,
-    /// or the naive oracle).
+    /// MCP are solved on.  Built at most once per basis, by the indexed
+    /// [`Hypergraph::overlap_graph`].
     pub fn overlap_graph(&self, basis: HypergraphBasis) -> Arc<SimpleGraph> {
         let slot = match basis {
             HypergraphBasis::Occurrence => 0,
             HypergraphBasis::Instance => 1,
         };
-        self.overlap_cache.get_or_build(slot, || {
-            let hypergraph = self.hypergraph(basis);
-            match self.config.overlap.build {
-                OverlapBuild::Indexed => {
-                    hypergraph.overlap_graph_parallel(self.config.overlap.threads)
-                }
-                OverlapBuild::Naive => SimpleGraph::from_adjacency(hypergraph.overlap_adjacency()),
-            }
-        })
+        self.overlap_cache.get_or_build(slot, || self.hypergraph(basis).overlap_graph())
     }
 
     /// How many overlap graphs this calculator has actually built (at most one per
@@ -369,15 +357,15 @@ impl<'a> SupportMeasures<'a> {
         self.overlap_cache.builds()
     }
 
-    /// An [`OverlapAnalysis`] over the underlying occurrences, configured with this
-    /// calculator's [`OverlapConfig`] — the entry point for the per-notion overlap
-    /// variants of Section 4.5 (simple / harmful / structural / edge).
+    /// An [`OverlapAnalysis`] over the underlying occurrences — the entry point
+    /// for the per-notion overlap variants of Section 4.5 (simple / harmful /
+    /// structural / edge).
     ///
     /// Each call constructs a *fresh* analysis (its own transitive-pair matrix and
     /// per-notion cache): hold the returned value and query it repeatedly rather
     /// than calling this accessor per query.
     pub fn overlap_analysis(&self) -> OverlapAnalysis<'_> {
-        OverlapAnalysis::with_config(&self.occurrences, self.config.overlap)
+        OverlapAnalysis::new(&self.occurrences)
     }
 
     /// Number of occurrences (reference value, not anti-monotonic).
@@ -623,34 +611,7 @@ mod tests {
     }
 
     #[test]
-    fn overlap_config_is_honored_on_every_measure_path() {
-        let example = figures::figure6();
-        let occ = OccurrenceSet::enumerate(&example.pattern, &example.graph, IsoConfig::default());
-        let default_config = MeasureConfig::default();
-        for build in [crate::OverlapBuild::Indexed, crate::OverlapBuild::Naive] {
-            for threads in [1usize, 3] {
-                let config = MeasureConfig {
-                    overlap: crate::OverlapConfig { build, threads },
-                    ..MeasureConfig::default()
-                };
-                // Calculator path.
-                let m = SupportMeasures::new(occ.clone(), config.clone());
-                assert_eq!(m.mis().value, 2, "{build:?} x{threads}");
-                assert_eq!(m.mcp().value, 2, "{build:?} x{threads}");
-                // Miner/factory path.
-                for kind in [MeasureKind::Mis, MeasureKind::Mcp] {
-                    assert_eq!(
-                        kind.measure(config.clone()).support(&occ),
-                        kind.measure(default_config.clone()).support(&occ),
-                        "{kind} under {build:?} x{threads}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn overlap_analysis_accessor_uses_the_configured_builder() {
+    fn overlap_analysis_accessor_agrees_with_the_naive_builder() {
         let m = calculator(&figures::figure6());
         let analysis = m.overlap_analysis();
         assert_eq!(

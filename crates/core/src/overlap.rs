@@ -22,9 +22,8 @@
 //!
 //! The old all-pairs builder is retained as
 //! [`OverlapAnalysis::overlap_graph_naive`] — it is the *test oracle*: the
-//! `overlap_differential` property harness asserts the indexed builder (sequential
-//! and parallel) produces an identical graph for every notion on randomly generated
-//! pattern/data-graph pairs.
+//! `overlap_differential` property harness asserts the indexed builder produces an
+//! identical graph for every notion on randomly generated pattern/data-graph pairs.
 //!
 //! # Caching
 //!
@@ -109,35 +108,6 @@ impl std::str::FromStr for OverlapKind {
             "edge" => Ok(OverlapKind::Edge),
             _ => Err(crate::FfsmError::UnknownOverlap(s.trim().to_string())),
         }
-    }
-}
-
-/// Which overlap-graph builder to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum OverlapBuild {
-    /// Inverted-index construction (the default): only occurrence pairs sharing an
-    /// image vertex (or image edge, for [`OverlapKind::Edge`]) are tested.
-    #[default]
-    Indexed,
-    /// All-pairs construction — quadratic in the occurrences; the test oracle.
-    Naive,
-}
-
-/// Overlap-graph construction options, threaded through
-/// [`crate::MeasureConfig::overlap`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OverlapConfig {
-    /// Builder selection.
-    pub build: OverlapBuild,
-    /// Worker threads for the indexed builder: `1` = sequential (the default),
-    /// `0` = one per available core.  Mirrors `MiningSession::threads` and, like it,
-    /// never changes the result.
-    pub threads: usize,
-}
-
-impl Default for OverlapConfig {
-    fn default() -> Self {
-        OverlapConfig { build: OverlapBuild::Indexed, threads: 1 }
     }
 }
 
@@ -281,25 +251,17 @@ pub struct OverlapAnalysis<'a> {
     /// Packed symmetric relation: u, v are a transitive pair in some subgraph of the
     /// pattern.
     transitive: PairMatrix,
-    config: OverlapConfig,
     index: OnceLock<OverlapIndex>,
     cache: OverlapCache,
 }
 
 impl<'a> OverlapAnalysis<'a> {
-    /// Prepare the analysis (computes the pattern's transitive-pair relation once)
-    /// with the default indexed, sequential builder.
+    /// Prepare the analysis (computes the pattern's transitive-pair relation once).
     pub fn new(occurrences: &'a OccurrenceSet) -> Self {
-        Self::with_config(occurrences, OverlapConfig::default())
-    }
-
-    /// Prepare the analysis with explicit builder options.
-    pub fn with_config(occurrences: &'a OccurrenceSet, config: OverlapConfig) -> Self {
         let transitive = transitive_pair_matrix(occurrences.pattern());
         OverlapAnalysis {
             occurrences,
             transitive,
-            config,
             index: OnceLock::new(),
             cache: OverlapCache::with_slots(OverlapKind::all().len()),
         }
@@ -464,22 +426,11 @@ impl<'a> OverlapAnalysis<'a> {
         ffsm_obs::tls::add_overlap_probes(probes);
     }
 
-    /// The occurrence overlap graph under `kind` via the inverted index, built
-    /// sequentially.
+    /// The occurrence overlap graph under `kind` via the inverted index.
     pub fn overlap_graph_indexed(&self, kind: OverlapKind) -> SimpleGraph {
-        self.overlap_graph_parallel(kind, 1)
-    }
-
-    /// The occurrence overlap graph under `kind` via the inverted index, with the
-    /// candidate rows partitioned over `threads` workers (`1` = sequential, `0` = one
-    /// per available core).  The partition and merge order are fixed, so the result
-    /// is identical to the sequential build.
-    pub fn overlap_graph_parallel(&self, kind: OverlapKind, threads: usize) -> SimpleGraph {
-        let index = self.index();
         let m = self.occurrences.num_occurrences();
-        let pairs = ffsm_hypergraph::parallel::emit_pairs_parallel(m, threads, |rows, out| {
-            self.indexed_pairs_into(index, kind, rows, out)
-        });
+        let mut pairs = Vec::new();
+        self.indexed_pairs_into(self.index(), kind, 0..m, &mut pairs);
         SimpleGraph::from_edge_list(m, &pairs)
     }
 
@@ -501,19 +452,15 @@ impl<'a> OverlapAnalysis<'a> {
 
     /// The occurrence overlap graph under `kind` (Definition 2.2.5 with the chosen
     /// overlap notion): one vertex per occurrence, an edge for every overlapping
-    /// pair.  Built with the configured strategy ([`OverlapBuild::Indexed`] by
-    /// default) and cached: repeated calls — including through `mis_under`,
-    /// `mcp_under`, `overlap_edge_count` and `overlap_census` — share one build per
-    /// notion.
+    /// pair.  Built by [`OverlapAnalysis::overlap_graph_indexed`] and cached:
+    /// repeated calls — including through `mis_under`, `mcp_under`,
+    /// `overlap_edge_count` and `overlap_census` — share one build per notion.
     pub fn overlap_graph(&self, kind: OverlapKind) -> Arc<SimpleGraph> {
         self.cache.get_or_build(kind.index(), || {
             // Coarse span: one clock pair per overlap-graph build (cached
             // rebuilds never re-enter this closure).
             let start = std::time::Instant::now();
-            let graph = match self.config.build {
-                OverlapBuild::Indexed => self.overlap_graph_parallel(kind, self.config.threads),
-                OverlapBuild::Naive => self.overlap_graph_naive(kind),
-            };
+            let graph = self.overlap_graph_indexed(kind);
             ffsm_obs::tls::add_overlap_build_nanos(
                 start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
             );
@@ -764,25 +711,20 @@ mod tests {
             let analysis = OverlapAnalysis::new(&occ);
             for kind in OverlapKind::all() {
                 let naive = analysis.overlap_graph_naive(kind);
-                for (label, built) in [
-                    ("indexed", analysis.overlap_graph_indexed(kind)),
-                    ("parallel", analysis.overlap_graph_parallel(kind, 3)),
-                    ("all-cores", analysis.overlap_graph_parallel(kind, 0)),
-                ] {
+                let built = analysis.overlap_graph_indexed(kind);
+                assert_eq!(
+                    built.num_edges(),
+                    naive.num_edges(),
+                    "indexed vs naive edge count, {kind} on {}",
+                    example.name
+                );
+                for v in 0..naive.num_vertices() {
                     assert_eq!(
-                        built.num_edges(),
-                        naive.num_edges(),
-                        "{label} vs naive edge count, {kind} on {}",
+                        built.neighbors(v),
+                        naive.neighbors(v),
+                        "indexed vs naive row {v}, {kind} on {}",
                         example.name
                     );
-                    for v in 0..naive.num_vertices() {
-                        assert_eq!(
-                            built.neighbors(v),
-                            naive.neighbors(v),
-                            "{label} vs naive row {v}, {kind} on {}",
-                            example.name
-                        );
-                    }
                 }
             }
         }
@@ -807,21 +749,6 @@ mod tests {
         let (occ2, _) = analysis_for(&figures::figure2());
         let analysis2 = OverlapAnalysis::new(&occ2);
         assert_eq!(analysis2.overlap_builds(), 0);
-    }
-
-    #[test]
-    fn naive_strategy_is_selectable_and_agrees() {
-        let example = figures::figure8();
-        let (occ, _) = analysis_for(&example);
-        let indexed = OverlapAnalysis::new(&occ);
-        let naive = OverlapAnalysis::with_config(
-            &occ,
-            OverlapConfig { build: OverlapBuild::Naive, threads: 1 },
-        );
-        for kind in OverlapKind::all() {
-            assert_eq!(indexed.overlap_edge_count(kind), naive.overlap_edge_count(kind), "{kind}");
-        }
-        assert_eq!(naive.overlap_builds(), 4);
     }
 
     #[test]

@@ -45,26 +45,18 @@ pub enum EnumeratorBackend {
     /// The indexed candidate-space engine of `ffsm-match`.  The default.
     #[default]
     CandidateSpace,
-    /// Pick [`Naive`](Self::Naive) or [`CandidateSpace`](Self::CandidateSpace) per
-    /// pattern from `GraphIndex` statistics (label entropy, estimated candidate
-    /// reduction, pattern size).  The decision is deterministic for a given
-    /// (pattern, index) pair, and both backends produce the same embedding
-    /// multiset, so `Auto` never changes any support value — only which engine
-    /// pays for it.  Resolution happens one layer up, in `ffsm-match`.
-    Auto,
 }
 
 impl std::str::FromStr for EnumeratorBackend {
     type Err = String;
 
-    /// Accepts `naive`, `candidate-space` (or `candidate_space`/`cs`), and `auto`.
+    /// Accepts `naive` and `candidate-space` (or `candidate_space`/`cs`).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "naive" => Ok(EnumeratorBackend::Naive),
             "candidate-space" | "candidate_space" | "cs" => Ok(EnumeratorBackend::CandidateSpace),
-            "auto" => Ok(EnumeratorBackend::Auto),
             other => Err(format!(
-                "unknown enumerator backend `{other}` (expected `naive`, `candidate-space`, or `auto`)"
+                "unknown enumerator backend `{other}` (expected `naive` or `candidate-space`)"
             )),
         }
     }
@@ -75,7 +67,6 @@ impl std::fmt::Display for EnumeratorBackend {
         f.write_str(match self {
             EnumeratorBackend::Naive => "naive",
             EnumeratorBackend::CandidateSpace => "candidate-space",
-            EnumeratorBackend::Auto => "auto",
         })
     }
 }
@@ -94,10 +85,6 @@ pub struct IsoConfig {
     pub induced: bool,
     /// Which enumeration engine `ffsm-core` dispatches to.
     pub backend: EnumeratorBackend,
-    /// Worker threads for the candidate-space engine's root partition (`1` =
-    /// sequential, `0` = one per core).  The thread count never changes the
-    /// embedding order; the naive oracle is always sequential.
-    pub threads: usize,
     /// Cooperative cancellation / deadline token.  Both enumerators poll it once
     /// at search entry and then every [`CHECK_STRIDE`] search steps; a fired token
     /// makes the enumeration return early with `complete == false`.  The default
@@ -111,7 +98,6 @@ impl Default for IsoConfig {
             max_embeddings: 2_000_000,
             induced: false,
             backend: EnumeratorBackend::default(),
-            threads: 1,
             cancel: CancelToken::default(),
         }
     }
@@ -715,7 +701,6 @@ mod tests {
     fn backend_tag_defaults_to_candidate_space() {
         let config = IsoConfig::default();
         assert_eq!(config.backend, EnumeratorBackend::CandidateSpace);
-        assert_eq!(config.threads, 1);
         let naive = config.clone().with_backend(EnumeratorBackend::Naive);
         assert_eq!(naive.backend, EnumeratorBackend::Naive);
         assert_eq!(naive.max_embeddings, config.max_embeddings);

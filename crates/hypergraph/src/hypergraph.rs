@@ -203,6 +203,11 @@ impl Hypergraph {
     /// `threads` workers (`1` = sequential, `0` = one per available core).  The
     /// partition and merge order are fixed, so the result is identical to the
     /// sequential build.
+    ///
+    /// No mining path sets a thread count here; the repository benchmark's
+    /// replay still calls `overlap_graph_parallel(1)`.  Once it calls
+    /// [`Hypergraph::overlap_graph`] instead, this method and
+    /// [`crate::parallel`] can go.
     pub fn overlap_graph_parallel(&self, threads: usize) -> crate::independent_set::SimpleGraph {
         let m = self.num_edges();
         let incidence = self.incidence();

@@ -1,5 +1,9 @@
-//! Deterministic row-partitioned pair emission, shared by the indexed overlap-graph
-//! builders (the hypergraph's own and `ffsm-core`'s per-notion builder).
+//! Deterministic row-partitioned pair emission behind
+//! [`Hypergraph::overlap_graph_parallel`](crate::Hypergraph::overlap_graph_parallel).
+//!
+//! Kept only for that method, which the repository benchmark's replay still
+//! calls with one thread; both go once the replay calls
+//! [`Hypergraph::overlap_graph`](crate::Hypergraph::overlap_graph).
 
 /// Run `emit` over `0..m` split into `threads` contiguous chunks (`1` = sequential,
 /// `0` = one worker per available core) and concatenate the outputs in chunk order.

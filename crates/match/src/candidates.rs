@@ -30,7 +30,7 @@
 //! this space instead of the whole graph.
 //!
 //! Candidate lists are kept **sorted ascending by vertex id** — the determinism
-//! contract of the enumerator (and its parallel root partition) is anchored here.
+//! contract of the enumerator is anchored here.
 
 use crate::index::GraphIndex;
 use ffsm_graph::{LabeledGraph, Pattern, VertexId};

@@ -49,9 +49,7 @@
 //! order: every pool is ascending by data vertex id (candidate sets are sorted and
 //! all three intersection strategies preserve ascending order), the matching order
 //! depends only on the candidate space, and backjumping only skips subtrees that
-//! contain no embedding.  The parallel enumerator partitions the *root* pool into
-//! contiguous chunks and concatenates the per-chunk results, which reproduces this
-//! sequential order exactly.
+//! contain no embedding.
 
 use crate::candidates::CandidateSpace;
 use crate::index::GraphIndex;
@@ -155,8 +153,7 @@ const UNSET: VertexId = VertexId::MAX;
 /// Owned by the enumeration call site and handed to every search, so the
 /// per-search allocations (assignment, used flags, per-depth pools, positions,
 /// failing sets) happen once per *worker*, not once per *pattern*: a mining level
-/// worker keeps one arena across thousands of candidate-pattern evaluations, and
-/// each parallel root-chunk worker keeps one across its chunk.
+/// worker keeps one arena across thousands of candidate-pattern evaluations.
 ///
 /// The arena carries no results and imposes no invariants on callers — any arena
 /// (fresh or previously used, regardless of which pattern or graph it last served)
@@ -379,10 +376,8 @@ fn release_prefix(
     }
 }
 
-/// One sequential enumeration run over (a root-restriction of) a candidate space.
+/// One sequential enumeration run over a candidate space.
 ///
-/// `root_pool` overrides the depth-0 candidate pool — the parallel enumerator passes
-/// each worker a contiguous chunk of the root candidates; `None` means the full set.
 /// Returns `true` if the search space was exhausted, `false` if the visitor stopped
 /// or `cancel` fired (cooperative cancellation, polled every [`CHECK_STRIDE`]
 /// scan steps).
@@ -393,7 +388,6 @@ pub(crate) fn run_search<V: EmbeddingVisitor>(
     space: &CandidateSpace,
     order: &MatchingOrder,
     induced: bool,
-    root_pool: Option<&[VertexId]>,
     cancel: &CancelToken,
     arena: &mut SearchArena,
     visitor: &mut V,
@@ -428,7 +422,7 @@ pub(crate) fn run_search<V: EmbeddingVisitor>(
     const FULL: u64 = !0u64;
 
     pools[0].clear();
-    pools[0].extend_from_slice(root_pool.unwrap_or_else(|| space.candidates(order.order[0])));
+    pools[0].extend_from_slice(space.candidates(order.order[0]));
     pool_pivot[0] = UNSET;
     pool_verified[0] = false;
 
@@ -588,7 +582,6 @@ mod tests {
                 &space,
                 &order,
                 false,
-                None,
                 &CancelToken::default(),
                 &mut arena,
                 &mut collect,
@@ -664,7 +657,6 @@ mod tests {
             &space,
             &order,
             false,
-            None,
             &CancelToken::default(),
             &mut arena,
             &mut open,
@@ -677,7 +669,6 @@ mod tests {
             &space,
             &order,
             true,
-            None,
             &CancelToken::default(),
             &mut arena,
             &mut induced,
@@ -700,7 +691,6 @@ mod tests {
             &space,
             &order,
             false,
-            None,
             &CancelToken::default(),
             &mut arena,
             &mut collect,
@@ -716,7 +706,6 @@ mod tests {
             &space,
             &order,
             false,
-            None,
             &CancelToken::default(),
             &mut arena,
             &mut all,
@@ -745,7 +734,6 @@ mod tests {
                 &space,
                 &order,
                 false,
-                None,
                 &CancelToken::default(),
                 &mut arena,
                 &mut collect,
@@ -786,7 +774,6 @@ mod tests {
                 &space,
                 &order,
                 false,
-                None,
                 &CancelToken::default(),
                 &mut shared,
                 &mut with_shared,
@@ -799,7 +786,6 @@ mod tests {
                 &space,
                 &order,
                 false,
-                None,
                 &CancelToken::default(),
                 &mut fresh,
                 &mut with_fresh,

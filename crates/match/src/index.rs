@@ -19,10 +19,6 @@
 //!   adjacency lists (a pure accelerator), and the size gates bound their memory to
 //!   `O(hubs · V/64)` words.
 //!
-//! The index also exposes the summary statistics ([`GraphIndex::label_entropy`],
-//! label/degree bucket sizes) that the adaptive `EnumeratorBackend::Auto` heuristic
-//! consumes.
-//!
 //! ## Incremental maintenance
 //!
 //! Under the dynamic-graph subsystem the data graph evolves in epochs;
@@ -163,31 +159,6 @@ impl GraphIndex {
     /// is an edge), or `None` when `v` is not a hub under the size gates.
     pub fn adjacency_words(&self, v: VertexId) -> Option<&[u64]> {
         self.adj_bits[v as usize].as_deref()
-    }
-
-    /// Shannon entropy (in bits) of the label distribution of the indexed graph.
-    ///
-    /// `0.0` for a single-label (or empty) graph, `log2(k)` for `k` equally
-    /// frequent labels.  Computed on demand in ascending label order so the value
-    /// is deterministic; one of the inputs to the `EnumeratorBackend::Auto`
-    /// heuristic.
-    pub fn label_entropy(&self) -> f64 {
-        let total = self.fingerprints.len();
-        if total == 0 {
-            return 0.0;
-        }
-        let mut counts: Vec<(Label, usize)> =
-            self.label_index.iter().map(|(&l, vs)| (l, vs.len())).collect();
-        counts.sort_by_key(|&(l, _)| l);
-        let total = total as f64;
-        -counts
-            .iter()
-            .filter(|&&(_, c)| c > 0)
-            .map(|&(_, c)| {
-                let p = c as f64 / total;
-                p * p.log2()
-            })
-            .sum::<f64>()
     }
 
     /// Repair this index in place after `graph` absorbed the update batch that
@@ -348,18 +319,6 @@ mod tests {
         assert!(index.vertices_with_label(Label(2)).is_empty());
         assert!(index.vertices_with_min_degree(Label(2), 0).is_empty());
         assert_eq!(index, GraphIndex::build(&graph));
-    }
-
-    #[test]
-    fn label_entropy_reflects_the_distribution() {
-        // Single label → 0 bits; two equal labels → 1 bit.
-        let one = LabeledGraph::from_edges(&[0, 0, 0, 0], &[(0, 1)]);
-        assert_eq!(GraphIndex::build(&one).label_entropy(), 0.0);
-        let two = LabeledGraph::from_edges(&[0, 0, 1, 1], &[(0, 2)]);
-        assert!((GraphIndex::build(&two).label_entropy() - 1.0).abs() < 1e-12);
-        // The sample graph (labels 1:5, 0:1, 2:1 over 7 vertices) sits in between.
-        let h = GraphIndex::build(&sample()).label_entropy();
-        assert!(h > 1.0 && h < std::f64::consts::LOG2_E * 2.0, "h = {h}");
     }
 
     #[test]

@@ -13,35 +13,31 @@
 //! 3. [`Matcher`] — an iterative, non-recursive enumerator that streams embeddings
 //!    to an [`EmbeddingVisitor`]
 //!    (early termination for existence checks and budgets, counting without
-//!    materialisation) in both induced and non-induced semantics, with
-//!    deterministic root-partitioned parallelism.
+//!    materialisation) in both induced and non-induced semantics.
+//!
+//! Enumeration is sequential: a mining session parallelises across the candidate
+//! patterns of a level, never inside one pattern's search.
 //!
 //! ## Determinism contract
 //!
 //! For a fixed `(pattern, graph, IsoConfig)` the embedding sequence is fully
 //! deterministic: every candidate pool is ascending by vertex id, the matching
-//! order depends only on the candidate space, failing-set backjumping skips only
-//! subtrees that provably contain no embedding, and the parallel enumerator
-//! partitions the root candidates into contiguous chunks whose buffered results
-//! are concatenated in chunk order — so `threads` **never changes the output**,
-//! exactly like the mining engine's level partition and the overlap builder of
-//! `ffsm-core`.
+//! order depends only on the candidate space, and failing-set backjumping skips
+//! only subtrees that provably contain no embedding.
 //!
 //! Across *backends* the contract is weaker, by design: the emission **multiset**
 //! is identical everywhere, the emission *order* is fixed per backend but not
 //! shared between them.  The naive oracle picks its matching order from label
-//! frequencies, not candidate sets, and `Auto` follows whichever engine it
-//! resolves to; differential tests therefore compare sorted multisets (all four
-//! support measures are order-independent, so they are bit-for-bit stable across
-//! backends).
+//! frequencies, not candidate sets; differential tests therefore compare sorted
+//! multisets (all four support measures are order-independent, so they are
+//! bit-for-bit stable across backends).
 //!
 //! ## Backend dispatch
 //!
 //! [`enumerate`] dispatches on
 //! [`IsoConfig::backend`](ffsm_graph::isomorphism::IsoConfig): `Naive` runs the
-//! oracle, `CandidateSpace` runs this engine (building a throwaway [`GraphIndex`]
-//! when the caller has none), and `Auto` resolves per pattern via
-//! [`auto_backend`] from index statistics.  `ffsm-core`'s
+//! oracle and `CandidateSpace` runs this engine (building a throwaway
+//! [`GraphIndex`] when the caller has none).  `ffsm-core`'s
 //! `OccurrenceSet::enumerate` and the mining engine go through this function;
 //! sessions build the index once and pass it to every per-pattern call, and hot
 //! call sites thread a reusable [`SearchArena`] through [`enumerate_with`].
@@ -52,7 +48,6 @@
 mod candidates;
 mod enumerate;
 mod index;
-mod parallel;
 
 pub use candidates::{CandidateSpace, InitialSets};
 pub use enumerate::SearchArena;
@@ -121,9 +116,9 @@ impl<'a> Matcher<'a> {
     /// Stream every embedding to `visitor` in the deterministic order; returns
     /// `false` if the visitor stopped the search early or `config.cancel` fired.
     ///
-    /// Sequential (`config.threads` is ignored here): streaming is the O(1)-memory
-    /// path.  The budget `config.max_embeddings` is *not* applied — wrap the
-    /// visitor if a budget is wanted (as [`Matcher::enumerate`] does).
+    /// Streaming is the O(1)-memory path.  The budget `config.max_embeddings` is
+    /// *not* applied — wrap the visitor if a budget is wanted (as
+    /// [`Matcher::enumerate`] does).
     pub fn stream<V: EmbeddingVisitor>(&self, config: IsoConfig, visitor: &mut V) -> bool {
         self.stream_with(config, &mut SearchArena::new(), visitor)
     }
@@ -148,41 +143,24 @@ impl<'a> Matcher<'a> {
             &self.space,
             &self.order,
             config.induced,
-            None,
             &config.cancel,
             arena,
             visitor,
         )
     }
 
-    /// Materialise all embeddings (up to `config.max_embeddings`), in parallel when
-    /// `config.threads != 1`.  The result is identical for every thread count.
+    /// Materialise all embeddings (up to `config.max_embeddings`).
     pub fn enumerate(&self, config: IsoConfig) -> EnumerationResult {
         self.enumerate_with(config, &mut SearchArena::new())
     }
 
-    /// [`Matcher::enumerate`] reusing the caller's [`SearchArena`].  Parallel runs
-    /// (`config.threads != 1`) give each chunk worker its own arena instead.
+    /// [`Matcher::enumerate`] reusing the caller's [`SearchArena`].
     pub fn enumerate_with(&self, config: IsoConfig, arena: &mut SearchArena) -> EnumerationResult {
         if self.pattern.num_vertices() == 0 {
             return EnumerationResult { embeddings: vec![Vec::new()], complete: true };
         }
         if self.trivially_empty() {
             return EnumerationResult { embeddings: Vec::new(), complete: true };
-        }
-        let threads = parallel::resolve_threads(config.threads);
-        if threads > 1 {
-            let (embeddings, complete) = parallel::enumerate_parallel(
-                self.graph,
-                self.index,
-                &self.space,
-                &self.order,
-                config.induced,
-                config.max_embeddings,
-                threads,
-                &config.cancel,
-            );
-            return EnumerationResult { embeddings, complete };
         }
         let mut collect = CollectVisitor::with_limit(config.max_embeddings);
         let complete = self.stream_with(config, arena, &mut collect);
@@ -197,19 +175,6 @@ impl<'a> Matcher<'a> {
         }
         if self.trivially_empty() {
             return (0, true);
-        }
-        let threads = parallel::resolve_threads(config.threads);
-        if threads > 1 {
-            return parallel::count_parallel(
-                self.graph,
-                self.index,
-                &self.space,
-                &self.order,
-                config.induced,
-                config.max_embeddings,
-                threads,
-                &config.cancel,
-            );
         }
         let mut counter = CountVisitor::with_limit(config.max_embeddings);
         let complete = self.stream(config, &mut counter);
@@ -230,61 +195,13 @@ impl<'a> Matcher<'a> {
     }
 }
 
-/// Resolve [`EnumeratorBackend::Auto`] for one pattern against one indexed graph:
-/// the backend the adaptive heuristic would run.
-///
-/// Inputs (all from [`GraphIndex`] statistics — no enumeration happens here):
-///
-/// * **pattern size** — patterns with at most one edge go naive: a candidate
-///   space cannot prune below what a label/degree scan already achieves, so its
-///   build cost is pure overhead;
-/// * **estimated candidate reduction** — the mean over pattern vertices of
-///   `|label/degree bucket| / V`.  Near 1.0 the initial filter keeps almost the
-///   whole graph per pattern vertex;
-/// * **label entropy** — low entropy (≤ ~1 bit: effectively ≤ 2 labels) means
-///   refinement has little signal to propagate.
-///
-/// A *small* pattern (≤ 3 vertices) on a dense, label-poor graph (reduction
-/// ≥ 0.5, entropy ≤ 1.05 bits) goes naive — the candidate space degenerates to
-/// near-whole label classes and the search trees coincide, so building the space
-/// is wasted work.  Larger patterns stay on the candidate-space engine even on
-/// dense graphs: its failing-set backjumping and intersected pools win the search
-/// itself.  The decision is deterministic for a `(pattern, index)` pair, and both
-/// backends emit identical embedding multisets, so `Auto` never changes a support
-/// value — only which engine computes it (the emission *order* may follow the
-/// naive enumerator's instead of this crate's).
-pub fn auto_backend(pattern: &Pattern, index: &GraphIndex) -> EnumeratorBackend {
-    let n_data = index.num_vertices();
-    let n_pat = pattern.num_vertices();
-    if n_data == 0 || n_pat == 0 {
-        return EnumeratorBackend::CandidateSpace;
-    }
-    if pattern.num_edges() <= 1 {
-        return EnumeratorBackend::Naive;
-    }
-    let reduction = pattern
-        .vertices()
-        .map(|u| {
-            index.vertices_with_min_degree(pattern.label(u), pattern.degree(u)).len() as f64
-                / n_data as f64
-        })
-        .sum::<f64>()
-        / n_pat as f64;
-    if n_pat <= 3 && reduction >= 0.5 && index.label_entropy() <= 1.05 {
-        return EnumeratorBackend::Naive;
-    }
-    EnumeratorBackend::CandidateSpace
-}
-
 /// Enumerate the occurrences of `pattern` in `graph`, dispatching on
 /// `config.backend`.
 ///
 /// * [`EnumeratorBackend::Naive`] — the recursive oracle of
 ///   `ffsm_graph::isomorphism` (always sequential);
 /// * [`EnumeratorBackend::CandidateSpace`] — this crate's engine, reusing `index`
-///   when given and building a throwaway [`GraphIndex`] otherwise;
-/// * [`EnumeratorBackend::Auto`] — resolves to one of the two per pattern via
-///   [`auto_backend`].
+///   when given and building a throwaway [`GraphIndex`] otherwise.
 ///
 /// This is the single entry point `ffsm-core` and the mining engine call; a mining
 /// session builds one index up front and passes it to every per-pattern call so the
@@ -322,22 +239,6 @@ pub fn enumerate_with(
             Some(index) => run_space(index, arena),
             None => run_space(&GraphIndex::build(graph), arena),
         },
-        EnumeratorBackend::Auto => {
-            let owned;
-            let index = match index {
-                Some(index) => index,
-                None => {
-                    owned = GraphIndex::build(graph);
-                    &owned
-                }
-            };
-            match auto_backend(pattern, index) {
-                EnumeratorBackend::Naive => {
-                    ffsm_graph::isomorphism::enumerate_embeddings(pattern, graph, config)
-                }
-                _ => run_space(index, arena),
-            }
-        }
     }
 }
 
@@ -382,41 +283,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_enumeration_preserves_sequential_order() {
-        let graph = generators::star_overlap(6, 8);
-        let pattern = patterns::single_edge(Label(0), Label(1));
-        let index = GraphIndex::build(&graph);
-        let matcher = Matcher::new(&pattern, &graph, &index);
-        let sequential = matcher.enumerate(IsoConfig::default());
-        for threads in [2usize, 3, 8, 0] {
-            let config = IsoConfig { threads, ..IsoConfig::default() };
-            let parallel = matcher.enumerate(config);
-            // Exact order, not just multiset: the contract of the root partition.
-            assert_eq!(parallel.embeddings, sequential.embeddings, "threads={threads}");
-            assert_eq!(parallel.complete, sequential.complete);
-        }
-    }
-
-    #[test]
-    fn budget_truncates_identically_across_thread_counts() {
-        let graph = generators::star_overlap(5, 5);
-        let pattern = patterns::single_edge(Label(0), Label(1));
-        let index = GraphIndex::build(&graph);
-        let matcher = Matcher::new(&pattern, &graph, &index);
-        let limit = 7;
-        let sequential = matcher.enumerate(IsoConfig::with_limit(limit));
-        assert_eq!(sequential.embeddings.len(), limit);
-        assert!(!sequential.complete);
-        for threads in [2usize, 4] {
-            let config = IsoConfig { threads, ..IsoConfig::with_limit(limit) };
-            let parallel = matcher.enumerate(config);
-            assert_eq!(parallel.embeddings, sequential.embeddings, "threads={threads}");
-            assert!(!parallel.complete);
-        }
-    }
-
-    #[test]
-    fn zero_and_exact_budgets_are_thread_invariant() {
+    fn zero_and_exact_budgets_bound_enumerate_and_count() {
         let graph = generators::star_overlap(4, 4);
         let pattern = patterns::single_edge(Label(0), Label(1));
         let index = GraphIndex::build(&graph);
@@ -424,22 +291,20 @@ mod tests {
         let total = matcher.enumerate(IsoConfig::default()).len();
         assert!(total > 1);
         // A zero budget yields nothing; a budget of exactly the embedding count is
-        // a *complete* enumeration; one less truncates — identically on every
-        // thread count (the determinism contract at the budget edges).
+        // a *complete* enumeration; one less truncates — for `enumerate` and
+        // `count` alike.
         for (limit, expect_len, expect_complete) in
             [(0, 0, false), (total - 1, total - 1, false), (total, total, true)]
         {
-            for threads in [1usize, 2, 3] {
-                let config = IsoConfig { threads, ..IsoConfig::with_limit(limit) };
-                let result = matcher.enumerate(config.clone());
-                assert_eq!(result.len(), expect_len, "limit={limit}, threads={threads}");
-                assert_eq!(result.complete, expect_complete, "limit={limit}, threads={threads}");
-                assert_eq!(
-                    matcher.count(config),
-                    (expect_len, expect_complete),
-                    "count at limit={limit}, threads={threads}"
-                );
-            }
+            let config = IsoConfig::with_limit(limit);
+            let result = matcher.enumerate(config.clone());
+            assert_eq!(result.len(), expect_len, "limit={limit}");
+            assert_eq!(result.complete, expect_complete, "limit={limit}");
+            assert_eq!(
+                matcher.count(config),
+                (expect_len, expect_complete),
+                "count at limit={limit}"
+            );
         }
     }
 
@@ -456,15 +321,8 @@ mod tests {
         let (count, complete) = matcher.count(IsoConfig::default());
         assert_eq!(count, 4 * 6);
         assert!(complete);
-        for threads in [2usize, 5] {
-            let config = IsoConfig { threads, ..IsoConfig::default() };
-            assert_eq!(matcher.count(config), (count, true), "threads={threads}");
-        }
-        // Budgeted count clamps and reports incompleteness, on every thread count.
-        for threads in [1usize, 3] {
-            let config = IsoConfig { threads, ..IsoConfig::with_limit(5) };
-            assert_eq!(matcher.count(config), (5, false));
-        }
+        // Budgeted count clamps and reports incompleteness.
+        assert_eq!(matcher.count(IsoConfig::with_limit(5)), (5, false));
         assert!(matcher.exists(IsoConfig::default()));
         let missing = patterns::uniform_clique(4, Label(0));
         let matcher = Matcher::new(&missing, &graph, &index);
@@ -508,42 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_heuristic_is_deterministic_and_sound() {
-        // Dense, label-poor graph: tiny patterns resolve to naive, larger ones to
-        // the candidate-space engine.
-        let dense = generators::community_graph(2, 12, 0.8, 0.3, 2, 11);
-        let dense_ix = GraphIndex::build(&dense);
-        let edge = patterns::single_edge(Label(0), Label(1));
-        assert_eq!(auto_backend(&edge, &dense_ix), EnumeratorBackend::Naive);
-        let square = patterns::cycle(&[Label(0), Label(1), Label(0), Label(1)]);
-        assert_eq!(auto_backend(&square, &dense_ix), EnumeratorBackend::CandidateSpace);
-        // Label-rich graph: multi-edge patterns stay on the candidate space.
-        let sparse = generators::gnm_random(60, 90, 5, 3);
-        let sparse_ix = GraphIndex::build(&sparse);
-        let path = patterns::path(&[Label(0), Label(1), Label(2)]);
-        assert_eq!(auto_backend(&path, &sparse_ix), EnumeratorBackend::CandidateSpace);
-        // Auto dispatch returns the same multiset as both fixed backends.
-        for (graph, index) in [(&dense, &dense_ix), (&sparse, &sparse_ix)] {
-            for pattern in [&edge, &square, &path] {
-                let auto = enumerate(
-                    pattern,
-                    graph,
-                    Some(index),
-                    IsoConfig::default().with_backend(EnumeratorBackend::Auto),
-                );
-                let naive = enumerate(
-                    pattern,
-                    graph,
-                    Some(index),
-                    IsoConfig::default().with_backend(EnumeratorBackend::Naive),
-                );
-                assert!(auto.complete && naive.complete);
-                assert_eq!(sorted(auto.embeddings), sorted(naive.embeddings));
-            }
-        }
-    }
-
-    #[test]
     fn arena_reuse_through_the_dispatch_entry_point() {
         let graph = generators::gnm_random(30, 70, 2, 5);
         let index = GraphIndex::build(&graph);
@@ -553,9 +375,7 @@ mod tests {
             patterns::uniform_clique(3, Label(1)),
             patterns::uniform_path(3, Label(0)),
         ];
-        for backend in
-            [EnumeratorBackend::CandidateSpace, EnumeratorBackend::Auto, EnumeratorBackend::Naive]
-        {
+        for backend in [EnumeratorBackend::CandidateSpace, EnumeratorBackend::Naive] {
             for pattern in &shapes {
                 let config = IsoConfig::default().with_backend(backend);
                 let reused =

@@ -51,8 +51,8 @@ use crate::types::{
 };
 use ffsm_approx::{BoundsEvaluator, BoundsOutcome, Certificate, SupportInterval};
 use ffsm_core::{
-    auto_backend, enumerate_with, CancelToken, CandidateSpace, EnumeratorBackend, Evaluation,
-    FfsmError, GraphIndex, Matcher, OccurrenceSet, SearchArena, SupportMeasure,
+    enumerate_with, CancelToken, CandidateSpace, EnumeratorBackend, Evaluation, FfsmError,
+    GraphIndex, Matcher, OccurrenceSet, SearchArena, SupportMeasure,
 };
 use ffsm_graph::canonical::CanonicalCode;
 use ffsm_graph::isomorphism::IsoConfig;
@@ -338,12 +338,8 @@ impl LevelContext<'_> {
     ) -> EvalOutcome {
         let pattern = &candidate.pattern;
         let iso_config = &self.config.iso_config;
-        let on_space = |index: &&GraphIndex| {
-            iso_config.backend != EnumeratorBackend::Auto
-                || auto_backend(pattern, index) == EnumeratorBackend::CandidateSpace
-        };
-        let Some(index) = self.index.filter(on_space) else {
-            let result = enumerate_with(pattern, graph, self.index, iso_config.clone(), arena);
+        let Some(index) = self.index else {
+            let result = enumerate_with(pattern, graph, None, iso_config.clone(), arena);
             let occ =
                 OccurrenceSet::from_embeddings(pattern.clone(), result.embeddings, result.complete);
             return self.close(open, &occ);

@@ -262,10 +262,8 @@ impl MiningSession {
     /// prepared graph's shared matching index ([`ffsm_core::GraphIndex`]) — built
     /// lazily exactly once per [`PreparedGraph`], never per session or per
     /// pattern.  [`EnumeratorBackend::Naive`] selects the recursive oracle (no
-    /// index).  [`EnumeratorBackend::Auto`] resolves to one of the two per
-    /// pattern from index statistics (label entropy, candidate reduction,
-    /// pattern size); the choice affects only speed.  All backends yield
-    /// identical patterns and support values.
+    /// index).  The choice affects only speed: both backends yield identical
+    /// patterns and support values.
     pub fn enumerator(mut self, backend: EnumeratorBackend) -> Self {
         self.config.measure_config.iso_config.backend = backend;
         self
@@ -730,7 +728,6 @@ mod tests {
         };
         let candidate_space = collect(EnumeratorBackend::CandidateSpace);
         assert_eq!(candidate_space, collect(EnumeratorBackend::Naive));
-        assert_eq!(candidate_space, collect(EnumeratorBackend::Auto));
     }
 
     #[test]

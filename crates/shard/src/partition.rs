@@ -214,7 +214,7 @@ impl PartitionedGraph {
             seed_pairs: pairs.into_iter().collect(),
             num_vertices: n,
             num_edges: graph.num_edges(),
-            store: ShardStore::resident(shards),
+            store: ShardStore::resident(shards, n),
         })
     }
 

@@ -18,6 +18,12 @@
 //! v <label> <global_id>     # one per vertex, local ids implicit 0,1,2,…
 //! e <u> <v>                 # one per edge, local ids, u < v
 //! ```
+//!
+//! A reload trusts nothing in the file: the header must repeat the shard's
+//! vertex and edge counts (kept in memory since the build), every record must
+//! follow it, labels must fit a [`Label`], and global ids must name a vertex
+//! of the partitioned graph.  Any violation — a truncated or edited file — is
+//! [`FfsmError::Partition`], raised before anything is sized from the file.
 
 use crate::partition::ResidentShard;
 use ffsm_core::FfsmError;
@@ -65,6 +71,10 @@ struct StoreState {
 #[derive(Debug)]
 pub struct ShardStore {
     state: Mutex<StoreState>,
+    /// Each shard's `(vertices, edges)`: what its spill file must declare.
+    shapes: Vec<(usize, usize)>,
+    /// Vertex count of the partitioned graph: every global id is below it.
+    global_vertices: usize,
     loads: AtomicU64,
     evictions: AtomicU64,
     peak_resident_bytes: AtomicU64,
@@ -82,9 +92,12 @@ impl std::fmt::Debug for StoreState {
 }
 
 impl ShardStore {
-    /// A store with every shard resident and no spill configured.
-    pub(crate) fn resident(shards: Vec<ResidentShard>) -> Self {
+    /// A store with every shard resident and no spill configured, over a
+    /// graph of `global_vertices` vertices.
+    pub(crate) fn resident(shards: Vec<ResidentShard>, global_vertices: usize) -> Self {
         let k = shards.len();
+        let shapes =
+            shards.iter().map(|s| (s.graph().num_vertices(), s.graph().num_edges())).collect();
         let mut bytes = 0u64;
         let slots: Vec<Option<Arc<ResidentShard>>> = shards
             .into_iter()
@@ -101,6 +114,8 @@ impl ShardStore {
                 max_resident: k.max(1),
                 resident_bytes: bytes,
             }),
+            shapes,
+            global_vertices,
             loads: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             peak_resident_bytes: AtomicU64::new(bytes),
@@ -151,7 +166,7 @@ impl ShardStore {
             }
         }
         let start = Instant::now();
-        let shard = read_shard_file(&shard_path(&dir, i))?;
+        let shard = read_shard_file(&shard_path(&dir, i), self.shapes[i], self.global_vertices)?;
         self.load_nanos.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.loads.fetch_add(1, Ordering::Relaxed);
         let bytes = shard.approx_bytes();
@@ -246,12 +261,19 @@ fn write_shard_file(path: &Path, shard: &ResidentShard) -> Result<(), FfsmError>
     .map_err(|e| io_err(path, e))
 }
 
-fn read_shard_file(path: &Path) -> Result<ResidentShard, FfsmError> {
+/// Parse one spill file of a shard that was spilled with `(vertices, edges)`
+/// as its shape, over a graph of `global_vertices` vertices (see the module
+/// docs for what a reload rejects).
+fn read_shard_file(
+    path: &Path,
+    (n, m): (usize, usize),
+    global_vertices: usize,
+) -> Result<ResidentShard, FfsmError> {
     let file = std::fs::File::open(path).map_err(|e| io_err(path, e))?;
     let reader = BufReader::new(file);
     let mut graph = LabeledGraph::new();
     let mut to_global: Vec<VertexId> = Vec::new();
-    let mut declared: Option<(usize, usize)> = None;
+    let mut header = false;
     for (lineno, line) in reader.lines().enumerate() {
         let line = line.map_err(|e| io_err(path, e))?;
         let line = line.trim();
@@ -265,26 +287,51 @@ fn read_shard_file(path: &Path) -> Result<ResidentShard, FfsmError> {
             .map(|p| p.parse::<u64>())
             .collect::<Result<_, _>>()
             .map_err(|_| bad("expected integer fields"))?;
+        if tag != "s" && !header {
+            return Err(bad("record before the `s` header"));
+        }
+        let id = |x: u64| u32::try_from(x).map_err(|_| bad(&format!("{x} exceeds u32")));
         match (tag, fields.as_slice()) {
-            ("s", [n, m]) => {
-                if declared.is_some() {
+            ("s", &[nv, ne]) => {
+                if header {
                     return Err(bad("duplicate header"));
                 }
-                declared = Some((*n as usize, *m as usize));
-                graph = LabeledGraph::with_capacity(*n as usize);
-                to_global.reserve(*n as usize);
+                if (nv, ne) != (n as u64, m as u64) {
+                    return Err(bad(&format!(
+                        "header declares {nv} vertices / {ne} edges, the shard was spilled \
+                         with {n} / {m}"
+                    )));
+                }
+                header = true;
+                graph = LabeledGraph::with_capacity(n);
+                to_global.reserve(n);
             }
-            ("v", [label, global]) => {
-                graph.add_vertex(Label(*label as u32));
-                to_global.push(*global as VertexId);
+            ("v", &[label, global]) => {
+                if graph.num_vertices() == n {
+                    return Err(bad(&format!("more than the {n} declared vertices")));
+                }
+                let label = Label(id(label)?);
+                let global = id(global)?;
+                if global as usize >= global_vertices {
+                    return Err(bad(&format!(
+                        "global id {global} out of range (graph has {global_vertices} vertices)"
+                    )));
+                }
+                graph.add_vertex(label);
+                to_global.push(global);
             }
-            ("e", [u, v]) => {
-                graph.add_edge(*u as VertexId, *v as VertexId).map_err(|e| bad(&e.to_string()))?;
+            ("e", &[u, v]) => {
+                if graph.num_edges() == m {
+                    return Err(bad(&format!("more than the {m} declared edges")));
+                }
+                graph.add_edge(id(u)?, id(v)?).map_err(|e| bad(&e.to_string()))?;
             }
             _ => return Err(bad("unrecognised record")),
         }
     }
-    let (n, m) = declared.ok_or_else(|| io_err(path, "missing `s` header"))?;
+    if !header {
+        return Err(io_err(path, "missing `s` header"));
+    }
     if graph.num_vertices() != n || graph.num_edges() != m {
         return Err(io_err(
             path,
@@ -373,7 +420,7 @@ mod tests {
     #[test]
     fn poisoned_lock_is_a_typed_error() {
         let g = ring(8);
-        let store = ShardStore::resident(vec![ResidentShard::new(g, (0..8).collect())]);
+        let store = ShardStore::resident(vec![ResidentShard::new(g, (0..8).collect())], 8);
         let panicked = std::thread::scope(|scope| {
             scope
                 .spawn(|| {

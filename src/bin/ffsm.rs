@@ -6,15 +6,18 @@
 //! * `measure <graph.lg> --pattern <pattern.lg> [--measure NAME]` — compute one or all
 //!   support measures of a pattern in a data graph;
 //! * `match <graph.lg> --pattern <pattern.lg> [--backend B] [--naive] [--induced]
-//!   [--threads K] [--limit N]` — enumerate the pattern's embeddings.  `--backend`
-//!   picks `naive`, `candidate-space` (default) or `auto` (resolved per pattern from
-//!   index statistics; the resolved engine is printed); `--naive` stays as shorthand
-//!   for `--backend naive`.  The candidate-space engine reports candidate-space
-//!   sizes and index build / search timings;
-//! * `mine <graph.lg> --tau <t> [--measure NAME] [--max-edges N] [--threads K] [--parallel]
+//!   [--limit N]` — enumerate the pattern's embeddings.  `--backend` picks `naive`
+//!   or `candidate-space` (default); `--naive` stays as shorthand for
+//!   `--backend naive`.  The candidate-space engine reports candidate-space sizes
+//!   and index build / search timings;
+//! * `overlap <graph.lg> --pattern <pattern.lg> [--kind NAME] [--naive]` — overlap
+//!   pairs and MIS per overlap notion, from the indexed overlap-graph builder or,
+//!   with `--naive`, from the all-pairs oracle;
+//! * `mine <graph.lg> --tau <t> [--measure NAME] [--max-edges N] [--threads K]
 //!   [--backend B] [--bounds] [--stream] [--trace] [--deadline-ms MS] [--shards K
 //!   [--max-resident M] [--partition vertex-range|label-aware]]` — run the
-//!   frequent-subgraph miner.
+//!   frequent-subgraph miner.  `--threads K` sets the session's level workers
+//!   (`0` = one per core).
 //!   The default output is a table plus the run's typed completion status (complete vs which
 //!   budget cap vs deadline); `--bounds` turns on bounds-first evaluation
 //!   ([`MiningSession::bounds_first`]): certified support intervals decide patterns
@@ -64,12 +67,10 @@
 //! [`FfsmError::Cancelled`] after reporting the prefix it found.
 
 use ffsm::core::measures::{MeasureConfig, MeasureKind};
-use ffsm::core::{
-    FfsmError, MeasureProfile, OccurrenceSet, OverlapAnalysis, OverlapBuild, OverlapConfig,
-    OverlapKind,
-};
+use ffsm::core::{FfsmError, MeasureProfile, OccurrenceSet, OverlapAnalysis, OverlapKind};
 use ffsm::graph::isomorphism::{EnumeratorBackend, IsoConfig};
 use ffsm::graph::{datasets, generators, io, GraphStatistics, LabeledGraph, Pattern};
+use ffsm::hypergraph::independent_set::exact_max_independent_set;
 use ffsm::matching::{GraphIndex, Matcher};
 use ffsm::miner::postprocess::maximal_patterns;
 use ffsm::miner::{Completion, MiningEvent, MiningResult, MiningSession};
@@ -140,21 +141,21 @@ commands:
   stats    <graph.lg>                              structural statistics of a graph
   measure  <graph.lg> --pattern <p.lg> [--measure NAME]
                                                    support measures of a pattern
-  match    <graph.lg> --pattern <p.lg> [--backend naive|candidate-space|auto]
-           [--naive] [--induced] [--threads K] [--limit N]
-                                                   enumerate embeddings (--backend auto
-                                                   picks the engine per pattern from
-                                                   index statistics; --naive is short
-                                                   for --backend naive)
-  overlap  <graph.lg> --pattern <p.lg> [--kind NAME] [--naive] [--threads K]
+  match    <graph.lg> --pattern <p.lg> [--backend naive|candidate-space]
+           [--naive] [--induced] [--limit N]
+                                                   enumerate embeddings (--naive is
+                                                   short for --backend naive)
+  overlap  <graph.lg> --pattern <p.lg> [--kind NAME] [--naive]
                                                    overlap census / MIS per notion
-                                                   (kinds: simple|harmful|structural|edge)
-  mine     <graph.lg> --tau <t> [--measure NAME] [--max-edges N] [--threads K] [--parallel]
-           [--backend naive|candidate-space|auto] [--bounds] [--stream] [--trace]
+                                                   (kinds: simple|harmful|structural|edge;
+                                                   --naive: all-pairs oracle)
+  mine     <graph.lg> --tau <t> [--measure NAME] [--max-edges N] [--threads K]
+           [--backend naive|candidate-space] [--bounds] [--stream] [--trace]
            [--deadline-ms MS]
            [--shards K [--max-resident M] [--partition vertex-range|label-aware]]
                                                    frequent-subgraph mining
-                                                   (--bounds: bounds-first evaluation —
+                                                   (--threads 0: one worker per core;
+                                                   --bounds: bounds-first evaluation —
                                                    certified support intervals decide
                                                    patterns without full enumeration
                                                    when possible; interrupted runs
@@ -255,8 +256,8 @@ fn cmd_measure(args: &[String]) -> Result<(), CliError> {
 fn cmd_match(args: &[String]) -> Result<(), CliError> {
     let Some(graph_path) = args.first() else {
         return Err(CliError::Usage(
-            "ffsm match <graph.lg> --pattern <pattern.lg> [--backend naive|candidate-space|auto] \
-             [--naive] [--induced] [--threads K] [--limit N]"
+            "ffsm match <graph.lg> --pattern <pattern.lg> [--backend naive|candidate-space] \
+             [--naive] [--induced] [--limit N]"
                 .into(),
         ));
     };
@@ -279,26 +280,13 @@ fn cmd_match(args: &[String]) -> Result<(), CliError> {
         None => EnumeratorBackend::CandidateSpace,
     };
     let induced = args.iter().any(|a| a == "--induced");
-    let threads = match flag_value(args, "--threads") {
-        Some(v) => {
-            v.parse::<usize>().map_err(|_| CliError::Usage(format!("invalid --threads {v:?}")))?
-        }
-        None => 1,
-    };
-    if backend == EnumeratorBackend::Naive && flag_value(args, "--threads").is_some() {
-        return Err(CliError::Usage(
-            "--threads only applies to the candidate-space engine; the naive oracle is \
-             sequential — drop one of --naive / --threads"
-                .into(),
-        ));
-    }
     let max_embeddings = match flag_value(args, "--limit") {
         Some(v) => {
             v.parse::<usize>().map_err(|_| CliError::Usage(format!("invalid --limit {v:?}")))?
         }
         None => IsoConfig::default().max_embeddings,
     };
-    let config = IsoConfig { max_embeddings, induced, threads, ..IsoConfig::default() };
+    let config = IsoConfig { max_embeddings, induced, ..IsoConfig::default() };
     println!(
         "matching {pattern_path} ({} vertices, {} edges) in {graph_path} ({} vertices, {} edges)",
         pattern.num_vertices(),
@@ -310,7 +298,7 @@ fn cmd_match(args: &[String]) -> Result<(), CliError> {
         let (result, search_time) = ffsm_bench_free_timed(|| {
             ffsm::graph::isomorphism::enumerate_embeddings(&pattern, &graph, config)
         });
-        println!("engine:      naive oracle (sequential)");
+        println!("engine:      naive oracle");
         println!(
             "embeddings:  {}{}",
             result.len(),
@@ -320,30 +308,9 @@ fn cmd_match(args: &[String]) -> Result<(), CliError> {
         return Ok(());
     }
     let (index, index_time) = ffsm_bench_free_timed(|| GraphIndex::build(&graph));
-    if backend == EnumeratorBackend::Auto {
-        let resolved = ffsm::matching::auto_backend(&pattern, &index);
-        println!("engine:      auto -> {resolved}");
-        if resolved == EnumeratorBackend::Naive {
-            let (result, search_time) = ffsm_bench_free_timed(|| {
-                ffsm::graph::isomorphism::enumerate_embeddings(&pattern, &graph, config)
-            });
-            println!("index build: {index_time:?}");
-            println!(
-                "embeddings:  {}{}",
-                result.len(),
-                if result.complete { "" } else { " (truncated)" }
-            );
-            println!("search:      {search_time:?}");
-            return Ok(());
-        }
-    }
     let (matcher, space_time) = ffsm_bench_free_timed(|| Matcher::new(&pattern, &graph, &index));
     let (result, search_time) = ffsm_bench_free_timed(|| matcher.enumerate(config));
-    println!(
-        "engine:      candidate-space ({} thread{})",
-        if threads == 0 { "all-core".to_string() } else { threads.to_string() },
-        if threads == 1 { "" } else { "s" }
-    );
+    println!("engine:      candidate-space");
     let space = matcher.space();
     println!("index build: {index_time:?}");
     println!(
@@ -371,35 +338,17 @@ fn ffsm_bench_free_timed<T>(f: impl FnOnce() -> T) -> (T, std::time::Duration) {
 fn cmd_overlap(args: &[String]) -> Result<(), CliError> {
     let Some(graph_path) = args.first() else {
         return Err(CliError::Usage(
-            "ffsm overlap <graph.lg> --pattern <pattern.lg> [--kind NAME] [--naive] [--threads K]"
-                .into(),
+            "ffsm overlap <graph.lg> --pattern <pattern.lg> [--kind NAME] [--naive]".into(),
         ));
     };
     let pattern_path = flag_value(args, "--pattern")
         .ok_or_else(|| CliError::Usage("--pattern <pattern.lg> is required".to_string()))?;
     let graph = load_graph(graph_path)?;
     let pattern: Pattern = load_graph(pattern_path)?;
-    let build = if args.iter().any(|a| a == "--naive") {
-        OverlapBuild::Naive
-    } else {
-        OverlapBuild::Indexed
-    };
-    let threads = match flag_value(args, "--threads") {
-        Some(v) => {
-            v.parse::<usize>().map_err(|_| CliError::Usage(format!("invalid --threads {v:?}")))?
-        }
-        None => 1,
-    };
-    if build == OverlapBuild::Naive && flag_value(args, "--threads").is_some() {
-        return Err(CliError::Usage(
-            "--threads only applies to the indexed builder; the naive all-pairs oracle is \
-             sequential — drop one of --naive / --threads"
-                .into(),
-        ));
-    }
+    let naive = args.iter().any(|a| a == "--naive");
     let occurrences =
         OccurrenceSet::enumerate(&pattern, &graph, MeasureConfig::default().iso_config);
-    let analysis = OverlapAnalysis::with_config(&occurrences, OverlapConfig { build, threads });
+    let analysis = OverlapAnalysis::new(&occurrences);
     let budget = ffsm::hypergraph::SearchBudget::default();
     println!("occurrences: {}", occurrences.num_occurrences());
     let kinds: Vec<OverlapKind> = match flag_value(args, "--kind") {
@@ -409,12 +358,13 @@ fn cmd_overlap(args: &[String]) -> Result<(), CliError> {
     };
     println!("{:<12} {:>14} {:>10}", "notion", "overlap pairs", "MIS");
     for kind in kinds {
-        println!(
-            "{:<12} {:>14} {:>10}",
-            kind.name(),
-            analysis.overlap_edge_count(kind),
-            analysis.mis_under(kind, budget)
-        );
+        let (pairs, mis) = if naive {
+            let graph = analysis.overlap_graph_naive(kind);
+            (graph.num_edges(), exact_max_independent_set(&graph, budget).value)
+        } else {
+            (analysis.overlap_edge_count(kind), analysis.mis_under(kind, budget))
+        };
+        println!("{:<12} {:>14} {:>10}", kind.name(), pairs, mis);
     }
     Ok(())
 }
@@ -525,7 +475,7 @@ fn cmd_mine(args: &[String]) -> Result<(), CliError> {
     let Some(graph_path) = args.first() else {
         return Err(CliError::Usage(
             "ffsm mine <graph.lg> --tau <t> [--measure NAME] [--max-edges N] [--threads K] \
-             [--parallel] [--backend naive|candidate-space|auto] [--bounds] [--stream] \
+             [--backend naive|candidate-space] [--bounds] [--stream] \
              [--trace] [--deadline-ms MS] \
              [--shards K [--max-resident M] [--partition vertex-range|label-aware]]"
                 .into(),
@@ -543,9 +493,7 @@ fn cmd_mine(args: &[String]) -> Result<(), CliError> {
             })
             .transpose()
     };
-    let parallel = args.iter().any(|a| a == "--parallel");
-    // `--parallel` without an explicit count means one worker per core.
-    let threads = parse_count("--threads")?.unwrap_or(if parallel { 0 } else { 1 });
+    let threads = parse_count("--threads")?.unwrap_or(1);
     let deadline = match flag_value(args, "--deadline-ms") {
         Some(v) => Some(Duration::from_millis(v.parse::<u64>().map_err(|_| {
             CliError::Usage(format!("invalid --deadline-ms {v:?} (expected milliseconds)"))

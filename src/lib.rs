@@ -42,8 +42,7 @@ pub mod prelude {
     pub use ffsm_core::{
         measures::{MeasureConfig, MeasureKind, SupportMeasure, SupportMeasures},
         occurrences::OccurrenceSet,
-        FfsmError, MeasureProfile, OverlapAnalysis, OverlapBuild, OverlapCache, OverlapConfig,
-        OverlapKind,
+        FfsmError, MeasureProfile, OverlapAnalysis, OverlapCache, OverlapKind,
     };
     pub use ffsm_dynamic::{DynamicGraph, EpochSnapshot, IncrementalMiner};
     pub use ffsm_graph::isomorphism::{EmbeddingVisitor, EnumeratorBackend, IsoConfig, VisitFlow};
@@ -51,7 +50,7 @@ pub mod prelude {
         CancelToken, GraphDelta, GraphStatistics, GraphUpdate, Label, LabeledGraph, Pattern,
         VertexId,
     };
-    pub use ffsm_match::{auto_backend, CandidateSpace, GraphIndex, Matcher, SearchArena};
+    pub use ffsm_match::{CandidateSpace, GraphIndex, Matcher, SearchArena};
     pub use ffsm_miner::{
         Completion, EvalCache, FrequentPattern, MiningBudget, MiningEvent, MiningResult,
         MiningSession, MiningStats, PatternStream, PreparedGraph, SessionConfig,

@@ -4,7 +4,7 @@
 //! * **bounds-first == exact, as a set** — turning on certified interval
 //!   evaluation changes *how* patterns are decided (short-circuiting on bound
 //!   arguments where possible), never *which* patterns are frequent: across
-//!   MNI / MI / MVC / MIS / nuMVC / nuMIES and all three enumerator backends,
+//!   MNI / MI / MVC / MIS / nuMVC / nuMIES and both enumerator backends,
 //!   the bounds-first run reproduces the exact run's canonical-code set
 //!   (proptest);
 //! * **intervals contain the truth** — every `support_interval` a bounds-first
@@ -43,8 +43,8 @@ const MEASURES: [MeasureKind; 6] = [
     MeasureKind::RelaxedMvc,
     MeasureKind::RelaxedMies,
 ];
-const BACKENDS: [EnumeratorBackend; 3] =
-    [EnumeratorBackend::CandidateSpace, EnumeratorBackend::Naive, EnumeratorBackend::Auto];
+const BACKENDS: [EnumeratorBackend; 2] =
+    [EnumeratorBackend::CandidateSpace, EnumeratorBackend::Naive];
 
 /// Exact support of one pattern, recomputed independently of the miner.
 fn exact_support(

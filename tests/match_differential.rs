@@ -6,14 +6,10 @@
 //!   candidate-space engine must produce an *identical embedding multiset* (the
 //!   engines order embeddings differently, so sets are compared sorted) for
 //!   proptest-generated pattern / data-graph pairs, under both the induced and
-//!   non-induced semantics, sequentially and in parallel;
+//!   non-induced semantics;
 //! * the naive-backend mining engine — MIS, MVC, MNI and MI session supports must
 //!   agree bit-for-bit across the enumerator backends, in every session mode
 //!   (sequential, level-parallel, top-k).
-//!
-//! Within the candidate-space engine the contract is stronger than multiset
-//! equality: the parallel root partition must reproduce the sequential emission
-//! *order* exactly, for every thread count.
 //!
 //! The proptest shim seeds each generator deterministically from the test name, so
 //! every run (locally and in CI) replays the same fixed case sequence.
@@ -67,8 +63,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16, .. ProptestConfig::default() })]
 
     /// Tentpole equivalence: on random graphs and sampled patterns, the
-    /// candidate-space engine (sequential, 3-thread and one-per-core) reproduces
-    /// the naive oracle's embedding multiset in both semantics.
+    /// candidate-space engine reproduces the naive oracle's embedding multiset in
+    /// both semantics.
     #[test]
     fn candidate_space_matches_naive_oracle(seed in 0u64..10_000, edges in 1usize..4) {
         let graph = generators::gnm_random(24, 60, 2, seed);
@@ -83,16 +79,10 @@ proptest! {
             prop_assert!(naive.complete);
             let oracle = sorted(naive.embeddings);
             let context = format!("seed {seed}, {edges}-edge pattern, induced {induced}");
-            let sequential = matcher.enumerate(config.clone());
-            prop_assert!(sequential.complete, "sequential incomplete, {}", context);
-            prop_assert_eq!(sorted(sequential.embeddings.clone()), oracle.clone(),
-                "sequential vs oracle, {}", context);
-            for threads in [3usize, 0] {
-                let parallel = matcher.enumerate(IsoConfig { threads, ..config.clone() });
-                // The parallel contract is exact-order equality with sequential.
-                prop_assert_eq!(&parallel.embeddings, &sequential.embeddings,
-                    "parallel order diverged, {} threads, {}", threads, context);
-            }
+            let indexed = matcher.enumerate(config.clone());
+            prop_assert!(indexed.complete, "indexed incomplete, {}", context);
+            prop_assert_eq!(sorted(indexed.embeddings), oracle.clone(),
+                "indexed vs oracle, {}", context);
             // Counting and existence agree with the materialising path.
             let (count, complete) = matcher.count(config.clone());
             prop_assert_eq!((count, complete), (oracle.len(), true), "count, {}", context);
@@ -133,9 +123,8 @@ proptest! {
     /// Dense-community regression (the matcher pathology this harness guards): high
     /// average degree and only two labels, so the label filter prunes almost
     /// nothing and the search lives or dies on intersected pools and backjumping.
-    /// All three backends — including `Auto`, whichever engine it resolves to —
-    /// must reproduce the oracle's embedding multiset, sequentially and in
-    /// parallel, in both semantics.
+    /// The candidate-space engine must reproduce the oracle's embedding multiset
+    /// in both semantics.
     #[test]
     fn dense_graphs_agree_across_all_backends(seed in 0u64..10_000, edges in 1usize..4) {
         let graph = generators::community_graph(2, 12, 0.8, 0.25, 2, seed);
@@ -151,23 +140,10 @@ proptest! {
             prop_assert!(naive.complete);
             let oracle = sorted(naive.embeddings);
             let context = format!("seed {seed}, {edges}-edge pattern, induced {induced}");
-            let sequential = matcher.enumerate(config.clone());
-            prop_assert!(sequential.complete, "dense sequential incomplete, {}", context);
-            prop_assert_eq!(sorted(sequential.embeddings.clone()), oracle.clone(),
-                "dense sequential vs oracle, {}", context);
-            for threads in [4usize, 0] {
-                let parallel = matcher.enumerate(IsoConfig { threads, ..config.clone() });
-                prop_assert_eq!(&parallel.embeddings, &sequential.embeddings,
-                    "dense parallel order diverged, {} threads, {}", threads, context);
-            }
-            let auto = OccurrenceSet::enumerate(
-                &pattern,
-                &graph,
-                config.clone().with_backend(EnumeratorBackend::Auto),
-            );
-            prop_assert!(auto.is_complete());
-            prop_assert_eq!(sorted(auto.embeddings().to_vec()), oracle,
-                "auto backend vs oracle, {}", context);
+            let indexed = matcher.enumerate(config);
+            prop_assert!(indexed.complete, "dense indexed incomplete, {}", context);
+            prop_assert_eq!(sorted(indexed.embeddings), oracle,
+                "dense indexed vs oracle, {}", context);
         }
     }
 
@@ -202,22 +178,19 @@ proptest! {
     // than the enumeration-level tests above.
     #![proptest_config(ProptestConfig { cases: 4, .. ProptestConfig::default() })]
 
-    /// The four measures on the dense workload, now including the `Auto` backend:
-    /// per measure, every (backend, thread-count) combination must match the naive
-    /// sequential run bit-for-bit.
+    /// The four measures on the dense workload: per measure, the candidate-space
+    /// backend at 1 and 4 threads must match the naive sequential run bit-for-bit.
     #[test]
     fn dense_session_supports_bit_for_bit_across_backends(seed in 0u64..10_000) {
         let graph = generators::community_graph(2, 8, 0.65, 0.12, 2, seed);
         prop_assume!(graph.num_edges() * 2 >= graph.num_vertices() * 4); // avg degree >= 4
         for kind in [MeasureKind::Mis, MeasureKind::Mvc, MeasureKind::Mni, MeasureKind::Mi] {
             let naive = pattern_supports(&graph, kind, EnumeratorBackend::Naive, 1, None);
-            for backend in [EnumeratorBackend::CandidateSpace, EnumeratorBackend::Auto] {
-                for threads in [1usize, 4] {
-                    let run = pattern_supports(&graph, kind, backend, threads, None);
-                    prop_assert_eq!(&naive, &run,
-                        "dense {} run diverges ({} backend, {} threads), seed {}",
-                        kind, backend, threads, seed);
-                }
+            for threads in [1usize, 4] {
+                let run =
+                    pattern_supports(&graph, kind, EnumeratorBackend::CandidateSpace, threads, None);
+                prop_assert_eq!(&naive, &run,
+                    "dense {} run diverges ({} threads), seed {}", kind, threads, seed);
             }
         }
     }
@@ -244,13 +217,9 @@ fn streaming_visitor_counts_without_materialising() {
     assert!(!complete);
     assert_eq!(seen, 5);
 
-    // Budgeted counting clamps identically on every thread count, and the naive
-    // oracle's budgeted count agrees.
+    // Budgeted counting clamps, and the naive oracle's budgeted count agrees.
     let limit = IsoConfig::with_limit(11);
-    for threads in [1usize, 2, 4] {
-        let config = IsoConfig { threads, ..limit.clone() };
-        assert_eq!(matcher.count(config), (11, false), "threads {threads}");
-    }
+    assert_eq!(matcher.count(limit.clone()), (11, false));
     assert_eq!(ffsm::graph::isomorphism::count_embeddings(&pattern, &graph, limit), 11);
 }
 

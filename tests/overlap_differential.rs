@@ -3,7 +3,7 @@
 //! Two oracles anchor this file:
 //!
 //! * the retained naive all-pairs builder (`OverlapAnalysis::overlap_graph_naive`) —
-//!   the indexed builder (sequential and parallel) must produce an *identical*
+//!   the indexed builder must produce an *identical*
 //!   overlap graph for every [`OverlapKind`] on proptest-generated pattern /
 //!   data-graph pairs;
 //! * the sequential mining engine — MIS, MVC, MNI and MI supports must agree
@@ -15,7 +15,7 @@
 
 use ffsm::core::measures::{MeasureConfig, MeasureKind, SupportMeasures};
 use ffsm::core::occurrences::OccurrenceSet;
-use ffsm::core::overlap::{OverlapAnalysis, OverlapBuild, OverlapConfig, OverlapKind};
+use ffsm::core::overlap::{OverlapAnalysis, OverlapKind};
 use ffsm::graph::canonical::canonical_code;
 use ffsm::graph::isomorphism::IsoConfig;
 use ffsm::graph::{generators, LabeledGraph};
@@ -60,9 +60,8 @@ fn pattern_supports(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, .. ProptestConfig::default() })]
 
-    /// Tentpole equivalence: for every overlap notion, the indexed builder —
-    /// sequential, 3-thread and one-thread-per-core — produces exactly the graph the
-    /// naive all-pairs oracle produces.
+    /// Tentpole equivalence: for every overlap notion, the indexed builder
+    /// produces exactly the graph the naive all-pairs oracle produces.
     #[test]
     fn indexed_builder_matches_naive_oracle(seed in 0u64..10_000, edges in 1usize..4) {
         let graph = generators::gnm_random(24, 60, 2, seed);
@@ -76,31 +75,8 @@ proptest! {
             let oracle = analysis.overlap_graph_naive(kind);
             let context = format!("kind {kind}, seed {seed}, {edges}-edge pattern");
             assert_same_graph(&analysis.overlap_graph_indexed(kind), &oracle, &context)?;
-            assert_same_graph(&analysis.overlap_graph_parallel(kind, 3), &oracle, &context)?;
-            assert_same_graph(&analysis.overlap_graph_parallel(kind, 0), &oracle, &context)?;
             // The default (cached) path is the indexed one.
             assert_same_graph(&analysis.overlap_graph(kind), &oracle, &context)?;
-        }
-    }
-
-    /// The naive strategy selected through the config produces the same cached
-    /// graphs as the default indexed strategy.
-    #[test]
-    fn strategy_selection_is_observationally_equivalent(seed in 0u64..10_000) {
-        let graph = generators::community_graph(2, 8, 0.5, 0.1, 2, seed);
-        let Some((pattern, _)) = generators::sample_pattern(&graph, 2, seed ^ 0x51) else {
-            return Ok(());
-        };
-        let occ = OccurrenceSet::enumerate(&pattern, &graph, IsoConfig::with_limit(120));
-        prop_assume!(occ.num_occurrences() >= 2);
-        let indexed = OverlapAnalysis::new(&occ);
-        let naive = OverlapAnalysis::with_config(
-            &occ,
-            OverlapConfig { build: OverlapBuild::Naive, threads: 1 },
-        );
-        for kind in OverlapKind::all() {
-            assert_same_graph(&indexed.overlap_graph(kind), &naive.overlap_graph(kind),
-                &format!("configured naive vs indexed, kind {kind}, seed {seed}"))?;
         }
     }
 

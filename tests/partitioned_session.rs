@@ -8,7 +8,8 @@
 //!   counts in place of the whole graph's index) decide the same pattern set
 //!   as exact mining, and every interval contains the exact support;
 //! * **typed failures** — a spill file lost mid-run ends the stream with one
-//!   `Err(FfsmError::Partition)` item, and `run_delta` over a partition is an
+//!   `Err(FfsmError::Partition)` item, a corrupt or truncated spill file makes
+//!   `run()` return one (never a panic), and `run_delta` over a partition is an
 //!   `InvalidConfig`;
 //! * **one CLI path** — `ffsm mine --shards` streams the unsharded frames and
 //!   takes `--trace`/`--bounds`; `--partition` needs `--shards`.
@@ -189,6 +190,86 @@ fn a_spill_file_lost_mid_run_ends_the_stream_with_one_error() {
     assert!(stream.next().is_none(), "the error ends the stream");
     assert!(stream.completion().is_none(), "a failed run has no completion");
     assert!(matches!(stream.into_result(), Err(FfsmError::Partition(_))));
+}
+
+/// Run a 2-shard partition, spilled to `dir` with one shard resident, after
+/// `edit` rewrote every spill file, at 1 and 2 threads: each run must return
+/// `Err(FfsmError::Partition)`.
+fn assert_corrupt_spill_is_rejected(dir: &str, what: &str, edit: &dyn Fn(&str) -> String) {
+    let graph = graph();
+    let dir = TempDir::new(dir);
+    for threads in [1, 2] {
+        let parts = partition(&graph, 2);
+        let _ = std::fs::remove_dir_all(&dir.0);
+        parts.spill_to_disk(&dir.0, 1).expect("spill");
+        for entry in std::fs::read_dir(&dir.0).expect("spill directory") {
+            let file = entry.expect("spill file").path();
+            let valid = std::fs::read_to_string(&file).expect("read spill file");
+            std::fs::write(&file, edit(&valid)).expect("rewrite spill file");
+        }
+        let result =
+            MiningSession::over(&parts).min_support(3.0).max_edges(2).threads(threads).run();
+        assert!(
+            matches!(result, Err(FfsmError::Partition(_))),
+            "{what}, {threads} threads: {:?}",
+            result.map(|r| r.patterns.len())
+        );
+    }
+}
+
+/// Replace the first `v <label> <global>` record of a spill file by `record`
+/// applied to its label and global id.
+fn edit_first_vertex(valid: &str, record: impl Fn(u64, u64) -> String) -> String {
+    let mut done = false;
+    let lines = valid.lines().map(|line| match line.split(' ').collect::<Vec<_>>()[..] {
+        ["v", label, global] if !done => {
+            done = true;
+            record(label.parse().unwrap(), global.parse().unwrap())
+        }
+        _ => line.to_string(),
+    });
+    lines.collect::<Vec<_>>().join("\n")
+}
+
+#[test]
+fn corrupt_spill_files_are_typed_errors() {
+    assert_corrupt_spill_is_rejected("corrupt", "oversized header", &|valid| {
+        let body = valid.lines().skip(1).collect::<Vec<_>>().join("\n");
+        format!("s 18446744073709551615 0\n{body}")
+    });
+    assert_corrupt_spill_is_rejected("corrupt", "global id out of range", &|valid| {
+        edit_first_vertex(valid, |label, _| format!("v {label} 4000000000"))
+    });
+    assert_corrupt_spill_is_rejected("corrupt", "vertex before the header", &|valid| {
+        format!("v 0 0\n{valid}")
+    });
+    assert_corrupt_spill_is_rejected("corrupt", "label above u32::MAX", &|valid| {
+        edit_first_vertex(valid, |label, global| format!("v {} {global}", label + (1 << 32)))
+    });
+    assert_corrupt_spill_is_rejected("corrupt", "global id above u32::MAX", &|valid| {
+        edit_first_vertex(valid, |label, global| format!("v {label} {}", global + (1 << 32)))
+    });
+}
+
+#[test]
+fn truncated_spill_files_are_typed_errors() {
+    let graph = graph();
+    let parts = partition(&graph, 2);
+    let longest = (0..2)
+        .map(|i| {
+            let shard = parts.shard(i).unwrap();
+            1 + shard.graph().num_vertices() + shard.graph().num_edges()
+        })
+        .max()
+        .unwrap();
+    // Every proper prefix of each file, cut after a whole line.
+    for keep in 0..longest {
+        assert_corrupt_spill_is_rejected("truncated", &format!("first {keep} lines"), &|valid| {
+            let lines: Vec<&str> = valid.lines().collect();
+            let cut = keep.min(lines.len() - 1);
+            lines[..cut].iter().map(|line| format!("{line}\n")).collect()
+        });
+    }
 }
 
 #[test]
