@@ -38,11 +38,6 @@ impl SupportInterval {
         self.hi - self.lo
     }
 
-    /// `true` when the interval pins the support exactly.
-    pub fn is_point(&self) -> bool {
-        self.lo >= self.hi
-    }
-
     /// What the interval decides against threshold `tau`:
     /// `Some(true)` = certainly frequent (`lo ≥ τ`), `Some(false)` = certainly
     /// infrequent (`hi < τ`), `None` = the threshold falls inside the interval.
@@ -131,7 +126,7 @@ mod tests {
         assert!(iv.contains(3.0, 0.0));
         assert!(!iv.contains(5.5, 1e-9));
         assert!((iv.width() - 3.0).abs() < 1e-12);
-        assert!(SupportInterval::point(4.0).is_point());
+        assert_eq!(SupportInterval::point(4.0).width(), 0.0);
         assert_eq!(SupportInterval::point(4.0).decides(4.0), Some(true));
     }
 

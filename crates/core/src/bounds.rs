@@ -11,7 +11,6 @@
 
 use crate::measures::{Evaluation, MeasureConfig, MeasureKind, MvcAlgorithm, SupportMeasures};
 use crate::occurrences::OccurrenceSet;
-use ffsm_graph::isomorphism::IsoConfig;
 use ffsm_graph::{LabeledGraph, Pattern};
 
 /// Numerical slack used when comparing the fractional LP values with integers.
@@ -137,23 +136,11 @@ pub fn bounding_chain_for(occurrences: OccurrenceSet, config: &MeasureConfig) ->
     })
 }
 
-/// Convenience wrapper with the default configuration and a custom embedding budget.
-pub fn verify_with_limit(
-    pattern: &Pattern,
-    graph: &LabeledGraph,
-    max_embeddings: usize,
-) -> BoundsReport {
-    let config = MeasureConfig {
-        iso_config: IsoConfig::with_limit(max_embeddings),
-        ..MeasureConfig::default()
-    };
-    verify_bounding_chain(pattern, graph, &config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::measures::MeasureConfig;
+    use ffsm_graph::isomorphism::IsoConfig;
     use ffsm_graph::{figures, generators};
 
     #[test]
@@ -215,9 +202,11 @@ mod tests {
     }
 
     #[test]
-    fn verify_with_limit_respects_budget() {
+    fn embedding_limit_keeps_a_consistent_chain() {
         let example = figures::figure2();
-        let report = verify_with_limit(&example.pattern, &example.graph, 2);
+        let config =
+            MeasureConfig { iso_config: IsoConfig::with_limit(2), ..MeasureConfig::default() };
+        let report = verify_bounding_chain(&example.pattern, &example.graph, &config);
         // Truncated enumeration still yields a consistent (if smaller) chain.
         assert!(report.occurrences <= 2);
         assert!(report.holds());

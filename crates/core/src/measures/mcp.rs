@@ -11,15 +11,15 @@
 //! i.e. MCP is a *less conservative* overlap-graph measure than MIS while remaining
 //! anti-monotonic (proved in the original paper; intuitively, the clique partition of
 //! a subpattern's overlap graph induces one for the superpattern).  Like MIS it is
-//! NP-hard; the exact solver is budgeted and a greedy upper bound is available.
+//! NP-hard; the exact solver is budgeted.
 //!
 //! In the hypergraph framework the overlap graph is derived from the occurrence /
 //! instance hypergraph exactly as for MIS (Section 4.2), so MCP slots into the same
 //! machinery — it is simply a different graph invariant of the same object.
 
 use super::MeasureOutcome;
-use ffsm_hypergraph::clique_cover::{clique_cover_number, greedy_clique_partition};
-use ffsm_hypergraph::{Hypergraph, SearchBudget};
+use ffsm_hypergraph::clique_cover::clique_cover_number;
+use ffsm_hypergraph::SearchBudget;
 
 /// Exact (budgeted) minimum clique partition of an already-built overlap graph —
 /// the single solving path.  `SupportMeasures` builds and caches the graph, sharing
@@ -32,14 +32,6 @@ pub fn mcp_on_graph(
     MeasureOutcome { value: res.value, optimal: res.optimal }
 }
 
-/// Greedy clique-partition upper bound on σMCP.
-pub fn mcp_greedy(hypergraph: &Hypergraph) -> usize {
-    if hypergraph.is_empty() {
-        return 0;
-    }
-    greedy_clique_partition(&hypergraph.overlap_graph()).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -47,6 +39,8 @@ mod tests {
     use crate::occurrences::{HypergraphBasis, OccurrenceSet};
     use ffsm_graph::isomorphism::IsoConfig;
     use ffsm_graph::{figures, generators};
+    use ffsm_hypergraph::clique_cover::greedy_clique_partition;
+    use ffsm_hypergraph::Hypergraph;
 
     fn occurrence_hypergraph(example: &ffsm_graph::figures::FigureExample) -> Hypergraph {
         let occ = OccurrenceSet::enumerate(&example.pattern, &example.graph, IsoConfig::default());
@@ -61,6 +55,11 @@ mod tests {
         mcp_on_graph(&hypergraph.overlap_graph(), budget)
     }
 
+    /// Greedy clique-partition upper bound on σMCP.
+    fn greedy(hypergraph: &Hypergraph) -> usize {
+        greedy_clique_partition(&hypergraph.overlap_graph()).len()
+    }
+
     #[test]
     fn figure2_single_instance_needs_one_clique() {
         // All six automorphic occurrences pairwise overlap: the overlap graph is a
@@ -69,7 +68,7 @@ mod tests {
         let r = mcp(&h, SearchBudget::default());
         assert!(r.optimal);
         assert_eq!(r.value, 1);
-        assert_eq!(mcp_greedy(&h), 1);
+        assert_eq!(greedy(&h), 1);
     }
 
     #[test]
@@ -98,7 +97,7 @@ mod tests {
                 mcp_v.value,
                 example.name
             );
-            assert!(mcp_v.value <= mcp_greedy(&h), "greedy below exact on {}", example.name);
+            assert!(mcp_v.value <= greedy(&h), "greedy below exact on {}", example.name);
         }
     }
 
@@ -112,13 +111,13 @@ mod tests {
         let occ = OccurrenceSet::enumerate(&pattern, &graph, IsoConfig::default());
         let h = occ.hypergraph(HypergraphBasis::Occurrence);
         assert_eq!(mcp(&h, SearchBudget::default()).value, 5);
-        assert_eq!(mcp_greedy(&h), 5);
+        assert_eq!(greedy(&h), 5);
     }
 
     #[test]
     fn empty_hypergraph_is_zero() {
         let h = Hypergraph::new(0);
         assert_eq!(mcp(&h, SearchBudget::default()).value, 0);
-        assert_eq!(mcp_greedy(&h), 0);
+        assert_eq!(greedy(&h), 0);
     }
 }

@@ -89,14 +89,6 @@ fn group_by_root(uf: &mut UnionFind, n: usize) -> Vec<Vec<VertexId>> {
     groups.into_values().collect()
 }
 
-/// `true` if vertices `u` and `v` lie in a common orbit of the full pattern.
-pub fn are_transitive_in_pattern(pattern: &Pattern, u: VertexId, v: VertexId) -> bool {
-    if u == v {
-        return true;
-    }
-    orbits(pattern).iter().any(|o| o.contains(&u) && o.contains(&v))
-}
-
 /// Maximum number of pattern edges for which exhaustive enumeration of connected
 /// edge-subset subgraphs is attempted.  Above this, only the full pattern and single
 /// edges are considered (patterns this large never appear in practice).
@@ -251,9 +243,6 @@ mod tests {
         let o = orbits(&p);
         assert!(o.contains(&vec![0, 2]));
         assert!(o.contains(&vec![1]));
-        assert!(are_transitive_in_pattern(&p, 0, 2));
-        assert!(!are_transitive_in_pattern(&p, 0, 1));
-        assert!(are_transitive_in_pattern(&p, 1, 1));
     }
 
     #[test]

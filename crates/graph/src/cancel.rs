@@ -101,12 +101,6 @@ impl CancelToken {
     pub fn is_cancelled(&self) -> bool {
         self.cancel_requested() || self.deadline_exceeded()
     }
-
-    /// `true` for a token that can never fire (the default): enumerators may skip
-    /// polling it entirely.
-    pub fn is_inert(&self) -> bool {
-        self.flag.is_none() && self.deadline.is_none()
-    }
 }
 
 #[cfg(test)]
@@ -116,7 +110,7 @@ mod tests {
     #[test]
     fn default_token_is_inert_and_never_fires() {
         let token = CancelToken::default();
-        assert!(token.is_inert());
+        assert_eq!(token.deadline(), None);
         assert!(!token.is_cancelled());
         token.cancel(); // no-op, must not panic
         assert!(!token.is_cancelled());
@@ -126,7 +120,6 @@ mod tests {
     #[test]
     fn cancel_fires_every_clone() {
         let token = CancelToken::new();
-        assert!(!token.is_inert());
         let clone = token.clone();
         assert!(!clone.is_cancelled());
         token.cancel();

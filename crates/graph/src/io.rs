@@ -157,25 +157,6 @@ pub fn load_updates(path: &Path) -> Result<Vec<Vec<GraphUpdate>>, GraphError> {
     read_updates(file)
 }
 
-/// Serialise update batches in the `.gu` format (one `t <k>` line per batch).
-pub fn write_updates<W: Write>(batches: &[Vec<GraphUpdate>], mut w: W) -> Result<(), GraphError> {
-    let io_err = |e: std::io::Error| GraphError::Io(e.to_string());
-    for (k, batch) in batches.iter().enumerate() {
-        writeln!(w, "t {k}").map_err(io_err)?;
-        for update in batch {
-            writeln!(w, "{update}").map_err(io_err)?;
-        }
-    }
-    Ok(())
-}
-
-/// Serialise update batches to a `.gu` string.
-pub fn updates_to_string(batches: &[Vec<GraphUpdate>]) -> String {
-    let mut buf = Vec::new();
-    write_updates(batches, &mut buf).expect("writing to a Vec cannot fail");
-    String::from_utf8(buf).expect("gu output is ASCII")
-}
-
 fn parse_field<T: std::str::FromStr>(
     field: Option<&str>,
     line: usize,
@@ -259,14 +240,14 @@ mod tests {
     }
 
     #[test]
-    fn update_batches_round_trip() {
+    fn update_batches_parse_from_a_literal_file() {
         let batches = vec![
             vec![GraphUpdate::AddVertex(Label(3)), GraphUpdate::AddEdge(0, 4)],
             vec![GraphUpdate::RemoveEdge(1, 2), GraphUpdate::Relabel(0, Label(7))],
             vec![GraphUpdate::RemoveVertex(5)],
         ];
-        let text = updates_to_string(&batches);
-        assert_eq!(updates_from_string(&text).unwrap(), batches);
+        let text = "t 0\nav 3\nae 0 4\nt 1\nre 1 2\nrl 0 7\nt 2\nrv 5\n";
+        assert_eq!(read_updates(text.as_bytes()).unwrap(), batches);
     }
 
     #[test]

@@ -113,11 +113,6 @@ impl IsoConfig {
     pub fn with_backend(self, backend: EnumeratorBackend) -> Self {
         IsoConfig { backend, ..self }
     }
-
-    /// This config with the given cancellation token.
-    pub fn with_cancel(self, cancel: CancelToken) -> Self {
-        IsoConfig { cancel, ..self }
-    }
 }
 
 /// Whether a streaming enumeration should continue after a visited embedding.

@@ -76,20 +76,6 @@ impl GraphStatistics {
             dominant_label_fraction: if n == 0 { 0.0 } else { dominant as f64 / n as f64 },
         }
     }
-
-    /// A one-line summary used in experiment logs.
-    pub fn one_line(&self) -> String {
-        format!(
-            "n={} m={} labels={} avg_deg={:.2} cc={:.3} degen={} diam≥{}",
-            self.num_vertices,
-            self.num_edges,
-            self.num_labels,
-            self.average_degree,
-            self.average_clustering,
-            self.degeneracy,
-            self.diameter_estimate
-        )
-    }
 }
 
 impl std::fmt::Display for GraphStatistics {
@@ -217,13 +203,12 @@ mod tests {
     }
 
     #[test]
-    fn display_and_one_line_mention_key_fields() {
+    fn display_mentions_key_fields() {
         let g = generators::grid(3, 3, 2);
         let s = GraphStatistics::compute(&g);
         let text = format!("{s}");
         assert!(text.contains("vertices:"));
         assert!(text.contains("degeneracy:"));
-        assert!(s.one_line().contains("n=9"));
     }
 
     #[test]

@@ -99,11 +99,6 @@ impl Hypergraph {
         self.edges.iter().enumerate().map(|(i, e)| (i, e.as_slice()))
     }
 
-    /// Number of edges containing vertex `v`.
-    pub fn vertex_degree(&self, v: usize) -> usize {
-        self.edges.iter().filter(|e| e.binary_search(&v).is_ok()).count()
-    }
-
     /// For every vertex, the list of edges containing it (the `X_j` sets of the dual,
     /// Definition 3.1.2).
     pub fn incidence(&self) -> Vec<Vec<EdgeId>> {
@@ -123,24 +118,6 @@ impl Hypergraph {
     pub fn uniform_rank(&self) -> Option<usize> {
         let first = self.edges.first()?.len();
         self.edges.iter().all(|e| e.len() == first).then_some(first)
-    }
-
-    /// Size of the largest edge (0 when empty).
-    pub fn max_edge_size(&self) -> usize {
-        self.edges.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
-    /// `true` if no edge is a subset of another edge (a *simple* hypergraph,
-    /// Definition 3.1.1).  Repeated identical edges count as subsets of each other.
-    pub fn is_simple(&self) -> bool {
-        for (i, a) in self.edges.iter().enumerate() {
-            for (j, b) in self.edges.iter().enumerate() {
-                if i != j && is_subset(a, b) {
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     /// Indices of *minimal* edges: edges that do not strictly contain another edge,
@@ -296,9 +273,6 @@ mod tests {
         assert_eq!(h.num_vertices(), 6);
         assert_eq!(h.num_edges(), 3);
         assert_eq!(h.edge(1), &[2, 3]);
-        assert_eq!(h.vertex_degree(2), 2);
-        assert_eq!(h.vertex_degree(5), 1);
-        assert_eq!(h.max_edge_size(), 3);
         assert_eq!(h.uniform_rank(), None);
         assert!(!h.is_empty());
     }
@@ -333,12 +307,10 @@ mod tests {
         h.add_edge(vec![0, 1, 2]).unwrap();
         h.add_edge(vec![0, 1]).unwrap();
         h.add_edge(vec![2, 3]).unwrap();
-        assert!(!h.is_simple());
         let minimal = h.minimal_edge_indices();
         assert_eq!(minimal, vec![1, 2]);
         let reduced = h.restrict_to_edges(&minimal);
         assert_eq!(reduced.num_edges(), 2);
-        assert!(reduced.is_simple());
     }
 
     #[test]

@@ -12,6 +12,10 @@
 //!   (the MIES support measure, Definition 4.2.1).
 //! * [`independent_set`] — maximum independent sets in ordinary graphs (the classic
 //!   overlap-graph MIS measure of Vanetik et al. that the paper compares against).
+//! * [`clique_cover`] — minimum clique partitions of the overlap graph (the MCP
+//!   measure of Calders et al., an upper bound on MIS).
+//! * [`parallel`] — the chunked pair emission behind
+//!   [`Hypergraph::overlap_graph_parallel`], kept for the repository benchmark.
 //!
 //! All exact solvers are branch-and-bound searches with a configurable node budget:
 //! they report whether the returned value is proven optimal, so callers can fall back
@@ -36,16 +40,13 @@
 #![warn(missing_docs)]
 
 pub mod clique_cover;
-pub mod connectivity;
 mod hypergraph;
 pub mod independent_set;
 pub mod matching;
 pub mod parallel;
-pub mod statistics;
 pub mod vertex_cover;
 
 pub use hypergraph::{EdgeId, Hypergraph, HypergraphError};
-pub use statistics::HypergraphStatistics;
 
 /// Result of an exact combinatorial search that may have been truncated by its node
 /// budget.

@@ -46,7 +46,7 @@ pub struct Problem {
     costs: Vec<f64>,
     constraints: Vec<Constraint>,
     upper_bounds: Vec<Option<f64>>,
-    options: SimplexOptions,
+    pub(crate) options: SimplexOptions,
 }
 
 impl Problem {
@@ -90,11 +90,6 @@ impl Problem {
     /// Constrain `var ≤ bound` (in addition to the implicit `var ≥ 0`).
     pub fn set_upper_bound(&mut self, var: usize, bound: f64) {
         self.upper_bounds[var] = Some(bound);
-    }
-
-    /// Override the simplex options (iteration limit etc.).
-    pub fn set_options(&mut self, options: SimplexOptions) {
-        self.options = options;
     }
 
     /// Add a constraint `Σ coeffs · x  (op)  rhs` and return its index.

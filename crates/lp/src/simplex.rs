@@ -374,7 +374,7 @@ mod tests {
         // or panic but return the typed iteration-limit error.
         let sets = vec![vec![0, 1], vec![1, 2], vec![2, 3], vec![0, 3], vec![0, 2]];
         let mut p = crate::covering_lp(4, &sets);
-        p.set_options(crate::SimplexOptions { max_pivots: 1, dantzig_pivots: 0 });
+        p.options = crate::SimplexOptions { max_pivots: 1, dantzig_pivots: 0 };
         assert!(matches!(p.solve(), Err(crate::LpError::IterationLimit)));
     }
 
@@ -391,7 +391,7 @@ mod tests {
         p.add_constraint(vec![(0, 0.25), (1, -60.0), (2, -0.04), (3, 9.0)], ConstraintOp::Le, 0.0);
         p.add_constraint(vec![(0, 0.5), (1, -90.0), (2, -0.02), (3, 3.0)], ConstraintOp::Le, 0.0);
         p.add_constraint(vec![(2, 1.0)], ConstraintOp::Le, 1.0);
-        p.set_options(crate::SimplexOptions { max_pivots: 10_000, dantzig_pivots: 0 });
+        p.options = crate::SimplexOptions { max_pivots: 10_000, dantzig_pivots: 0 };
         let sol = solve(&p);
         assert!((sol.objective - (-0.05)).abs() < 1e-6, "got {}", sol.objective);
         assert!(sol.pivots < 1_000, "Bland mode took {} pivots", sol.pivots);

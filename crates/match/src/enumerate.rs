@@ -215,11 +215,6 @@ impl SearchArena {
         self.timing = on;
     }
 
-    /// `true` when fine-grained span timing is on.
-    pub fn timing_enabled(&self) -> bool {
-        self.timing
-    }
-
     /// Run `f` on this arena, recording its wall time under `phase` when
     /// fine-grained timing is on (refinement-round counting stays always on,
     /// through [`SearchArena::add_refine_rounds`]).
@@ -746,7 +741,6 @@ mod tests {
         assert!(arena.footprint_bytes() > 0);
         // Counters never change search results — verified structurally by the
         // arena-reuse tests; timing stays off unless explicitly enabled.
-        assert!(!arena.timing_enabled());
         assert_eq!(arena.phase_times(), PhaseTimes::default());
     }
 

@@ -135,11 +135,6 @@ impl GraphIndex {
         self.label_index.get(&label).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// How many vertices carry `label`.
-    pub fn label_frequency(&self, label: Label) -> usize {
-        self.vertices_with_label(label).len()
-    }
-
     /// The vertices with `label` and degree ≥ `min_degree`, sorted by
     /// `(degree, id)` — one binary search into the label's degree bucket.
     pub fn vertices_with_min_degree(&self, label: Label, min_degree: usize) -> &[VertexId] {
@@ -252,7 +247,6 @@ mod tests {
         assert_eq!(ix.vertices_with_label(Label(1)), &[1, 2, 3, 4, 6]);
         assert_eq!(ix.vertices_with_label(Label(2)), &[5]);
         assert_eq!(ix.vertices_with_label(Label(9)), &[] as &[VertexId]);
-        assert_eq!(ix.label_frequency(Label(1)), 5);
     }
 
     #[test]

@@ -172,11 +172,6 @@ impl PreparedGraph {
     pub fn index_is_built(&self) -> bool {
         self.inner.index.get().is_some()
     }
-
-    /// `true` when both handles share the same underlying storage.
-    pub fn same_graph(&self, other: &PreparedGraph) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
 }
 
 #[cfg(test)]
@@ -303,8 +298,8 @@ mod tests {
     fn clones_share_storage() {
         let prepared = PreparedGraph::new(LabeledGraph::new());
         let clone = prepared.clone();
-        assert!(prepared.same_graph(&clone));
+        assert!(std::ptr::eq(prepared.graph(), clone.graph()));
         let other = PreparedGraph::new(LabeledGraph::new());
-        assert!(!prepared.same_graph(&other));
+        assert!(!std::ptr::eq(prepared.graph(), other.graph()));
     }
 }

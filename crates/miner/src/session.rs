@@ -625,7 +625,10 @@ mod tests {
         assert_eq!(config.top_k, d.top_k);
         assert_eq!(config.budget, d.budget);
         assert_eq!(config.deadline, None);
-        assert!(config.cancel.is_inert());
+        // The default token has no deadline and no flag: cancelling it is a no-op.
+        assert_eq!(config.cancel.deadline(), None);
+        config.cancel.cancel();
+        assert!(!config.cancel.cancel_requested());
         assert!(matches!(config.measure, MeasureSelection::Kind(MeasureKind::Mni)));
     }
 

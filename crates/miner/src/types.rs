@@ -276,11 +276,6 @@ impl MiningResult {
         self.patterns.is_empty()
     }
 
-    /// The frequent patterns with exactly `edges` edges.
-    pub fn with_edge_count(&self, edges: usize) -> Vec<&FrequentPattern> {
-        self.patterns.iter().filter(|p| p.pattern.num_edges() == edges).collect()
-    }
-
     /// Largest frequent pattern size (in edges), 0 if none.
     pub fn max_edges(&self) -> usize {
         self.patterns.iter().map(|p| p.pattern.num_edges()).max().unwrap_or(0)

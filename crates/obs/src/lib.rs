@@ -277,41 +277,17 @@ impl MetricsRegistry {
 
     /// The counter named `name`, created on first use.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().expect("counter registry poisoned");
-        match map.get(name) {
-            Some(c) => c.clone(),
-            None => {
-                let c = Arc::new(Counter::default());
-                map.insert(name.to_string(), c.clone());
-                c
-            }
-        }
+        get_or_create(&self.counters, name)
     }
 
     /// The gauge named `name`, created on first use.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().expect("gauge registry poisoned");
-        match map.get(name) {
-            Some(g) => g.clone(),
-            None => {
-                let g = Arc::new(Gauge::default());
-                map.insert(name.to_string(), g.clone());
-                g
-            }
-        }
+        get_or_create(&self.gauges, name)
     }
 
     /// The histogram named `name`, created on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().expect("histogram registry poisoned");
-        match map.get(name) {
-            Some(h) => h.clone(),
-            None => {
-                let h = Arc::new(Histogram::default());
-                map.insert(name.to_string(), h.clone());
-                h
-            }
-        }
+        get_or_create(&self.histograms, name)
     }
 
     /// Aggregate every registered metric, sorted by name within each kind.
@@ -338,6 +314,19 @@ impl MetricsRegistry {
             .map(|(name, h)| (name.clone(), h.snapshot()))
             .collect();
         MetricsSnapshot { counters, gauges, histograms }
+    }
+}
+
+/// The metric named `name` in `metrics`, created on first use.
+fn get_or_create<M: Default>(metrics: &Mutex<BTreeMap<String, Arc<M>>>, name: &str) -> Arc<M> {
+    let mut map = metrics.lock().expect("metrics registry poisoned");
+    match map.get(name) {
+        Some(metric) => Arc::clone(metric),
+        None => {
+            let metric = Arc::new(M::default());
+            map.insert(name.to_string(), Arc::clone(&metric));
+            metric
+        }
     }
 }
 

@@ -184,11 +184,6 @@ impl SessionScheduler {
         }
     }
 
-    /// `true` once `shutdown` has started.
-    pub fn is_draining(&self) -> bool {
-        self.inflight.draining.load(Ordering::SeqCst)
-    }
-
     /// Admission queue capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -310,7 +305,6 @@ mod tests {
         scheduler.shutdown();
         assert_eq!(*observed.lock().unwrap(), Some(true), "job saw the cancellation");
         assert!(token.is_cancelled());
-        assert!(scheduler.is_draining());
         let err = scheduler.submit(&CancelToken::new(), || {}).unwrap_err();
         assert!(matches!(err, FfsmError::ShuttingDown));
         assert_eq!(scheduler.stats().inflight, 0);

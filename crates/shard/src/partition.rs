@@ -71,11 +71,6 @@ impl PartitionSpec {
         PartitionSpec { num_shards, halo_depth, strategy: PartitionStrategy::VertexRange }
     }
 
-    /// Label-aware greedy partitioning.
-    pub fn label_aware(num_shards: usize, halo_depth: usize) -> Self {
-        PartitionSpec { num_shards, halo_depth, strategy: PartitionStrategy::LabelAware }
-    }
-
     fn validate(&self, graph: &LabeledGraph) -> Result<(), FfsmError> {
         if self.num_shards == 0 {
             return Err(FfsmError::Partition("shards must be at least 1 (got 0)".into()));
@@ -394,7 +389,9 @@ mod tests {
     #[test]
     fn label_aware_keeps_label_blocks_together() {
         let g = path_graph(12); // labels cycle 0,1,2
-        let p = PartitionedGraph::build(&g, PartitionSpec::label_aware(3, 1)).unwrap();
+        let label_aware =
+            PartitionSpec { num_shards: 3, halo_depth: 1, strategy: PartitionStrategy::LabelAware };
+        let p = PartitionedGraph::build(&g, label_aware).unwrap();
         let a = p.assignment();
         for v in g.vertices() {
             for w in g.vertices() {
@@ -404,7 +401,7 @@ mod tests {
             }
         }
         // Deterministic: rebuilding yields the same assignment.
-        let p2 = PartitionedGraph::build(&g, PartitionSpec::label_aware(3, 1)).unwrap();
+        let p2 = PartitionedGraph::build(&g, label_aware).unwrap();
         assert_eq!(p.assignment(), p2.assignment());
     }
 

@@ -1,23 +1,23 @@
 //! `ffsm` — command-line front end for the support-measure framework.
 //!
+//! Each subcommand declares its positionals and flags in one table (`COMMANDS`).
+//! The parser checks the command line against that table, and `ffsm --help` and
+//! every usage error print the synopsis built from it.  An unknown flag, a value
+//! flag without a value, a flag given twice (other than `serve --graph`), a stray
+//! or missing positional and a missing required flag are usage errors (exit 1).
+//!
 //! Subcommands:
 //!
-//! * `stats <graph.lg>` — structural statistics of a labeled graph file;
-//! * `measure <graph.lg> --pattern <pattern.lg> [--measure NAME]` — compute one or all
-//!   support measures of a pattern in a data graph;
-//! * `match <graph.lg> --pattern <pattern.lg> [--backend B] [--naive] [--induced]
-//!   [--limit N]` — enumerate the pattern's embeddings.  `--backend` picks `naive`
-//!   or `candidate-space` (default); `--naive` stays as shorthand for
+//! * `stats` — structural statistics of a labeled graph file;
+//! * `measure` — compute one or all support measures of a pattern in a data graph;
+//! * `match` — enumerate the pattern's embeddings.  `--backend` picks `naive` or
+//!   `candidate-space` (default); `--naive` stays as shorthand for
 //!   `--backend naive`.  The candidate-space engine reports candidate-space sizes
 //!   and index build / search timings;
-//! * `overlap <graph.lg> --pattern <pattern.lg> [--kind NAME] [--naive]` — overlap
-//!   pairs and MIS per overlap notion, from the indexed overlap-graph builder or,
-//!   with `--naive`, from the all-pairs oracle;
-//! * `mine <graph.lg> --tau <t> [--measure NAME] [--max-edges N] [--threads K]
-//!   [--backend B] [--bounds] [--stream] [--trace] [--deadline-ms MS] [--shards K
-//!   [--max-resident M] [--partition vertex-range|label-aware]]` — run the
-//!   frequent-subgraph miner.  `--threads K` sets the session's level workers
-//!   (`0` = one per core).
+//! * `overlap` — overlap pairs and MIS per overlap notion, from the indexed
+//!   overlap-graph builder or, with `--naive`, from the all-pairs oracle;
+//! * `mine` — run the frequent-subgraph miner.  `--threads K` sets the session's
+//!   level workers (`0` = one per core).
 //!   The default output is a table plus the run's typed completion status (complete vs which
 //!   budget cap vs deadline); `--bounds` turns on bounds-first evaluation
 //!   ([`MiningSession::bounds_first`]): certified support intervals decide patterns
@@ -37,9 +37,8 @@
 //!   keeps at most M in memory.  `--max-resident` or `--partition` without
 //!   `--shards` is a usage error (exit 1); invalid geometry (e.g. `--shards 0`)
 //!   is a typed partition error (exit 2);
-//! * `topk <graph.lg> --k <K> [--measure NAME] [--max-edges N]` — top-k mining;
-//! * `update <graph.lg> --updates <u.gu> --tau <t> [--measure NAME] [--max-edges N]
-//!   [--threads K] [--cold] [--stream]` — apply batches of graph updates (the `.gu`
+//! * `topk` — top-k mining;
+//! * `update` — apply batches of graph updates (the `.gu`
 //!   format of `ffsm_graph::io`: `av`/`rv`/`ae`/`re`/`rl` lines, `t` separators) as
 //!   epochs of a versioned [`DynamicGraph`], re-mining each epoch **incrementally**
 //!   (delta re-mine over the dirty region; `--cold` forces full re-mines for
@@ -50,14 +49,12 @@
 //!   implies `--stream` and adds one `trace` frame per epoch, including the
 //!   update-apply (delta-repair) wall time.
 //!   A malformed or out-of-range updates file is a usage error (exit 1);
-//! * `serve --graph NAME=PATH [--graph ...] [--listen ADDR] [--workers N] [--queue N]
-//!   [--retain N] [--deadline-ms MS]` — run the multi-tenant mining server: the named
+//! * `serve` — run the multi-tenant mining server: the named
 //!   graphs become a registry of versioned [`DynamicGraph`](ffsm::dynamic::DynamicGraph)s,
 //!   clients speak the NDJSON-over-TCP protocol of `PROTOCOL.md` (ops `mine`, `update`,
 //!   `list`, `stat`, `metrics`, `shutdown`), and Ctrl-C or a `shutdown` request drains gracefully
 //!   (in-flight sessions are cancelled but still flush their terminal frames);
-//! * `generate <kind> <out.lg> [--seed S]` — write one of the synthetic datasets to a
-//!   `.lg` file (kinds: chemical, social, citation, protein, grid, star-overlap).
+//! * `generate` — write one of the synthetic datasets to a `.lg` file.
 //!
 //! Graphs use the plain-text `.lg` format of `ffsm_graph::io` (`v <id> <label>` /
 //! `e <u> <v>` lines).  All mining goes through [`MiningSession`]; every failure is a
@@ -75,8 +72,10 @@ use ffsm::matching::{GraphIndex, Matcher};
 use ffsm::miner::postprocess::maximal_patterns;
 use ffsm::miner::{Completion, MiningEvent, MiningResult, MiningSession};
 use ffsm::serve::{events, Server, ServerConfig};
+use std::fmt::Display;
 use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 /// A CLI failure: either a usage problem (exit code 1) or a framework error
@@ -102,25 +101,17 @@ impl From<ffsm::graph::GraphError> for CliError {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
-        eprintln!("{USAGE}");
+    let Some(name) = args.first() else {
+        eprintln!("{}", usage());
         return ExitCode::from(1);
     };
-    let result = match command.as_str() {
-        "stats" => cmd_stats(&args[1..]),
-        "measure" => cmd_measure(&args[1..]),
-        "match" => cmd_match(&args[1..]),
-        "overlap" => cmd_overlap(&args[1..]),
-        "mine" => cmd_mine(&args[1..]),
-        "topk" => cmd_topk(&args[1..]),
-        "update" => cmd_update(&args[1..]),
-        "serve" => cmd_serve(&args[1..]),
-        "generate" => cmd_generate(&args[1..]),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
+    let result = match COMMANDS.iter().find(|c| c.name == name) {
+        Some(command) => command.parse(&args[1..]).and_then(|parsed| (command.run)(&parsed)),
+        None if matches!(name.as_str(), "--help" | "-h" | "help") => {
+            println!("{}", usage());
             Ok(())
         }
-        other => Err(CliError::Usage(format!("unknown command {other:?}\n{USAGE}"))),
+        None => Err(CliError::Usage(format!("unknown command {name:?}\n{}", usage()))),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -135,74 +126,293 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage: ffsm <command> [options]
+/// One flag a subcommand accepts.
+struct Flag {
+    name: &'static str,
+    /// Placeholder for the flag's value in the synopsis; `None` for a switch.
+    value: Option<&'static str>,
+    /// The command cannot run without it.
+    required: bool,
+    /// May be given more than once; any other flag given twice is a usage error.
+    repeats: bool,
+}
 
-commands:
-  stats    <graph.lg>                              structural statistics of a graph
-  measure  <graph.lg> --pattern <p.lg> [--measure NAME]
-                                                   support measures of a pattern
-  match    <graph.lg> --pattern <p.lg> [--backend naive|candidate-space]
-           [--naive] [--induced] [--limit N]
-                                                   enumerate embeddings (--naive is
-                                                   short for --backend naive)
-  overlap  <graph.lg> --pattern <p.lg> [--kind NAME] [--naive]
-                                                   overlap census / MIS per notion
-                                                   (kinds: simple|harmful|structural|edge;
-                                                   --naive: all-pairs oracle)
-  mine     <graph.lg> --tau <t> [--measure NAME] [--max-edges N] [--threads K]
-           [--backend naive|candidate-space] [--bounds] [--stream] [--trace]
-           [--deadline-ms MS]
-           [--shards K [--max-resident M] [--partition vertex-range|label-aware]]
-                                                   frequent-subgraph mining
-                                                   (--threads 0: one worker per core;
-                                                   --bounds: bounds-first evaluation —
-                                                   certified support intervals decide
-                                                   patterns without full enumeration
-                                                   when possible; interrupted runs
-                                                   report undecided patterns with
-                                                   their intervals;
-                                                   --stream: NDJSON events, one per
-                                                   line, flushed as found;
-                                                   --trace: implies --stream, adds a
-                                                   trace frame of per-level counter
-                                                   and phase-time deltas;
-                                                   --deadline-ms: wall-clock bound —
-                                                   a deadline/cancel stop exits 2;
-                                                   --shards K: partitioned mining,
-                                                   identical results;
-                                                   --max-resident M: spill shards,
-                                                   keep at most M in memory;
-                                                   --partition: shard interiors,
-                                                   both need --shards)
-  topk     <graph.lg> --k <K> [--measure NAME] [--max-edges N]
-                                                   top-k pattern mining
-  update   <graph.lg> --updates <u.gu> --tau <t> [--measure NAME] [--max-edges N]
-           [--threads K] [--cold] [--stream] [--trace]
-                                                   apply update batches as epochs and
-                                                   re-mine each one incrementally
-                                                   (--cold: full re-mine per epoch;
-                                                   --stream: NDJSON epoch/pattern
-                                                   events; --trace: implies --stream,
-                                                   adds a trace frame per epoch incl.
-                                                   delta-repair time;
-                                                   bad update files exit 1)
-  serve    --graph NAME=PATH [--graph NAME=PATH ...] [--listen ADDR] [--workers N]
-           [--queue N] [--retain N] [--deadline-ms MS]
-                                                   serve the named graphs over the
-                                                   NDJSON-over-TCP protocol (see
-                                                   PROTOCOL.md); Ctrl-C or a shutdown
-                                                   request drains gracefully
-  generate <kind> <out.lg> [--seed S]              write a synthetic dataset
-                                                   (chemical|social|citation|protein|grid|star-overlap)
+const fn switch(name: &'static str) -> Flag {
+    Flag { name, value: None, required: false, repeats: false }
+}
 
-measure names: MNI, MNI-k, MI, MVC, MIS, MIES, nuMVC, nuMIES, MCP (default: all)";
+const fn optional(name: &'static str, value: &'static str) -> Flag {
+    Flag { name, value: Some(value), required: false, repeats: false }
+}
+
+const fn required(name: &'static str, value: &'static str) -> Flag {
+    Flag { name, value: Some(value), required: true, repeats: false }
+}
+
+const PATTERN: Flag = required("--pattern", "<p.lg>");
+const TAU: Flag = required("--tau", "<t>");
+const MEASURE: Flag = optional("--measure", "NAME");
+const MAX_EDGES: Flag = optional("--max-edges", "N");
+const THREADS: Flag = optional("--threads", "K");
+const BACKEND: Flag = optional("--backend", "naive|candidate-space");
+const DEADLINE_MS: Flag = optional("--deadline-ms", "MS");
+const NAIVE: Flag = switch("--naive");
+const STREAM: Flag = switch("--stream");
+const TRACE: Flag = switch("--trace");
+
+/// One subcommand: its positional arguments and the table of flags it accepts.
+/// The parser, the synopsis in its usage errors and `ffsm --help` all read this
+/// table, so they cannot disagree.
+struct Command {
+    name: &'static str,
+    positionals: &'static [&'static str],
+    flags: &'static [Flag],
+    /// What the command does, for `ffsm --help`.
+    about: &'static str,
+    run: fn(&Args) -> Result<(), CliError>,
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "stats",
+        positionals: &["<graph.lg>"],
+        flags: &[],
+        about: "structural statistics of a graph",
+        run: cmd_stats,
+    },
+    Command {
+        name: "measure",
+        positionals: &["<graph.lg>"],
+        flags: &[PATTERN, MEASURE],
+        about: "support measures of a pattern",
+        run: cmd_measure,
+    },
+    Command {
+        name: "match",
+        positionals: &["<graph.lg>"],
+        flags: &[PATTERN, BACKEND, NAIVE, switch("--induced"), optional("--limit", "N")],
+        about: "enumerate embeddings (--naive is short for --backend naive)",
+        run: cmd_match,
+    },
+    Command {
+        name: "overlap",
+        positionals: &["<graph.lg>"],
+        flags: &[PATTERN, optional("--kind", "NAME"), NAIVE],
+        about: "overlap census / MIS per notion (kinds: simple|harmful|structural|edge; \
+                --naive: all-pairs oracle)",
+        run: cmd_overlap,
+    },
+    Command {
+        name: "mine",
+        positionals: &["<graph.lg>"],
+        flags: &[
+            TAU,
+            MEASURE,
+            MAX_EDGES,
+            THREADS,
+            BACKEND,
+            switch("--bounds"),
+            STREAM,
+            TRACE,
+            DEADLINE_MS,
+            optional("--shards", "K"),
+            optional("--max-resident", "M"),
+            optional("--partition", "vertex-range|label-aware"),
+        ],
+        about: "frequent-subgraph mining (--threads 0: one worker per core; --bounds: \
+                bounds-first evaluation — certified support intervals decide patterns \
+                without full enumeration when possible, and interrupted runs report \
+                undecided patterns with their intervals; --stream: NDJSON events, one per \
+                line, flushed as found; --trace: implies --stream, adds a trace frame of \
+                per-level counter and phase-time deltas; --deadline-ms: wall-clock bound — \
+                a deadline/cancel stop exits 2; --shards K: partitioned mining, identical \
+                results; --max-resident M: spill shards, keep at most M in memory; \
+                --partition: shard interiors; --max-resident and --partition need --shards)",
+        run: cmd_mine,
+    },
+    Command {
+        name: "topk",
+        positionals: &["<graph.lg>"],
+        flags: &[required("--k", "<K>"), MEASURE, MAX_EDGES],
+        about: "top-k pattern mining",
+        run: cmd_topk,
+    },
+    Command {
+        name: "update",
+        positionals: &["<graph.lg>"],
+        flags: &[
+            required("--updates", "<u.gu>"),
+            TAU,
+            MEASURE,
+            MAX_EDGES,
+            THREADS,
+            switch("--cold"),
+            STREAM,
+            TRACE,
+        ],
+        about: "apply update batches as epochs and re-mine each one incrementally (--cold: \
+                full re-mine per epoch; --stream: NDJSON epoch/pattern events; --trace: \
+                implies --stream, adds a trace frame per epoch incl. delta-repair time; bad \
+                update files exit 1)",
+        run: cmd_update,
+    },
+    Command {
+        name: "serve",
+        positionals: &[],
+        flags: &[
+            Flag { name: "--graph", value: Some("NAME=PATH"), required: true, repeats: true },
+            optional("--listen", "ADDR"),
+            optional("--workers", "N"),
+            optional("--queue", "N"),
+            optional("--retain", "N"),
+            DEADLINE_MS,
+        ],
+        about: "serve the named graphs over the NDJSON-over-TCP protocol (see PROTOCOL.md); \
+                Ctrl-C or a shutdown request drains gracefully",
+        run: cmd_serve,
+    },
+    Command {
+        name: "generate",
+        positionals: &["<kind>", "<out.lg>"],
+        flags: &[optional("--seed", "S")],
+        about: "write a synthetic dataset (chemical|social|citation|protein|grid|star-overlap)",
+        run: cmd_generate,
+    },
+];
+
+/// Join `items` with spaces into lines of at most 80 columns: the first line
+/// starts with `first`, every further line with `indent`.
+fn wrap(first: &str, indent: &str, items: impl IntoIterator<Item = String>) -> String {
+    let mut text = first.to_string();
+    let mut line_start = 0;
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 && text[line_start..].chars().count() + 1 + item.chars().count() > 80 {
+            text.push('\n');
+            line_start = text.len();
+            text.push_str(indent);
+        } else if i > 0 {
+            text.push(' ');
+        }
+        text.push_str(&item);
+    }
+    text
+}
+
+impl Command {
+    /// `ffsm <name> <positionals> <flags>`, wrapped.
+    fn synopsis(&self, first: &str, indent: &str) -> String {
+        let flags = self.flags.iter().map(|f| {
+            let flag = match f.value {
+                Some(value) => format!("{} {value}", f.name),
+                None => f.name.to_string(),
+            };
+            match (f.required, f.repeats) {
+                (true, true) => format!("{flag} [{flag} ...]"),
+                (true, false) => flag,
+                (false, _) => format!("[{flag}]"),
+            }
+        });
+        let words = ["ffsm", self.name].into_iter().chain(self.positionals.iter().copied());
+        wrap(first, indent, words.map(String::from).chain(flags))
+    }
+
+    /// Check `tokens` against the command's table: every flag known, every value
+    /// flag followed by a value, no flag but a repeating one twice, exactly the
+    /// command's positionals and every required flag present.
+    fn parse<'a>(&self, tokens: &'a [String]) -> Result<Args<'a>, CliError> {
+        let usage = |message: String| {
+            CliError::Usage(format!("{message}\n{}", self.synopsis("usage: ", "         ")))
+        };
+        let mut args = Args { positionals: Vec::new(), flags: Vec::new() };
+        let mut tokens = tokens.iter();
+        while let Some(token) = tokens.next() {
+            if !token.starts_with("--") {
+                if args.positionals.len() == self.positionals.len() {
+                    return Err(usage(format!("unexpected argument {token:?}")));
+                }
+                args.positionals.push(token);
+                continue;
+            }
+            let Some(flag) = self.flags.iter().find(|f| f.name == token) else {
+                return Err(usage(format!("unknown flag {token} for ffsm {}", self.name)));
+            };
+            if !flag.repeats && args.has(flag.name) {
+                return Err(usage(format!("{token} given more than once")));
+            }
+            let value = match flag.value {
+                None => "",
+                Some(placeholder) => match tokens.next() {
+                    Some(value) if !value.starts_with("--") => value,
+                    _ => return Err(usage(format!("{token} needs a value {placeholder}"))),
+                },
+            };
+            args.flags.push((flag.name, value));
+        }
+        if let Some(missing) = self.positionals.get(args.positionals.len()) {
+            return Err(usage(format!("missing {missing}")));
+        }
+        if let Some(flag) = self.flags.iter().find(|f| f.required && !args.has(f.name)) {
+            return Err(usage(format!("{} is required", flag.name)));
+        }
+        Ok(args)
+    }
+}
+
+/// A subcommand's arguments, checked against its [`Command`] table.
+struct Args<'a> {
+    positionals: Vec<&'a str>,
+    /// `(flag, value)` in command-line order; a switch's value is empty.
+    flags: Vec<(&'static str, &'a str)>,
+}
+
+impl Args<'_> {
+    /// The value of `flag` (empty for a switch), if given.
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.flags.iter().find(|(name, _)| *name == flag).map(|&(_, value)| value)
+    }
+
+    /// Whether `flag` was given.
+    fn has(&self, flag: &str) -> bool {
+        self.value(flag).is_some()
+    }
+
+    /// The value of `flag` parsed as a `T`; a value that does not parse is a
+    /// usage error.
+    fn get<T: FromStr>(&self, flag: &str) -> Result<Option<T>, CliError>
+    where
+        T::Err: Display,
+    {
+        self.value(flag)
+            .map(|v| v.parse().map_err(|e| CliError::Usage(format!("invalid {flag} {v:?}: {e}"))))
+            .transpose()
+    }
+
+    /// [`Args::get`] for a flag the table marks required.
+    fn required<T: FromStr>(&self, flag: &str) -> Result<T, CliError>
+    where
+        T::Err: Display,
+    {
+        self.get(flag)?.ok_or_else(|| CliError::Usage(format!("{flag} is required")))
+    }
+}
+
+fn usage() -> String {
+    let mut text = String::from("usage: ffsm <command> [options]\n\ncommands:\n");
+    for command in COMMANDS {
+        text.push_str(&command.synopsis("  ", "      "));
+        text.push('\n');
+        let about = command.about.split_whitespace().map(String::from);
+        text.push_str(&wrap("          ", "          ", about));
+        text.push('\n');
+    }
+    text.push_str(
+        "\nmeasure names: MNI, MNI-k, MI, MVC, MIS, MIES, nuMVC, nuMIES, MCP (default: all)",
+    );
+    text
+}
 
 fn load_graph(path: &str) -> Result<LabeledGraph, CliError> {
     io::load_lg(Path::new(path)).map_err(CliError::from)
-}
-
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
 }
 
 /// Parse a `--measure` name through the canonical [`MeasureKind`] `FromStr` impl.
@@ -210,26 +420,19 @@ fn parse_measure(name: &str) -> Result<MeasureKind, CliError> {
     name.parse::<MeasureKind>().map_err(CliError::from)
 }
 
-fn cmd_stats(args: &[String]) -> Result<(), CliError> {
-    let Some(path) = args.first() else {
-        return Err(CliError::Usage("ffsm stats <graph.lg>".into()));
-    };
+fn cmd_stats(args: &Args) -> Result<(), CliError> {
+    let path = args.positionals[0];
     let graph = load_graph(path)?;
     println!("graph: {path}");
     println!("{}", GraphStatistics::compute(&graph));
     Ok(())
 }
 
-fn cmd_measure(args: &[String]) -> Result<(), CliError> {
-    let Some(graph_path) = args.first() else {
-        return Err(CliError::Usage(
-            "ffsm measure <graph.lg> --pattern <pattern.lg> [--measure NAME]".into(),
-        ));
-    };
-    let pattern_path = flag_value(args, "--pattern")
-        .ok_or_else(|| CliError::Usage("--pattern <pattern.lg> is required".to_string()))?;
+fn cmd_measure(args: &Args) -> Result<(), CliError> {
+    let graph_path = args.positionals[0];
+    let pattern_path: String = args.required("--pattern")?;
     let graph = load_graph(graph_path)?;
-    let pattern: Pattern = load_graph(pattern_path)?;
+    let pattern: Pattern = load_graph(&pattern_path)?;
     let config = MeasureConfig::default();
     let profile = MeasureProfile::compute_labeled(
         format!("{pattern_path} in {graph_path}"),
@@ -237,7 +440,7 @@ fn cmd_measure(args: &[String]) -> Result<(), CliError> {
         &graph,
         &config,
     );
-    match flag_value(args, "--measure") {
+    match args.value("--measure") {
         Some(name) => {
             let kind = parse_measure(name)?;
             let value = profile.value_of(kind).ok_or_else(|| {
@@ -253,22 +456,12 @@ fn cmd_measure(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_match(args: &[String]) -> Result<(), CliError> {
-    let Some(graph_path) = args.first() else {
-        return Err(CliError::Usage(
-            "ffsm match <graph.lg> --pattern <pattern.lg> [--backend naive|candidate-space] \
-             [--naive] [--induced] [--limit N]"
-                .into(),
-        ));
-    };
-    let pattern_path = flag_value(args, "--pattern")
-        .ok_or_else(|| CliError::Usage("--pattern <pattern.lg> is required".to_string()))?;
-    let graph = load_graph(graph_path)?;
-    let pattern: Pattern = load_graph(pattern_path)?;
-    let naive_flag = args.iter().any(|a| a == "--naive");
-    let backend = match flag_value(args, "--backend") {
-        Some(v) => {
-            let b: EnumeratorBackend = v.parse().map_err(CliError::Usage)?;
+fn cmd_match(args: &Args) -> Result<(), CliError> {
+    let graph_path = args.positionals[0];
+    let pattern_path: String = args.required("--pattern")?;
+    let naive_flag = args.has("--naive");
+    let backend = match args.get::<EnumeratorBackend>("--backend")? {
+        Some(b) => {
             if naive_flag && b != EnumeratorBackend::Naive {
                 return Err(CliError::Usage(format!(
                     "--naive conflicts with --backend {b} — drop one of the two"
@@ -279,14 +472,11 @@ fn cmd_match(args: &[String]) -> Result<(), CliError> {
         None if naive_flag => EnumeratorBackend::Naive,
         None => EnumeratorBackend::CandidateSpace,
     };
-    let induced = args.iter().any(|a| a == "--induced");
-    let max_embeddings = match flag_value(args, "--limit") {
-        Some(v) => {
-            v.parse::<usize>().map_err(|_| CliError::Usage(format!("invalid --limit {v:?}")))?
-        }
-        None => IsoConfig::default().max_embeddings,
-    };
+    let induced = args.has("--induced");
+    let max_embeddings = args.get("--limit")?.unwrap_or(IsoConfig::default().max_embeddings);
     let config = IsoConfig { max_embeddings, induced, ..IsoConfig::default() };
+    let graph = load_graph(graph_path)?;
+    let pattern: Pattern = load_graph(&pattern_path)?;
     println!(
         "matching {pattern_path} ({} vertices, {} edges) in {graph_path} ({} vertices, {} edges)",
         pattern.num_vertices(),
@@ -335,23 +525,18 @@ fn ffsm_bench_free_timed<T>(f: impl FnOnce() -> T) -> (T, std::time::Duration) {
     (out, start.elapsed())
 }
 
-fn cmd_overlap(args: &[String]) -> Result<(), CliError> {
-    let Some(graph_path) = args.first() else {
-        return Err(CliError::Usage(
-            "ffsm overlap <graph.lg> --pattern <pattern.lg> [--kind NAME] [--naive]".into(),
-        ));
-    };
-    let pattern_path = flag_value(args, "--pattern")
-        .ok_or_else(|| CliError::Usage("--pattern <pattern.lg> is required".to_string()))?;
+fn cmd_overlap(args: &Args) -> Result<(), CliError> {
+    let graph_path = args.positionals[0];
+    let pattern_path: String = args.required("--pattern")?;
     let graph = load_graph(graph_path)?;
-    let pattern: Pattern = load_graph(pattern_path)?;
-    let naive = args.iter().any(|a| a == "--naive");
+    let pattern: Pattern = load_graph(&pattern_path)?;
+    let naive = args.has("--naive");
     let occurrences =
         OccurrenceSet::enumerate(&pattern, &graph, MeasureConfig::default().iso_config);
     let analysis = OverlapAnalysis::new(&occurrences);
     let budget = ffsm::hypergraph::SearchBudget::default();
     println!("occurrences: {}", occurrences.num_occurrences());
-    let kinds: Vec<OverlapKind> = match flag_value(args, "--kind") {
+    let kinds: Vec<OverlapKind> = match args.value("--kind") {
         // `--kind` names one notion through the canonical `OverlapKind` FromStr impl.
         Some(name) => vec![name.parse::<OverlapKind>()?],
         None => OverlapKind::all().to_vec(),
@@ -369,18 +554,12 @@ fn cmd_overlap(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn mining_params(args: &[String]) -> Result<(MeasureKind, usize), CliError> {
-    let measure = match flag_value(args, "--measure") {
+fn mining_params(args: &Args) -> Result<(MeasureKind, usize), CliError> {
+    let measure = match args.value("--measure") {
         Some(name) => parse_measure(name)?,
         None => MeasureKind::Mni,
     };
-    let max_edges = match flag_value(args, "--max-edges") {
-        Some(v) => {
-            v.parse::<usize>().map_err(|_| CliError::Usage(format!("invalid --max-edges {v:?}")))?
-        }
-        None => 3,
-    };
-    Ok((measure, max_edges))
+    Ok((measure, args.get("--max-edges")?.unwrap_or(3)))
 }
 
 fn print_frequent(patterns: &[ffsm::miner::FrequentPattern]) {
@@ -471,49 +650,23 @@ fn stream_ndjson(session: MiningSession, trace: bool) -> Result<Completion, CliE
     Ok(completion)
 }
 
-fn cmd_mine(args: &[String]) -> Result<(), CliError> {
-    let Some(graph_path) = args.first() else {
-        return Err(CliError::Usage(
-            "ffsm mine <graph.lg> --tau <t> [--measure NAME] [--max-edges N] [--threads K] \
-             [--backend naive|candidate-space] [--bounds] [--stream] \
-             [--trace] [--deadline-ms MS] \
-             [--shards K [--max-resident M] [--partition vertex-range|label-aware]]"
-                .into(),
-        ));
-    };
-    let tau: f64 = flag_value(args, "--tau")
-        .ok_or_else(|| CliError::Usage("--tau <threshold> is required".to_string()))?
-        .parse()
-        .map_err(|_| CliError::Usage("invalid --tau value".to_string()))?;
+fn cmd_mine(args: &Args) -> Result<(), CliError> {
+    let graph_path = args.positionals[0];
+    let tau: f64 = args.required("--tau")?;
     let (measure, max_edges) = mining_params(args)?;
-    let parse_count = |flag: &str| -> Result<Option<usize>, CliError> {
-        flag_value(args, flag)
-            .map(|v| {
-                v.parse::<usize>().map_err(|_| CliError::Usage(format!("invalid {flag} {v:?}")))
-            })
-            .transpose()
-    };
-    let threads = parse_count("--threads")?.unwrap_or(1);
-    let deadline = match flag_value(args, "--deadline-ms") {
-        Some(v) => Some(Duration::from_millis(v.parse::<u64>().map_err(|_| {
-            CliError::Usage(format!("invalid --deadline-ms {v:?} (expected milliseconds)"))
-        })?)),
-        None => None,
-    };
-    let backend = match flag_value(args, "--backend") {
-        Some(v) => v.parse::<EnumeratorBackend>().map_err(CliError::Usage)?,
-        None => EnumeratorBackend::default(),
-    };
-    let trace = args.iter().any(|a| a == "--trace");
-    let stream = trace || args.iter().any(|a| a == "--stream");
-    let bounds = args.iter().any(|a| a == "--bounds");
-    let shards = parse_count("--shards")?;
+    let threads = args.get("--threads")?.unwrap_or(1);
+    let deadline = args.get("--deadline-ms")?.map(Duration::from_millis);
+    let backend = args.get::<EnumeratorBackend>("--backend")?.unwrap_or_default();
+    let trace = args.has("--trace");
+    let stream = trace || args.has("--stream");
+    let bounds = args.has("--bounds");
+    let shards = args.get("--shards")?;
     for flag in ["--max-resident", "--partition"] {
-        if shards.is_none() && flag_value(args, flag).is_some() {
+        if shards.is_none() && args.has(flag) {
             return Err(CliError::Usage(format!("{flag} requires --shards")));
         }
     }
-    let max_resident = parse_count("--max-resident")?;
+    let max_resident: Option<usize> = args.get("--max-resident")?;
 
     // Declared first so it is dropped last, after every shard handle.
     let mut spill_dir: Option<SpillDir> = None;
@@ -525,7 +678,7 @@ fn cmd_mine(args: &[String]) -> Result<(), CliError> {
         None => MiningSession::over(&ffsm::miner::PreparedGraph::new(graph)),
         Some(num_shards) => {
             use ffsm::shard::{PartitionSpec, PartitionStrategy, PartitionedGraph};
-            let strategy = match flag_value(args, "--partition") {
+            let strategy = match args.value("--partition") {
                 Some(name) => name.parse::<PartitionStrategy>()?,
                 None => PartitionStrategy::VertexRange,
             };
@@ -613,18 +766,10 @@ impl Drop for SpillDir {
     }
 }
 
-fn cmd_topk(args: &[String]) -> Result<(), CliError> {
-    let Some(graph_path) = args.first() else {
-        return Err(CliError::Usage(
-            "ffsm topk <graph.lg> --k <K> [--measure NAME] [--max-edges N]".into(),
-        ));
-    };
-    let k: usize = flag_value(args, "--k")
-        .ok_or_else(|| CliError::Usage("--k <count> is required".to_string()))?
-        .parse()
-        .map_err(|_| CliError::Usage("invalid --k value".to_string()))?;
+fn cmd_topk(args: &Args) -> Result<(), CliError> {
+    let k: usize = args.required("--k")?;
     let (measure, max_edges) = mining_params(args)?;
-    let prepared = ffsm::miner::PreparedGraph::new(load_graph(graph_path)?);
+    let prepared = ffsm::miner::PreparedGraph::new(load_graph(args.positionals[0])?);
     let result = MiningSession::over(&prepared)
         .measure(measure)
         .min_support(1.0)
@@ -693,33 +838,18 @@ fn report_epoch(
     emit(events::epoch_frame(epoch, result))
 }
 
-fn cmd_update(args: &[String]) -> Result<(), CliError> {
-    let Some(graph_path) = args.first() else {
-        return Err(CliError::Usage(
-            "ffsm update <graph.lg> --updates <u.gu> --tau <t> [--measure NAME] [--max-edges N] \
-             [--threads K] [--cold] [--stream] [--trace]"
-                .into(),
-        ));
-    };
-    let updates_path = flag_value(args, "--updates")
-        .ok_or_else(|| CliError::Usage("--updates <u.gu> is required".to_string()))?;
-    let tau: f64 = flag_value(args, "--tau")
-        .ok_or_else(|| CliError::Usage("--tau <threshold> is required".to_string()))?
-        .parse()
-        .map_err(|_| CliError::Usage("invalid --tau value".to_string()))?;
+fn cmd_update(args: &Args) -> Result<(), CliError> {
+    let graph_path = args.positionals[0];
+    let updates_path: String = args.required("--updates")?;
+    let tau: f64 = args.required("--tau")?;
     let (measure, max_edges) = mining_params(args)?;
-    let threads = match flag_value(args, "--threads") {
-        Some(v) => {
-            v.parse::<usize>().map_err(|_| CliError::Usage(format!("invalid --threads {v:?}")))?
-        }
-        None => 1,
-    };
-    let cold = args.iter().any(|a| a == "--cold");
-    let trace = args.iter().any(|a| a == "--trace");
-    let stream = trace || args.iter().any(|a| a == "--stream");
+    let threads = args.get("--threads")?.unwrap_or(1);
+    let cold = args.has("--cold");
+    let trace = args.has("--trace");
+    let stream = trace || args.has("--stream");
     // Malformed update files are usage errors (exit 1), keeping exit 2 for
     // mining-side failures — the typed parse error still names the line.
-    let batches = io::load_updates(Path::new(updates_path))
+    let batches = io::load_updates(Path::new(&updates_path))
         .map_err(|e| CliError::Usage(format!("bad updates file {updates_path}: {e}")))?;
 
     let mut store = ffsm::dynamic::DynamicGraph::new(load_graph(graph_path)?);
@@ -800,42 +930,23 @@ mod sigint {
     }
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), CliError> {
-    const SERVE_USAGE: &str = "ffsm serve --graph NAME=PATH [--graph NAME=PATH ...] \
-         [--listen ADDR] [--workers N] [--queue N] [--retain N] [--deadline-ms MS]";
+fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let mut graphs: Vec<(&str, &str)> = Vec::new();
-    for (i, arg) in args.iter().enumerate() {
-        if arg == "--graph" {
-            let spec = args.get(i + 1).ok_or_else(|| {
-                CliError::Usage(format!("--graph needs NAME=PATH\n{SERVE_USAGE}"))
-            })?;
+    for (flag, spec) in &args.flags {
+        if *flag == "--graph" {
             let (name, path) = spec.split_once('=').ok_or_else(|| {
                 CliError::Usage(format!("--graph expects NAME=PATH, got {spec:?}"))
             })?;
             graphs.push((name, path));
         }
     }
-    if graphs.is_empty() {
-        return Err(CliError::Usage(format!("at least one --graph is required\n{SERVE_USAGE}")));
-    }
-    let listen = flag_value(args, "--listen").unwrap_or("127.0.0.1:7878");
-    let parse_count = |flag: &str, default: usize| -> Result<usize, CliError> {
-        match flag_value(args, flag) {
-            Some(v) => v.parse().map_err(|_| CliError::Usage(format!("invalid {flag} {v:?}"))),
-            None => Ok(default),
-        }
-    };
+    let listen = args.value("--listen").unwrap_or("127.0.0.1:7878");
     let defaults = ServerConfig::default();
     let config = ServerConfig {
-        workers: parse_count("--workers", defaults.workers)?,
-        queue_capacity: parse_count("--queue", defaults.queue_capacity)?,
-        retain_epochs: parse_count("--retain", defaults.retain_epochs)?,
-        default_deadline: match flag_value(args, "--deadline-ms") {
-            Some(v) => Some(Duration::from_millis(v.parse::<u64>().map_err(|_| {
-                CliError::Usage(format!("invalid --deadline-ms {v:?} (expected milliseconds)"))
-            })?)),
-            None => None,
-        },
+        workers: args.get("--workers")?.unwrap_or(defaults.workers),
+        queue_capacity: args.get("--queue")?.unwrap_or(defaults.queue_capacity),
+        retain_epochs: args.get("--retain")?.unwrap_or(defaults.retain_epochs),
+        default_deadline: args.get("--deadline-ms")?.map(Duration::from_millis),
         ..defaults
     };
     let server = Server::bind(listen, config)?;
@@ -868,15 +979,10 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_generate(args: &[String]) -> Result<(), CliError> {
-    let (Some(kind), Some(out)) = (args.first(), args.get(1)) else {
-        return Err(CliError::Usage("ffsm generate <kind> <out.lg> [--seed S]".into()));
-    };
-    let seed: u64 = match flag_value(args, "--seed") {
-        Some(v) => v.parse().map_err(|_| CliError::Usage("invalid --seed value".to_string()))?,
-        None => 42,
-    };
-    let graph = match kind.as_str() {
+fn cmd_generate(args: &Args) -> Result<(), CliError> {
+    let (kind, out) = (args.positionals[0], args.positionals[1]);
+    let seed: u64 = args.get("--seed")?.unwrap_or(42);
+    let graph = match kind {
         "chemical" => datasets::chemical_like(80, seed).graph,
         "social" => datasets::social_like(400, seed).graph,
         "citation" => datasets::citation_like(400, seed).graph,
