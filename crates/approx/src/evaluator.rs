@@ -15,10 +15,10 @@
 //!   `σMIS = σMIES ≤ νMIES = νMVC ≤ σMVC ≤ σMI ≤ σMNI` (Section 4.4) is
 //!   deployed: the linear-time MNI caps the expensive measures from above, a
 //!   greedy independent edge set (a feasible packing) bounds them from below,
-//!   and the fractional covering LP — presolved, then solved together with its
-//!   dual — tightens whichever side the measure needs, with weak duality
-//!   guaranteeing soundness even when the simplex stops short of a certified
-//!   optimum.
+//!   and the fractional covering LP — presolved, then solved once for a checked
+//!   packing and a checked cover — tightens whichever side the measure needs,
+//!   with weak duality guaranteeing soundness even when the simplex stops short
+//!   of a certified optimum.
 //!
 //! Decisions are made against the *true* support, so a bounds-first session
 //! accepts exactly the patterns exact mining accepts.  (When an exact search
@@ -33,7 +33,7 @@ use ffsm_core::{HypergraphBasis, MvcAlgorithm};
 use ffsm_graph::{Label, Pattern};
 use ffsm_hypergraph::matching::greedy_independent_edge_set;
 use ffsm_hypergraph::Hypergraph;
-use ffsm_lp::{presolve_covering, solve_with_dual};
+use ffsm_lp::{presolve_covering, Solution};
 
 /// Slack used when rounding fractional LP bounds to the integral measures, and
 /// when stamping LP optimality certificates.
@@ -50,15 +50,6 @@ pub struct BoundsOutcome {
     /// frequent, `Some(false)` = certainly infrequent, `None` = undecided (the
     /// caller must evaluate exactly).
     pub decision: Option<bool>,
-}
-
-/// Sound envelope around the fractional covering optimum νMVC (= νMIES):
-/// `lower ≤ ν ≤ upper` by weak duality, regardless of whether the simplex
-/// reached a certified optimum.
-struct LpEnvelope {
-    lower: f64,
-    upper: f64,
-    certified: bool,
 }
 
 /// Computes certified support intervals for one measure kind at one threshold.
@@ -179,7 +170,7 @@ impl BoundsEvaluator {
     ///
     /// `pre` is the stage-1 outcome; its upper bound carries over.  Arguments
     /// are tried cheapest first — MNI cap, greedy packing, then the covering
-    /// LP with its dual — and the stage returns as soon as one side clears the
+    /// LP — and the stage returns as soon as one side clears the
     /// threshold.
     pub fn post_bounds(&self, occ: &OccurrenceSet, pre: &BoundsOutcome) -> BoundsOutcome {
         let mut lo = pre.interval.lo.max(0.0);
@@ -201,25 +192,25 @@ impl BoundsEvaluator {
         }
         match self.kind {
             // The integral MVC (and MI above it) sit above the fractional
-            // covering optimum: MVC ≥ ⌈ν⌉, and any dual feasible value
+            // covering optimum: MVC ≥ ⌈ν⌉, and any feasible packing
             // under-estimates ν.
             MeasureKind::Mvc | MeasureKind::Mi => {
                 if let Some(env) = covering_envelope(&h) {
-                    lo = lo.max((env.lower - LP_TOL).ceil());
+                    lo = lo.max((env.objective - LP_TOL).ceil());
                     if lo >= self.threshold {
-                        let certificate = Certificate::LpRelaxation { certified: env.certified };
+                        let certificate = Certificate::LpRelaxation { certified: env.optimal };
                         return self.outcome(SupportInterval::new(lo, hi.max(lo)), certificate);
                     }
                 }
             }
-            // The integral MIS = MIES sit below it: MIES ≤ ⌊ν⌋, and any primal
-            // feasible cover over-estimates ν.
+            // The integral MIS = MIES sit below it: MIES ≤ ⌊ν⌋, and any feasible
+            // cover over-estimates ν.
             MeasureKind::Mis | MeasureKind::Mies => {
                 if let Some(env) = covering_envelope(&h) {
                     let cap = (env.upper + LP_TOL).floor();
                     if cap < hi {
                         hi = cap;
-                        hi_certificate = Certificate::LpRelaxation { certified: env.certified };
+                        hi_certificate = Certificate::LpRelaxation { certified: env.optimal };
                     }
                     if hi < self.threshold {
                         return self.outcome(SupportInterval::new(lo.min(hi), hi), hi_certificate);
@@ -244,26 +235,14 @@ impl BoundsEvaluator {
     }
 }
 
-/// Sound lower/upper envelope around the fractional covering optimum of `h`,
-/// via presolve + one dual-certified simplex solve.  `None` when the solver
-/// fails (iteration limit on a pathological instance): the caller simply keeps
-/// its current bounds.
-fn covering_envelope(h: &Hypergraph) -> Option<LpEnvelope> {
-    if h.num_edges() == 0 {
-        return Some(LpEnvelope { lower: 0.0, upper: 0.0, certified: true });
-    }
+/// Sound envelope around the fractional covering optimum νMVC (= νMIES) of
+/// `h`, via presolve and one simplex run: `objective ≤ ν ≤ upper` by weak
+/// duality, from a packing and a cover both checked feasible, whether or not
+/// the simplex reached a certified optimum (`optimal`).  `None` when the
+/// solver fails: the caller simply keeps its current bounds.
+fn covering_envelope(h: &Hypergraph) -> Option<Solution> {
     let sets: Vec<Vec<usize>> = h.edges().map(|(_, e)| e.to_vec()).collect();
-    let pre = presolve_covering(h.num_vertices(), &sets);
-    if pre.rows.is_empty() {
-        // Presolve decided every set: the optimum is the forced offset itself.
-        return Some(LpEnvelope { lower: pre.offset, upper: pre.offset, certified: true });
-    }
-    let report = solve_with_dual(&pre.reduced_problem()).ok()?;
-    Some(LpEnvelope {
-        lower: pre.offset + report.dual.objective,
-        upper: pre.offset + report.primal.objective,
-        certified: report.certifies_optimality(LP_TOL),
-    })
+    presolve_covering(h.num_vertices(), &sets).solve(h.num_vertices()).ok()
 }
 
 #[cfg(test)]
@@ -376,8 +355,8 @@ mod tests {
         h.add_edge(vec![1, 2]).unwrap();
         h.add_edge(vec![0, 2]).unwrap();
         let env = covering_envelope(&h).expect("solvable");
-        assert!(env.lower <= 1.5 + LP_TOL && 1.5 <= env.upper + LP_TOL);
-        assert!(env.certified);
-        assert!(env.upper - env.lower <= LP_TOL);
+        assert!(env.objective <= 1.5 + LP_TOL && 1.5 <= env.upper + LP_TOL);
+        assert!(env.optimal);
+        assert!(env.upper - env.objective <= LP_TOL);
     }
 }

@@ -79,11 +79,12 @@ pub enum Certificate {
     /// chain.
     GreedyPacking,
     /// The fractional covering/packing LP relaxation (νMVC = νMIES), bounded by
-    /// weak duality from the dual feasible solution.  `certified` is `true`
-    /// when [`ffsm_lp::DualityReport::certifies_optimality`] stamped the solve:
-    /// zero duality gap and complementary slackness within tolerance.
+    /// weak duality: one solve yields a packing and a cover, each checked
+    /// feasible by evaluating it, whose values bracket the optimum.  `certified`
+    /// is `true` when the checked `upper − lower` gap is within tolerance
+    /// ([`ffsm_lp::Solution::optimal`]).
     LpRelaxation {
-        /// Strong-duality certificate for the LP optimum itself.
+        /// The checked bounds meet: the LP optimum itself is certified.
         certified: bool,
     },
     /// No shortcut applied: the support was computed exactly and the interval

@@ -249,8 +249,9 @@ pub struct MeasureOutcome {
 pub struct Evaluation {
     /// The measure value (integral measures reported as `f64`).
     pub value: f64,
-    /// `false` when a budgeted exact search ran out of [`SearchBudget`], or the MVC
-    /// algorithm is a greedy approximation: `value` is then only a bound.
+    /// `false` when a budgeted exact search ran out of [`SearchBudget`], the MVC
+    /// algorithm is a greedy approximation, or the LP solve behind νMVC/νMIES was
+    /// left uncertified: `value` is then only a bound.
     pub optimal: bool,
 }
 
@@ -278,7 +279,8 @@ pub struct MeasureConfig {
 /// Calculator for every support measure over one pattern/data-graph pair.
 ///
 /// All derived structure is built lazily and shared: the occurrence / instance
-/// hypergraphs (consumed by MVC, MIES and the LP relaxations) and, through an
+/// hypergraphs (consumed by MVC, MIES and the LP relaxations), the one LP solve
+/// that yields both νMVC and νMIES, and, through an
 /// [`OverlapCache`] keyed by basis, the hypergraph's overlap graph (consumed by MIS
 /// and MCP).  Evaluating MIS then MVC then MCP on the same pattern therefore
 /// performs exactly one overlap-graph build — [`SupportMeasures::overlap_builds`]
@@ -294,6 +296,7 @@ pub struct SupportMeasures<'a> {
     config: Cow<'a, MeasureConfig>,
     occurrence_hg: OnceCell<Hypergraph>,
     instance_hg: OnceCell<Hypergraph>,
+    relaxations: OnceCell<relaxed::Relaxations>,
     overlap_cache: OverlapCache,
 }
 
@@ -314,6 +317,7 @@ impl<'a> SupportMeasures<'a> {
             config,
             occurrence_hg: OnceCell::new(),
             instance_hg: OnceCell::new(),
+            relaxations: OnceCell::new(),
             overlap_cache: OverlapCache::with_slots(2),
         }
     }
@@ -430,17 +434,24 @@ impl<'a> SupportMeasures<'a> {
 
     /// LP-relaxed vertex cover νMVC (Definition 4.3.1).
     pub fn relaxed_mvc(&self) -> f64 {
-        relaxed::relaxed_mvc(self.hypergraph(self.config.basis))
+        self.relaxations().mvc.value
     }
 
     /// LP-relaxed independent edge set νMIES (Definition 4.3.2).
     pub fn relaxed_mies(&self) -> f64 {
-        relaxed::relaxed_mies(self.hypergraph(self.config.basis))
+        self.relaxations().mies.value
+    }
+
+    /// νMVC and νMIES with their optimality flags, from one LP solve shared by
+    /// both (cached, like the hypergraph it reads).
+    pub fn relaxations(&self) -> relaxed::Relaxations {
+        *self.relaxations.get_or_init(|| relaxed::relaxations(self.hypergraph(self.config.basis)))
     }
 
     /// The measure `kind` with its optimality flag — the one dispatch from a
     /// [`MeasureKind`] to its solver.  Only the budgeted searches (MVC, MIS, MIES,
-    /// MCP) can report `optimal == false`.
+    /// MCP) and an LP solve left uncertified (νMVC, νMIES) can report
+    /// `optimal == false`.
     pub fn evaluate(&self, kind: MeasureKind) -> Evaluation {
         let proven = |value: f64| Evaluation { value, optimal: true };
         match kind {
@@ -452,8 +463,8 @@ impl<'a> SupportMeasures<'a> {
             MeasureKind::Mvc => self.mvc().into(),
             MeasureKind::Mis => self.mis().into(),
             MeasureKind::Mies => self.mies().into(),
-            MeasureKind::RelaxedMvc => proven(self.relaxed_mvc()),
-            MeasureKind::RelaxedMies => proven(self.relaxed_mies()),
+            MeasureKind::RelaxedMvc => self.relaxations().mvc,
+            MeasureKind::RelaxedMies => self.relaxations().mies,
             MeasureKind::Mcp => self.mcp().into(),
         }
     }

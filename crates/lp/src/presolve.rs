@@ -4,8 +4,8 @@
 //! duplicate rows (automorphic occurrences), dominated rows (an occurrence whose image
 //! set contains another occurrence's image set contributes a weaker constraint), and
 //! columns that appear in no row.  Removing these before the simplex call does not
-//! change the optimum but can shrink the tableau dramatically — experiment E13
-//! measures the effect on νMVC computation time.
+//! change the optimum but can shrink the tableau dramatically — experiment E12
+//! reports the surviving row count next to νMVC with and without presolve.
 //!
 //! The rules here are specialised to the *unit-cost covering* structure
 //! (`min Σ x_v, Σ_{v∈e} x_v ≥ 1, x ≥ 0`), which is the only LP family the support
@@ -16,8 +16,12 @@
 //! 3. **dominated row** — a row that is a superset of another row is implied by it;
 //! 4. **singleton row** — a row `{v}` forces `x_v = 1`; the contribution is added to
 //!    a constant offset and every row containing `v` is dropped.
+//!
+//! Rows are only ever dropped, never shrunk, so every surviving row is one of the
+//! original sets.  That is what lets [`PresolvedCovering::solve`] lift the packing
+//! as well as the cover back to the original instance.
 
-use crate::{covering_lp, LpError, Problem, Solution};
+use crate::{covering_lp, LpError, Solution};
 
 /// Outcome of presolving a covering instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,23 +34,12 @@ pub struct PresolvedCovering {
     pub fixed: Vec<usize>,
     /// Constant added to the reduced LP's objective to recover the original optimum.
     pub offset: f64,
-    /// Rule-by-rule counts.
-    pub stats: PresolveStats,
-}
-
-/// How many reductions each rule performed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PresolveStats {
-    /// Duplicate rows dropped.
-    pub duplicate_rows: usize,
-    /// Dominated (superset) rows dropped.
-    pub dominated_rows: usize,
-    /// Variables fixed to one by singleton rows.
-    pub fixed_variables: usize,
-    /// Rows dropped because a fixed variable already covers them.
-    pub covered_rows: usize,
-    /// Columns dropped because no surviving row uses them.
-    pub empty_columns: usize,
+    /// For each surviving row, the index of the original set it is.
+    row_sets: Vec<usize>,
+    /// For each fixed element, the index of an original singleton set `{v}`.
+    fixed_sets: Vec<usize>,
+    /// Number of original sets.
+    num_sets: usize,
 }
 
 /// `true` if sorted `a` ⊆ sorted `b`.
@@ -68,66 +61,54 @@ fn is_subset(a: &[usize], b: &[usize]) -> bool {
 }
 
 /// Presolve the covering instance `min Σ x_v : Σ_{v∈set} x_v ≥ 1` over elements
-/// `0..num_elements`.
+/// `0..num_elements`.  Elements out of range are ignored, and so are sets left
+/// empty by that.
 pub fn presolve_covering(num_elements: usize, sets: &[Vec<usize>]) -> PresolvedCovering {
-    let mut stats = PresolveStats::default();
-    let mut rows: Vec<Vec<usize>> = sets
+    // (original set index, sorted distinct in-range elements)
+    let mut rows: Vec<(usize, Vec<usize>)> = sets
         .iter()
-        .map(|s| {
+        .enumerate()
+        .map(|(i, s)| {
             let mut r: Vec<usize> = s.iter().copied().filter(|&v| v < num_elements).collect();
             r.sort_unstable();
             r.dedup();
-            r
+            (i, r)
         })
-        .filter(|r| !r.is_empty())
+        .filter(|(_, r)| !r.is_empty())
         .collect();
-    let mut fixed: Vec<usize> = Vec::new();
+    // (fixed element, original singleton set)
+    let mut fixed: Vec<(usize, usize)> = Vec::new();
 
     loop {
         let mut changed = false;
 
         // Rule 4: singleton rows.
-        let singletons: std::collections::BTreeSet<usize> =
-            rows.iter().filter(|r| r.len() == 1).map(|r| r[0]).collect();
+        let singletons: std::collections::BTreeMap<usize, usize> =
+            rows.iter().filter(|(_, r)| r.len() == 1).map(|&(i, ref r)| (r[0], i)).collect();
         if !singletons.is_empty() {
-            for &v in &singletons {
-                if !fixed.contains(&v) {
-                    fixed.push(v);
-                    stats.fixed_variables += 1;
-                }
-            }
-            let before = rows.len();
-            rows.retain(|r| !r.iter().any(|v| singletons.contains(v)));
-            stats.covered_rows += before - rows.len();
+            fixed.extend(singletons.iter().map(|(&v, &i)| (v, i)));
+            rows.retain(|(_, r)| !r.iter().any(|v| singletons.contains_key(v)));
             changed = true;
         }
 
         // Rules 2 and 3: duplicates and dominated rows.
         let mut order: Vec<usize> = (0..rows.len()).collect();
-        order.sort_by_key(|&i| rows[i].len());
+        order.sort_by_key(|&i| rows[i].1.len());
         let mut keep = vec![true; rows.len()];
         for (pos, &i) in order.iter().enumerate() {
             if !keep[i] {
                 continue;
             }
             for &j in &order[pos + 1..] {
-                if keep[j] && is_subset(&rows[i], &rows[j]) {
+                if keep[j] && is_subset(&rows[i].1, &rows[j].1) {
                     keep[j] = false;
-                    if rows[i].len() == rows[j].len() {
-                        stats.duplicate_rows += 1;
-                    } else {
-                        stats.dominated_rows += 1;
-                    }
                     changed = true;
                 }
             }
         }
         if keep.iter().any(|&k| !k) {
-            rows = rows
-                .into_iter()
-                .enumerate()
-                .filter_map(|(i, r)| if keep[i] { Some(r) } else { None })
-                .collect();
+            let mut keep = keep.into_iter();
+            rows.retain(|_| keep.next() == Some(true));
         }
 
         if !changed {
@@ -138,48 +119,58 @@ pub fn presolve_covering(num_elements: usize, sets: &[Vec<usize>]) -> PresolvedC
     // Rule 1: densify the surviving columns.
     let mut column_map: std::collections::BTreeMap<usize, usize> =
         std::collections::BTreeMap::new();
-    for r in &rows {
+    for (_, r) in &rows {
         for &v in r {
             let next = column_map.len();
             column_map.entry(v).or_insert(next);
         }
     }
-    stats.empty_columns = num_elements.saturating_sub(column_map.len() + fixed.len());
-    let columns: Vec<usize> = {
-        let mut cols = vec![0usize; column_map.len()];
-        for (&orig, &idx) in &column_map {
-            cols[idx] = orig;
-        }
-        cols
-    };
-    let rows: Vec<Vec<usize>> =
-        rows.iter().map(|r| r.iter().map(|v| column_map[v]).collect()).collect();
+    let mut columns = vec![0usize; column_map.len()];
+    for (&orig, &idx) in &column_map {
+        columns[idx] = orig;
+    }
     fixed.sort_unstable();
-    PresolvedCovering { offset: fixed.len() as f64, rows, columns, fixed, stats }
+    let (row_sets, rows): (Vec<usize>, Vec<Vec<usize>>) =
+        rows.into_iter().map(|(i, r)| (i, r.iter().map(|v| column_map[v]).collect())).unzip();
+    let (fixed, fixed_sets): (Vec<usize>, Vec<usize>) = fixed.into_iter().unzip();
+    PresolvedCovering {
+        offset: fixed.len() as f64,
+        rows,
+        columns,
+        fixed,
+        row_sets,
+        fixed_sets,
+        num_sets: sets.len(),
+    }
 }
 
 impl PresolvedCovering {
-    /// Build the reduced covering LP (empty when everything was presolved away).
-    pub fn reduced_problem(&self) -> Problem {
-        covering_lp(self.columns.len(), &self.rows)
-    }
-
-    /// Solve the reduced LP and lift the result back to the original instance: the
-    /// objective gains `offset` and fixed variables are reported at value 1.
+    /// Solve the reduced LP and lift both vectors back to the original instance of
+    /// `num_elements` elements.  Both bounds gain `offset`; a
+    /// fixed element is 1 in the cover, and its singleton set is 1 in the packing.
+    /// Every other dropped row gets packing value 0.  When presolve decided every
+    /// row, no simplex runs.
     pub fn solve(&self, num_elements: usize) -> Result<Solution, LpError> {
-        let reduced = if self.columns.is_empty() {
-            Solution { objective: 0.0, values: Vec::new(), pivots: 0 }
-        } else {
-            self.reduced_problem().solve()?
-        };
-        let mut values = vec![0.0; num_elements];
-        for (i, &orig) in self.columns.iter().enumerate() {
-            values[orig] = reduced.values[i];
+        let reduced = covering_lp(self.columns.len(), &self.rows).solve()?;
+        let mut cover = vec![0.0; num_elements];
+        for (&orig, &x) in self.columns.iter().zip(&reduced.cover) {
+            cover[orig] = x;
         }
-        for &v in &self.fixed {
-            values[v] = 1.0;
+        let mut packing = vec![0.0; self.num_sets];
+        for (&orig, &y) in self.row_sets.iter().zip(&reduced.packing) {
+            packing[orig] = y;
         }
-        Ok(Solution { objective: reduced.objective + self.offset, values, pivots: reduced.pivots })
+        for (&v, &set) in self.fixed.iter().zip(&self.fixed_sets) {
+            cover[v] = 1.0;
+            packing[set] = 1.0;
+        }
+        Ok(Solution {
+            objective: reduced.objective + self.offset,
+            upper: reduced.upper + self.offset,
+            packing,
+            cover,
+            ..reduced
+        })
     }
 }
 
@@ -195,8 +186,6 @@ mod tests {
     fn duplicate_and_dominated_rows_removed() {
         let sets = vec![vec![0, 1], vec![0, 1], vec![0, 1, 2], vec![3, 4]];
         let p = presolve_covering(5, &sets);
-        assert_eq!(p.stats.duplicate_rows, 1);
-        assert_eq!(p.stats.dominated_rows, 1);
         assert_eq!(p.rows.len(), 2);
         let sol = p.solve(5).unwrap();
         assert!((sol.objective - direct_objective(5, &sets)).abs() < 1e-7);
@@ -208,10 +197,10 @@ mod tests {
         let p = presolve_covering(4, &sets);
         assert_eq!(p.fixed, vec![2]);
         assert_eq!(p.offset, 1.0);
-        assert_eq!(p.stats.fixed_variables, 1);
         let sol = p.solve(4).unwrap();
         assert!((sol.objective - 2.0).abs() < 1e-7);
-        assert!((sol.values[2] - 1.0).abs() < 1e-9);
+        assert!((sol.cover[2] - 1.0).abs() < 1e-9);
+        assert_eq!(sol.packing, vec![1.0, 0.0, 1.0]);
         assert!((sol.objective - direct_objective(4, &sets)).abs() < 1e-7);
     }
 
@@ -241,7 +230,7 @@ mod tests {
             );
             // The lifted point must be feasible for every original row.
             for set in &sets {
-                let activity: f64 = set.iter().map(|&v| presolved.values[v]).sum();
+                let activity: f64 = set.iter().map(|&v| presolved.cover[v]).sum();
                 assert!(activity >= 1.0 - 1e-6, "seed {seed}: row {set:?} violated");
             }
         }
@@ -264,10 +253,9 @@ mod tests {
         let p = presolve_covering(3, &[]);
         assert!(p.rows.is_empty());
         assert_eq!(p.offset, 0.0);
-        assert_eq!(p.stats.empty_columns, 3);
         let sol = p.solve(3).unwrap();
         assert_eq!(sol.objective, 0.0);
-        assert_eq!(sol.values, vec![0.0, 0.0, 0.0]);
+        assert_eq!(sol.cover, vec![0.0, 0.0, 0.0]);
     }
 
     #[test]
@@ -284,7 +272,6 @@ mod tests {
         let sets = vec![vec![0, 1], vec![1, 2], vec![0, 2]];
         let p = presolve_covering(3, &sets);
         assert_eq!(p.rows.len(), 3);
-        assert_eq!(p.stats, PresolveStats::default());
         let sol = p.solve(3).unwrap();
         assert!((sol.objective - 1.5).abs() < 1e-7);
     }

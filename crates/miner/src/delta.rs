@@ -196,24 +196,25 @@ pub(crate) fn occurrences_touch(
         order: Vec::with_capacity(n),
         earlier: Vec::with_capacity(n),
         assignment: vec![None; n],
-        used: vec![false; graph.num_vertices()],
         steps: 0,
         cancelled: false,
     };
     // An occurrence touches `dirty` iff some pattern vertex maps onto some dirty
     // vertex: pin every (pattern vertex, dirty vertex) pair in turn.
     for root in pattern.vertices() {
-        search.set_root(root);
-        for &d in dirty {
+        let can_pin = |d: VertexId| {
             debug_assert!((d as usize) < graph.num_vertices(), "dirty ids are current");
-            if graph.label(d) != pattern.label(root) || graph.degree(d) < pattern.degree(root) {
-                continue;
-            }
+            graph.label(d) == pattern.label(root) && graph.degree(d) >= pattern.degree(root)
+        };
+        // Build the BFS order only for a root some dirty vertex can stand in for.
+        if !dirty.iter().any(|&d| can_pin(d)) {
+            continue;
+        }
+        search.set_root(root);
+        for &d in dirty.iter().filter(|&&d| can_pin(d)) {
             search.assignment[root as usize] = Some(d);
-            search.used[d as usize] = true;
             let found = search.extend(1);
             search.assignment[root as usize] = None;
-            search.used[d as usize] = false;
             if found || search.cancelled {
                 return true;
             }
@@ -240,8 +241,9 @@ struct PinnedSearch<'a> {
     order: Vec<VertexId>,
     /// For each order position, the pattern neighbours that appear earlier.
     earlier: Vec<Vec<VertexId>>,
+    /// The image of each pattern vertex; injectivity is checked against these at
+    /// most `|V(pattern)|` entries, so no graph-sized bookkeeping is allocated.
     assignment: Vec<Option<VertexId>>,
-    used: Vec<bool>,
     steps: u32,
     /// Set when the cancellation token fires mid-search; the caller treats the
     /// query as "touches" so the full (itself cancellable) path takes over.
@@ -290,9 +292,9 @@ impl PinnedSearch<'_> {
 
     /// Exactly the naive enumerator's feasibility test.
     fn feasible(&self, pv: VertexId, gv: VertexId, depth: usize) -> bool {
-        if self.used[gv as usize]
-            || self.graph.label(gv) != self.pattern.label(pv)
+        if self.graph.label(gv) != self.pattern.label(pv)
             || self.graph.degree(gv) < self.pattern.degree(pv)
+            || self.assignment.contains(&Some(gv))
         {
             return false;
         }
@@ -344,10 +346,8 @@ impl PinnedSearch<'_> {
         for &gv in graph.neighbors(gn) {
             if self.feasible(pv, gv, depth) {
                 self.assignment[pv as usize] = Some(gv);
-                self.used[gv as usize] = true;
                 let found = self.extend(depth + 1);
                 self.assignment[pv as usize] = None;
-                self.used[gv as usize] = false;
                 if found || self.cancelled {
                     return found;
                 }

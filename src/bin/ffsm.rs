@@ -61,7 +61,8 @@
 //! typed [`FfsmError`].  Exit code 0 on success, 1 on a usage error, 2 on an I/O,
 //! parse or configuration error — including a mining run stopped by `--deadline-ms`
 //! or cancellation, which exits 2 via [`FfsmError::DeadlineExceeded`] /
-//! [`FfsmError::Cancelled`] after reporting the prefix it found.
+//! [`FfsmError::Cancelled`] after reporting the prefix it found.  A consumer that
+//! closes stdout early (`ffsm ... | head`) ends any command cleanly with exit 0.
 
 use ffsm::core::measures::{MeasureConfig, MeasureKind};
 use ffsm::core::{FfsmError, MeasureProfile, OccurrenceSet, OverlapAnalysis, OverlapKind};
@@ -73,18 +74,38 @@ use ffsm::miner::postprocess::maximal_patterns;
 use ffsm::miner::{Completion, MiningEvent, MiningResult, MiningSession};
 use ffsm::serve::{events, Server, ServerConfig};
 use std::fmt::Display;
+use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
 use std::str::FromStr;
 use std::time::Duration;
 
 /// A CLI failure: either a usage problem (exit code 1) or a framework error
-/// (exit code 2).
+/// (exit code 2) — or the consumer closed stdout, which ends the command cleanly.
 enum CliError {
     /// Wrong arguments; the message explains the expected usage.
     Usage(String),
     /// An I/O, parse or configuration error from the framework.
     Ffsm(FfsmError),
+    /// Writing to stdout hit a closed pipe: stop, nothing failed (exit code 0).
+    Closed,
+}
+
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> Self {
+        match e.kind() {
+            std::io::ErrorKind::BrokenPipe => CliError::Closed,
+            _ => CliError::Ffsm(FfsmError::Graph(ffsm::graph::GraphError::Io(e.to_string()))),
+        }
+    }
+}
+
+/// `println!` for command output that returns a write error instead of panicking;
+/// a closed pipe becomes [`CliError::Closed`].
+macro_rules! say {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*)?
+    };
 }
 
 impl From<FfsmError> for CliError {
@@ -108,13 +129,12 @@ fn main() -> ExitCode {
     let result = match COMMANDS.iter().find(|c| c.name == name) {
         Some(command) => command.parse(&args[1..]).and_then(|parsed| (command.run)(&parsed)),
         None if matches!(name.as_str(), "--help" | "-h" | "help") => {
-            println!("{}", usage());
-            Ok(())
+            writeln!(std::io::stdout(), "{}", usage()).map_err(CliError::from)
         }
         None => Err(CliError::Usage(format!("unknown command {name:?}\n{}", usage()))),
     };
     match result {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(()) | Err(CliError::Closed) => ExitCode::SUCCESS,
         Err(CliError::Usage(message)) => {
             eprintln!("error: {message}");
             ExitCode::from(1)
@@ -423,8 +443,8 @@ fn parse_measure(name: &str) -> Result<MeasureKind, CliError> {
 fn cmd_stats(args: &Args) -> Result<(), CliError> {
     let path = args.positionals[0];
     let graph = load_graph(path)?;
-    println!("graph: {path}");
-    println!("{}", GraphStatistics::compute(&graph));
+    say!("graph: {path}");
+    say!("{}", GraphStatistics::compute(&graph));
     Ok(())
 }
 
@@ -446,11 +466,11 @@ fn cmd_measure(args: &Args) -> Result<(), CliError> {
             let value = profile.value_of(kind).ok_or_else(|| {
                 CliError::Ffsm(FfsmError::InvalidConfig(format!("measure {name} was not profiled")))
             })?;
-            println!("{kind} = {value}");
+            say!("{kind} = {value}");
         }
         None => {
-            print!("{profile}");
-            println!("bounding chain holds: {}", if profile.chain_holds() { "yes" } else { "NO" });
+            write!(std::io::stdout(), "{profile}")?;
+            say!("bounding chain holds: {}", if profile.chain_holds() { "yes" } else { "NO" });
         }
     }
     Ok(())
@@ -477,7 +497,7 @@ fn cmd_match(args: &Args) -> Result<(), CliError> {
     let config = IsoConfig { max_embeddings, induced, ..IsoConfig::default() };
     let graph = load_graph(graph_path)?;
     let pattern: Pattern = load_graph(&pattern_path)?;
-    println!(
+    say!(
         "matching {pattern_path} ({} vertices, {} edges) in {graph_path} ({} vertices, {} edges)",
         pattern.num_vertices(),
         pattern.num_edges(),
@@ -488,32 +508,28 @@ fn cmd_match(args: &Args) -> Result<(), CliError> {
         let (result, search_time) = ffsm_bench_free_timed(|| {
             ffsm::graph::isomorphism::enumerate_embeddings(&pattern, &graph, config)
         });
-        println!("engine:      naive oracle");
-        println!(
-            "embeddings:  {}{}",
-            result.len(),
-            if result.complete { "" } else { " (truncated)" }
-        );
-        println!("search:      {search_time:?}");
+        say!("engine:      naive oracle");
+        say!("embeddings:  {}{}", result.len(), if result.complete { "" } else { " (truncated)" });
+        say!("search:      {search_time:?}");
         return Ok(());
     }
     let (index, index_time) = ffsm_bench_free_timed(|| GraphIndex::build(&graph));
     let (matcher, space_time) = ffsm_bench_free_timed(|| Matcher::new(&pattern, &graph, &index));
     let (result, search_time) = ffsm_bench_free_timed(|| matcher.enumerate(config));
-    println!("engine:      candidate-space");
+    say!("engine:      candidate-space");
     let space = matcher.space();
-    println!("index build: {index_time:?}");
-    println!(
+    say!("index build: {index_time:?}");
+    say!(
         "candidates:  {} total after {} refinement sweep(s)",
         space.total_size(),
         space.refinement_rounds()
     );
     for (u, (&initial, &refined)) in space.initial_sizes().iter().zip(&space.sizes()).enumerate() {
-        println!("  pattern vertex {u}: {initial} -> {refined}");
+        say!("  pattern vertex {u}: {initial} -> {refined}");
     }
-    println!("space build: {space_time:?}");
-    println!("embeddings:  {}{}", result.len(), if result.complete { "" } else { " (truncated)" });
-    println!("search:      {search_time:?}");
+    say!("space build: {space_time:?}");
+    say!("embeddings:  {}{}", result.len(), if result.complete { "" } else { " (truncated)" });
+    say!("search:      {search_time:?}");
     Ok(())
 }
 
@@ -535,13 +551,13 @@ fn cmd_overlap(args: &Args) -> Result<(), CliError> {
         OccurrenceSet::enumerate(&pattern, &graph, MeasureConfig::default().iso_config);
     let analysis = OverlapAnalysis::new(&occurrences);
     let budget = ffsm::hypergraph::SearchBudget::default();
-    println!("occurrences: {}", occurrences.num_occurrences());
+    say!("occurrences: {}", occurrences.num_occurrences());
     let kinds: Vec<OverlapKind> = match args.value("--kind") {
         // `--kind` names one notion through the canonical `OverlapKind` FromStr impl.
         Some(name) => vec![name.parse::<OverlapKind>()?],
         None => OverlapKind::all().to_vec(),
     };
-    println!("{:<12} {:>14} {:>10}", "notion", "overlap pairs", "MIS");
+    say!("{:<12} {:>14} {:>10}", "notion", "overlap pairs", "MIS");
     for kind in kinds {
         let (pairs, mis) = if naive {
             let graph = analysis.overlap_graph_naive(kind);
@@ -549,7 +565,7 @@ fn cmd_overlap(args: &Args) -> Result<(), CliError> {
         } else {
             (analysis.overlap_edge_count(kind), analysis.mis_under(kind, budget))
         };
-        println!("{:<12} {:>14} {:>10}", kind.name(), pairs, mis);
+        say!("{:<12} {:>14} {:>10}", kind.name(), pairs, mis);
     }
     Ok(())
 }
@@ -562,10 +578,10 @@ fn mining_params(args: &Args) -> Result<(MeasureKind, usize), CliError> {
     Ok((measure, args.get("--max-edges")?.unwrap_or(3)))
 }
 
-fn print_frequent(patterns: &[ffsm::miner::FrequentPattern]) {
-    println!("{:<6} {:>8} {:>6} {:>6} {:>12}", "rank", "support", "nodes", "edges", "occurrences");
+fn print_frequent(patterns: &[ffsm::miner::FrequentPattern]) -> Result<(), CliError> {
+    say!("{:<6} {:>8} {:>6} {:>6} {:>12}", "rank", "support", "nodes", "edges", "occurrences");
     for (rank, p) in patterns.iter().enumerate() {
-        println!(
+        say!(
             "{:<6} {:>8.1} {:>6} {:>6} {:>12}",
             rank + 1,
             p.support,
@@ -574,6 +590,7 @@ fn print_frequent(patterns: &[ffsm::miner::FrequentPattern]) {
             p.num_occurrences
         );
     }
+    Ok(())
 }
 
 /// Map an interrupted completion to its typed error (the documented non-zero exit
@@ -640,9 +657,7 @@ fn stream_ndjson(session: MiningSession, trace: bool) -> Result<Completion, CliE
                 }
                 Err(e) => {
                     token.cancel();
-                    return Err(CliError::Ffsm(FfsmError::Graph(ffsm::graph::GraphError::Io(
-                        e.to_string(),
-                    ))));
+                    return Err(e.into());
                 }
             }
         }
@@ -713,7 +728,7 @@ fn cmd_mine(args: &Args) -> Result<(), CliError> {
         return completion_exit(completion, deadline);
     }
     let result: MiningResult = session.run()?;
-    println!(
+    say!(
         "{} frequent patterns under {measure} at tau = {tau} ({} maximal), {} candidates evaluated in {:?}",
         result.len(),
         maximal_patterns(&result).len(),
@@ -722,7 +737,7 @@ fn cmd_mine(args: &Args) -> Result<(), CliError> {
     );
     if let Some(parts) = &partitioned {
         let store = parts.store_stats();
-        println!(
+        say!(
             "sharded over {} shards ({}, halo {max_edges}): {} cross-shard occurrences \
              deduplicated, {} shard loads, {} shards / {} bytes resident at peak",
             parts.num_shards(),
@@ -735,14 +750,14 @@ fn cmd_mine(args: &Args) -> Result<(), CliError> {
     }
     // Why the run stopped — a capped run is no longer indistinguishable from a
     // complete one.
-    println!("status: {}", result.completion());
-    print_frequent(&result.patterns);
+    say!("status: {}", result.completion());
+    print_frequent(&result.patterns)?;
     // A bounds-first run cut short still knows what it was unsure about: one
     // line per open candidate with its certified interval.
     if !result.undecided.is_empty() {
-        println!("{} undecided patterns (certified support intervals):", result.undecided.len());
+        say!("{} undecided patterns (certified support intervals):", result.undecided.len());
         for u in &result.undecided {
-            println!(
+            say!(
                 "  [{}, {}] via {}: {} vertices, {} edges",
                 u.interval.lo,
                 u.interval.hi,
@@ -776,12 +791,13 @@ fn cmd_topk(args: &Args) -> Result<(), CliError> {
         .max_edges(max_edges)
         .top_k(k)
         .run()?;
-    println!(
+    say!(
         "top-{k} patterns under {measure} (final threshold {:.1}, {} candidates evaluated)",
-        result.final_threshold, result.stats.candidates_evaluated
+        result.final_threshold,
+        result.stats.candidates_evaluated
     );
-    println!("status: {}", result.completion());
-    print_frequent(&result.patterns);
+    say!("status: {}", result.completion());
+    print_frequent(&result.patterns)?;
     Ok(())
 }
 
@@ -800,7 +816,7 @@ fn report_epoch(
     let stats = &result.stats;
     if !stream {
         let delta = delta_summary.map(|s| format!(" ({s})")).unwrap_or_default();
-        println!(
+        say!(
             "epoch {epoch}{delta}: {} patterns, status {}, {} evaluated ({} reused), {:?}",
             result.len(),
             result.completion(),
@@ -817,9 +833,7 @@ fn report_epoch(
         match events::write_frame(&mut out, &frame.finish()) {
             Ok(events::FrameWrite::Written) => Ok(true),
             Ok(events::FrameWrite::Disconnected) => Ok(false),
-            Err(e) => {
-                Err(CliError::Ffsm(FfsmError::Graph(ffsm::graph::GraphError::Io(e.to_string()))))
-            }
+            Err(e) => Err(e.into()),
         }
     };
     for p in &result.patterns {
@@ -863,7 +877,7 @@ fn cmd_update(args: &Args) -> Result<(), CliError> {
         .clone();
     let mut miner = ffsm::dynamic::IncrementalMiner::new(config);
     if !stream {
-        println!(
+        say!(
             "mining {graph_path} under {measure} at tau = {tau} through {} update batch(es) from \
              {updates_path}{}",
             batches.len(),
@@ -898,7 +912,7 @@ fn cmd_update(args: &Args) -> Result<(), CliError> {
         store.retain_recent(2);
     }
     if !stream {
-        print_frequent(&last.patterns);
+        print_frequent(&last.patterns)?;
     }
     Ok(())
 }
@@ -954,7 +968,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         server.registry().register(name, load_graph(path)?)?;
     }
     let addr = server.local_addr()?;
-    println!(
+    say!(
         "serving {} graph(s) on {addr} — NDJSON protocol (see PROTOCOL.md); \
          Ctrl-C or {{\"op\": \"shutdown\"}} drains gracefully",
         graphs.len()
@@ -975,7 +989,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let outcome = server.run();
     let _ = watcher.join();
     outcome?;
-    println!("drained; all sessions flushed");
+    say!("drained; all sessions flushed");
     Ok(())
 }
 
@@ -996,7 +1010,7 @@ fn cmd_generate(args: &Args) -> Result<(), CliError> {
         }
     };
     io::save_lg(&graph, Path::new(out))?;
-    println!(
+    say!(
         "wrote {} ({} vertices, {} edges, {} labels)",
         out,
         graph.num_vertices(),

@@ -90,3 +90,34 @@ fn valid_command_lines_exit_0() {
         assert!(output.status.success(), "{args:?}: {}", String::from_utf8_lossy(&output.stderr));
     }
 }
+
+#[test]
+fn closed_stdout_ends_every_command_cleanly() {
+    // A consumer that stops reading (`ffsm ... | head`) closes the pipe before
+    // the command writes: every command, batch or streaming, stops without a
+    // panic (exit 101) and exits 0.
+    let dir = TempDir::new("closed");
+    let (g, p, u) = inputs(&dir);
+    let cases: &[&[&str]] = &[
+        &["--help"],
+        &["stats", &g],
+        &["measure", &g, "--pattern", &p],
+        &["overlap", &g, "--pattern", &p],
+        &["mine", &g, "--tau", "2", "--max-edges", "2"],
+        &["mine", &g, "--tau", "2", "--max-edges", "2", "--stream"],
+        &["topk", &g, "--k", "2", "--max-edges", "1"],
+        &["update", &g, "--updates", &u, "--tau", "2", "--max-edges", "1"],
+    ];
+    for args in cases {
+        let (reader, writer) = std::io::pipe().expect("create pipe");
+        drop(reader);
+        let output = Command::new(env!("CARGO_BIN_EXE_ffsm"))
+            .args(*args)
+            .stdout(writer)
+            .output()
+            .expect("run ffsm");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+        assert_eq!(output.status.code(), Some(0), "{args:?}: {stderr}");
+    }
+}
