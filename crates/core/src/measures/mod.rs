@@ -352,7 +352,14 @@ impl<'a> SupportMeasures<'a> {
             HypergraphBasis::Occurrence => 0,
             HypergraphBasis::Instance => 1,
         };
-        self.overlap_cache.get_or_build(slot, || self.hypergraph(basis).overlap_graph())
+        // Built first, so its cost is not charged to the overlap build.
+        let hypergraph = self.hypergraph(basis);
+        self.overlap_cache.get_or_build(slot, || {
+            let graph = hypergraph.overlap_graph();
+            // The incidence-index builder probes exactly the pairs it emits.
+            ffsm_obs::tls::add_overlap_probes(graph.num_edges() as u64);
+            graph
+        })
     }
 
     /// How many overlap graphs this calculator has actually built (at most one per

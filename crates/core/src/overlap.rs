@@ -141,6 +141,10 @@ impl OverlapCache {
     }
 
     /// The graph in `slot`, building (and counting) it on first access.
+    ///
+    /// Every overlap-graph build goes through here, so this is where its wall
+    /// time is charged to the thread's overlap-build total: one clock pair per
+    /// build, none for a cached hit.
     pub fn get_or_build(
         &self,
         slot: usize,
@@ -149,7 +153,12 @@ impl OverlapCache {
         self.slots[slot]
             .get_or_init(|| {
                 self.builds.fetch_add(1, Ordering::Relaxed);
-                Arc::new(build())
+                let start = std::time::Instant::now();
+                let graph = build();
+                ffsm_obs::tls::add_overlap_build_nanos(
+                    start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+                );
+                Arc::new(graph)
             })
             .clone()
     }
@@ -456,16 +465,7 @@ impl<'a> OverlapAnalysis<'a> {
     /// repeated calls — including through `mis_under`, `mcp_under`,
     /// `overlap_edge_count` and `overlap_census` — share one build per notion.
     pub fn overlap_graph(&self, kind: OverlapKind) -> Arc<SimpleGraph> {
-        self.cache.get_or_build(kind.index(), || {
-            // Coarse span: one clock pair per overlap-graph build (cached
-            // rebuilds never re-enter this closure).
-            let start = std::time::Instant::now();
-            let graph = self.overlap_graph_indexed(kind);
-            ffsm_obs::tls::add_overlap_build_nanos(
-                start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-            );
-            graph
-        })
+        self.cache.get_or_build(kind.index(), || self.overlap_graph_indexed(kind))
     }
 
     /// Number of overlapping pairs under `kind` (the overlap graph's edge count).

@@ -25,9 +25,14 @@
 //! exactly.  [`EnumeratorBackend`] selects between the two; the functions here always
 //! run the naive search regardless of the configured backend (dispatch happens one
 //! layer up, in `ffsm-core`).
+//!
+//! The same search also answers delta re-mining's reuse query: [`touches`] asks
+//! whether any occurrence meets a set of dirty vertices by rooting the search at
+//! those vertices only, so the reuse proof shares the enumerators' semantics.
 
 use crate::cancel::{CancelToken, CHECK_STRIDE};
 use crate::{LabeledGraph, Pattern, VertexId};
+use std::borrow::Cow;
 
 /// An occurrence: `assignment[p]` is the data-graph image of pattern vertex `p`.
 pub type Embedding = Vec<VertexId>;
@@ -269,49 +274,64 @@ fn search_order(pattern: &Pattern, graph: &LabeledGraph) -> Vec<VertexId> {
     order
 }
 
+/// Breadth-first order over a connected pattern, starting at `root`: every vertex
+/// after the first has an earlier neighbour, so only `root` is searched from a
+/// candidate list.
+fn bfs_order(pattern: &Pattern, root: VertexId) -> Vec<VertexId> {
+    let mut order = Vec::with_capacity(pattern.num_vertices());
+    order.push(root);
+    let mut head = 0;
+    while head < order.len() {
+        let v = order[head];
+        head += 1;
+        for &w in pattern.neighbors(v) {
+            if !order.contains(&w) {
+                order.push(w);
+            }
+        }
+    }
+    order
+}
+
 struct Search<'a> {
     pattern: &'a Pattern,
     graph: &'a LabeledGraph,
     order: Vec<VertexId>,
-    /// For each position in `order`, the pattern neighbours that appear earlier.
-    earlier_neighbors: Vec<Vec<VertexId>>,
     /// For each position with *no* earlier neighbour (the root and any later
-    /// component root), the label-matching data vertices — computed once so the
-    /// search never rescans the whole vertex set.
-    root_candidates: Vec<Vec<VertexId>>,
-    config: IsoConfig,
+    /// component root), the data vertices it is searched from — computed once so
+    /// the search never rescans the whole vertex set.
+    root_candidates: Vec<Cow<'a, [VertexId]>>,
+    config: &'a IsoConfig,
+    /// The image of each pattern vertex.  Injectivity is checked against these
+    /// at most `|V(pattern)|` entries, so the search allocates nothing sized by
+    /// the data graph beyond the root candidate lists.
     assignment: Vec<Option<VertexId>>,
-    used: Vec<bool>,
     stopped: bool,
     /// Search steps since the last cancellation poll (see [`CHECK_STRIDE`]).
     steps: u32,
 }
 
 impl<'a> Search<'a> {
-    fn new(pattern: &'a Pattern, graph: &'a LabeledGraph, config: IsoConfig) -> Self {
-        let order = search_order(pattern, graph);
-        let mut position = vec![usize::MAX; pattern.num_vertices()];
-        for (i, &v) in order.iter().enumerate() {
-            position[v as usize] = i;
-        }
-        let earlier_neighbors: Vec<Vec<VertexId>> = order
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| {
-                pattern.neighbors(v).iter().copied().filter(|&w| position[w as usize] < i).collect()
-            })
-            .collect();
+    /// A search visiting pattern vertices in `order`.  The first position is
+    /// searched from `first_candidates` when given; every other position with
+    /// no earlier neighbour, from every label-matching data vertex.
+    fn new(
+        pattern: &'a Pattern,
+        graph: &'a LabeledGraph,
+        config: &'a IsoConfig,
+        order: Vec<VertexId>,
+        mut first_candidates: Option<&'a [VertexId]>,
+    ) -> Self {
         let root_candidates = order
             .iter()
             .enumerate()
             .map(|(i, &v)| {
-                if earlier_neighbors[i].is_empty() {
-                    graph
-                        .vertices()
-                        .filter(|&gv| graph.label(gv) == pattern.label(v))
-                        .collect::<Vec<VertexId>>()
+                if pattern.neighbors(v).iter().any(|w| order[..i].contains(w)) {
+                    Cow::default()
+                } else if let Some(first) = first_candidates.take() {
+                    Cow::Borrowed(first)
                 } else {
-                    Vec::new()
+                    graph.vertices().filter(|&gv| graph.label(gv) == pattern.label(v)).collect()
                 }
             })
             .collect();
@@ -319,32 +339,33 @@ impl<'a> Search<'a> {
             pattern,
             graph,
             order,
-            earlier_neighbors,
             root_candidates,
             config,
             assignment: vec![None; pattern.num_vertices()],
-            used: vec![false; graph.num_vertices()],
             stopped: false,
             steps: 0,
         }
     }
 
-    fn feasible(&self, pv: VertexId, gv: VertexId, depth: usize) -> bool {
-        if self.used[gv as usize] {
-            return false;
-        }
+    /// The images of `pv`'s already-matched pattern neighbours.  Vertices are
+    /// matched in `order`, so these are exactly its earlier neighbours.
+    fn matched_neighbors(&self, pv: VertexId) -> impl Iterator<Item = VertexId> + '_ {
+        self.pattern.neighbors(pv).iter().filter_map(|&pn| self.assignment[pn as usize])
+    }
+
+    fn feasible(&self, pv: VertexId, gv: VertexId) -> bool {
         if self.graph.label(gv) != self.pattern.label(pv) {
             return false;
         }
         if self.graph.degree(gv) < self.pattern.degree(pv) {
             return false;
         }
+        if self.assignment.contains(&Some(gv)) {
+            return false;
+        }
         // Every earlier-matched pattern neighbour must be adjacent in the data graph.
-        for &pn in &self.earlier_neighbors[depth] {
-            let gn = self.assignment[pn as usize].expect("earlier vertex assigned");
-            if !self.graph.has_edge(gv, gn) {
-                return false;
-            }
+        if !self.matched_neighbors(pv).all(|gn| self.graph.has_edge(gv, gn)) {
+            return false;
         }
         if self.config.induced {
             // Earlier-matched pattern NON-neighbours must not be adjacent.
@@ -363,13 +384,10 @@ impl<'a> Search<'a> {
         true
     }
 
-    /// Of the already-assigned earlier pattern neighbours, the one whose data-graph
-    /// image has the fewest neighbours — the cheapest adjacency list to scan.
-    fn min_degree_pivot(&self, depth: usize) -> Option<VertexId> {
-        self.earlier_neighbors[depth].iter().copied().min_by_key(|&pn| {
-            let gn = self.assignment[pn as usize].expect("earlier vertex assigned");
-            self.graph.degree(gn)
-        })
+    /// Of the images of `pv`'s already-matched neighbours, the one with the fewest
+    /// data-graph neighbours — the cheapest adjacency list to scan.
+    fn min_degree_pivot(&self, pv: VertexId) -> Option<VertexId> {
+        self.matched_neighbors(pv).min_by_key(|&gn| self.graph.degree(gn))
     }
 
     fn run<V: EmbeddingVisitor>(&mut self, depth: usize, visitor: &mut V) {
@@ -395,19 +413,16 @@ impl<'a> Search<'a> {
             return;
         }
         let pv = self.order[depth];
-        match self.min_degree_pivot(depth) {
-            Some(pn) => {
-                let gn = self.assignment[pn as usize].expect("earlier vertex assigned");
+        match self.min_degree_pivot(pv) {
+            Some(gn) => {
                 // The adjacency slice borrows the graph, not the search state, so no
                 // clone is needed around the recursive calls.
                 let graph: &'a LabeledGraph = self.graph;
                 for &gv in graph.neighbors(gn) {
-                    if self.feasible(pv, gv, depth) {
+                    if self.feasible(pv, gv) {
                         self.assignment[pv as usize] = Some(gv);
-                        self.used[gv as usize] = true;
                         self.run(depth + 1, visitor);
                         self.assignment[pv as usize] = None;
-                        self.used[gv as usize] = false;
                         if self.stopped {
                             return;
                         }
@@ -415,17 +430,15 @@ impl<'a> Search<'a> {
                 }
             }
             None => {
-                // Root of a (new) pattern component: scan the precomputed
-                // label-matching list.  Moved out and back in so the recursion can
+                // Root of a (new) pattern component: scan its precomputed
+                // candidate list.  Moved out and back in so the recursion can
                 // borrow `self` mutably without cloning the list.
                 let candidates = std::mem::take(&mut self.root_candidates[depth]);
-                for &gv in &candidates {
-                    if self.feasible(pv, gv, depth) {
+                for &gv in candidates.iter() {
+                    if self.feasible(pv, gv) {
                         self.assignment[pv as usize] = Some(gv);
-                        self.used[gv as usize] = true;
                         self.run(depth + 1, visitor);
                         self.assignment[pv as usize] = None;
-                        self.used[gv as usize] = false;
                         if self.stopped {
                             break;
                         }
@@ -461,7 +474,7 @@ pub fn enumerate_with_visitor<V: EmbeddingVisitor>(
     if config.cancel.is_cancelled() {
         return false;
     }
-    let mut search = Search::new(pattern, graph, config);
+    let mut search = Search::new(pattern, graph, &config, search_order(pattern, graph), None);
     search.run(0, visitor);
     !search.stopped
 }
@@ -487,6 +500,48 @@ pub fn has_embedding(pattern: &Pattern, graph: &LabeledGraph) -> bool {
     let mut exists = ExistsVisitor::default();
     enumerate_with_visitor(pattern, graph, IsoConfig::default(), &mut exists);
     exists.found
+}
+
+/// `true` if `pattern` has an occurrence in `graph` whose image contains a vertex
+/// of `dirty` — the reuse test of delta re-mining.
+///
+/// For each pattern vertex some dirty vertex can stand in for (same label, enough
+/// degree), one search runs in breadth-first order from that vertex with the
+/// dirty vertices as its only root candidates, so the cost follows the dirty
+/// neighbourhood, not the graph.  The occurrence semantics are the enumerator's
+/// own, `config.induced` included.
+///
+/// Conservative exits: a disconnected pattern, and a search stopped by
+/// `config.cancel`, answer `true`.
+pub fn touches(
+    pattern: &Pattern,
+    graph: &LabeledGraph,
+    config: &IsoConfig,
+    dirty: &[VertexId],
+) -> bool {
+    let n = pattern.num_vertices();
+    if n == 0 || dirty.is_empty() || n > graph.num_vertices() {
+        return false;
+    }
+    if !pattern.is_connected() {
+        return true;
+    }
+    for root in pattern.vertices() {
+        let can_pin = |&d: &VertexId| {
+            graph.label(d) == pattern.label(root) && graph.degree(d) >= pattern.degree(root)
+        };
+        if !dirty.iter().any(can_pin) {
+            continue;
+        }
+        // The root's feasibility test skips the dirty vertices it cannot pin.
+        let mut search = Search::new(pattern, graph, config, bfs_order(pattern, root), Some(dirty));
+        search.run(0, &mut ExistsVisitor::default());
+        // Stopped early: an occurrence was found, or the token fired.
+        if search.stopped {
+            return true;
+        }
+    }
+    false
 }
 
 /// `true` if the two graphs are isomorphic (Definition 2.1.5): same vertex count, same
@@ -690,6 +745,23 @@ mod tests {
         let p = patterns::path(&[Label(0), Label(0)]);
         assert_eq!(count_embeddings(&p, &g, IsoConfig::with_limit(3)), 3);
         assert_eq!(count_embeddings(&p, &g, IsoConfig::default()), 2 * g.num_edges());
+    }
+
+    #[test]
+    fn pinned_query_answers_true_once_its_token_fires() {
+        // K_{2,m}: two hubs, each joined to the same m spokes.  It has no
+        // triangle, so the triangle search pinned at hub 0 tries every spoke —
+        // more than CHECK_STRIDE steps — and finds nothing.
+        let m = 2 * CHECK_STRIDE;
+        let labels = vec![0; m as usize + 2];
+        let edges: Vec<(VertexId, VertexId)> =
+            (2..m + 2).flat_map(|spoke| [(0, spoke), (1, spoke)]).collect();
+        let g = LabeledGraph::from_edges(&labels, &edges);
+        let p = patterns::triangle(Label(0), Label(0), Label(0));
+        assert!(!touches(&p, &g, &IsoConfig::default(), &[0]));
+        let fired = IsoConfig { cancel: CancelToken::new(), ..IsoConfig::default() };
+        fired.cancel.cancel();
+        assert!(touches(&p, &g, &fired, &[0]), "a fired token answers a conservative `true`");
     }
 
     #[test]

@@ -11,8 +11,11 @@
 //!   canonical code: support, occurrence count, and the sorted set of data
 //!   vertices **touched** by any occurrence image;
 //! * a **pinned existence query** ([`occurrences_touch`]) answering "does this
-//!   pattern have an occurrence whose image meets the dirty region?" by rooting
-//!   the search at each dirty vertex instead of enumerating everything.
+//!   pattern have an occurrence whose image meets the dirty region?".  It is
+//!   the naive reference search of `ffsm_graph::isomorphism` (its `touches`
+//!   entry point), rooted only at the dirty vertices instead of enumerating
+//!   everything — so the query cannot drift from the occurrence semantics the
+//!   enumerators are differential-tested against.
 //!
 //! ## The reuse argument
 //!
@@ -23,7 +26,10 @@
 //! 2. no cached occurrence touched the dirty region of the *old* graph
 //!    (`touched ∩ dirty_old = ∅`), and
 //! 3. the *new* graph has no occurrence of `P` touching `dirty_new`
-//!    (the pinned existence query).
+//!    (the pinned existence query — the reference search itself, so "no
+//!    occurrence" means exactly what the enumerators would find, in either
+//!    semantics; a disconnected pattern or a fired cancellation token answers
+//!    "touches" and falls back to re-evaluation).
 //!
 //! (2) rules out destroyed or renamed occurrences: an occurrence invalidated by
 //! an edge/vertex removal, a relabel — or, in induced semantics, by an edge
@@ -49,10 +55,8 @@
 //! backend over the **immediately preceding** epoch; chain epochs by feeding
 //! each `run_delta`'s returned cache into the next.
 
-use ffsm_graph::cancel::CHECK_STRIDE;
 use ffsm_graph::canonical::CanonicalCode;
-use ffsm_graph::isomorphism::IsoConfig;
-use ffsm_graph::{LabeledGraph, Pattern, VertexId};
+use ffsm_graph::VertexId;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -163,205 +167,17 @@ pub(crate) fn sorted_intersects(a: &[VertexId], b: &[VertexId]) -> bool {
     false
 }
 
-/// Does `pattern` have any occurrence in `graph` whose image contains a vertex
-/// of `dirty`?  Decided by a backtracking search **pinned** at each dirty
-/// vertex in turn — cost proportional to the dirty neighbourhood, not to the
-/// graph — with the exact occurrence semantics of the enumerators (injective,
-/// label-preserving, edge-preserving; non-edge-reflecting unless
-/// `config.induced`).
-///
-/// Conservative exits: disconnected patterns and a fired cancellation token
-/// return `true` (the caller then falls back to full re-evaluation, which
-/// handles both cases properly).
-pub(crate) fn occurrences_touch(
-    pattern: &Pattern,
-    graph: &LabeledGraph,
-    config: &IsoConfig,
-    dirty: &[VertexId],
-) -> bool {
-    let n = pattern.num_vertices();
-    if n == 0 || dirty.is_empty() {
-        return false;
-    }
-    if n > graph.num_vertices() {
-        return false;
-    }
-    if !pattern.is_connected() {
-        return true;
-    }
-    let mut search = PinnedSearch {
-        pattern,
-        graph,
-        config,
-        order: Vec::with_capacity(n),
-        earlier: Vec::with_capacity(n),
-        assignment: vec![None; n],
-        steps: 0,
-        cancelled: false,
-    };
-    // An occurrence touches `dirty` iff some pattern vertex maps onto some dirty
-    // vertex: pin every (pattern vertex, dirty vertex) pair in turn.
-    for root in pattern.vertices() {
-        let can_pin = |d: VertexId| {
-            debug_assert!((d as usize) < graph.num_vertices(), "dirty ids are current");
-            graph.label(d) == pattern.label(root) && graph.degree(d) >= pattern.degree(root)
-        };
-        // Build the BFS order only for a root some dirty vertex can stand in for.
-        if !dirty.iter().any(|&d| can_pin(d)) {
-            continue;
-        }
-        search.set_root(root);
-        for &d in dirty.iter().filter(|&&d| can_pin(d)) {
-            search.assignment[root as usize] = Some(d);
-            let found = search.extend(1);
-            search.assignment[root as usize] = None;
-            if found || search.cancelled {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// Backtracking search for one occurrence extending a pinned root assignment.
-///
-/// This deliberately mirrors the occurrence semantics of
-/// `ffsm_graph::isomorphism::Search` (injective, label-preserving,
-/// edge-preserving, optional induced mode) without reusing it: the naive
-/// enumerator has no pinned-root entry point, and the reuse proof needs *this*
-/// query to agree with whatever the enumerators produce.  The agreement is
-/// enforced by the `pinned_query_matches_full_enumeration_oracle` proptest
-/// below, which diffs it against `enumerate_embeddings` in both semantics —
-/// any semantic drift in the enumerators breaks that test, not the proof.
-struct PinnedSearch<'a> {
-    pattern: &'a Pattern,
-    graph: &'a LabeledGraph,
-    config: &'a IsoConfig,
-    /// BFS order over the (connected) pattern, rooted at the pinned vertex.
-    order: Vec<VertexId>,
-    /// For each order position, the pattern neighbours that appear earlier.
-    earlier: Vec<Vec<VertexId>>,
-    /// The image of each pattern vertex; injectivity is checked against these at
-    /// most `|V(pattern)|` entries, so no graph-sized bookkeeping is allocated.
-    assignment: Vec<Option<VertexId>>,
-    steps: u32,
-    /// Set when the cancellation token fires mid-search; the caller treats the
-    /// query as "touches" so the full (itself cancellable) path takes over.
-    cancelled: bool,
-}
-
-impl PinnedSearch<'_> {
-    /// Recompute the BFS order and earlier-neighbour lists for a new root.
-    fn set_root(&mut self, root: VertexId) {
-        let n = self.pattern.num_vertices();
-        self.order.clear();
-        self.order.push(root);
-        let mut placed = vec![false; n];
-        placed[root as usize] = true;
-        let mut head = 0;
-        while head < self.order.len() {
-            let v = self.order[head];
-            head += 1;
-            for &w in self.pattern.neighbors(v) {
-                if !placed[w as usize] {
-                    placed[w as usize] = true;
-                    self.order.push(w);
-                }
-            }
-        }
-        debug_assert_eq!(self.order.len(), n, "pattern is connected");
-        let position: Vec<usize> = {
-            let mut pos = vec![0usize; n];
-            for (i, &v) in self.order.iter().enumerate() {
-                pos[v as usize] = i;
-            }
-            pos
-        };
-        self.earlier.clear();
-        for (i, &v) in self.order.iter().enumerate() {
-            self.earlier.push(
-                self.pattern
-                    .neighbors(v)
-                    .iter()
-                    .copied()
-                    .filter(|&w| position[w as usize] < i)
-                    .collect(),
-            );
-        }
-    }
-
-    /// Exactly the naive enumerator's feasibility test.
-    fn feasible(&self, pv: VertexId, gv: VertexId, depth: usize) -> bool {
-        if self.graph.label(gv) != self.pattern.label(pv)
-            || self.graph.degree(gv) < self.pattern.degree(pv)
-            || self.assignment.contains(&Some(gv))
-        {
-            return false;
-        }
-        for &pn in &self.earlier[depth] {
-            let gn = self.assignment[pn as usize].expect("earlier vertex assigned");
-            if !self.graph.has_edge(gv, gn) {
-                return false;
-            }
-        }
-        if self.config.induced {
-            for (p_other, assigned) in self.assignment.iter().enumerate() {
-                if let Some(g_other) = assigned {
-                    let p_other = p_other as VertexId;
-                    if p_other != pv
-                        && !self.pattern.has_edge(pv, p_other)
-                        && self.graph.has_edge(gv, *g_other)
-                    {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// `true` once any full occurrence extends the current partial assignment.
-    fn extend(&mut self, depth: usize) -> bool {
-        self.steps += 1;
-        if self.steps >= CHECK_STRIDE {
-            self.steps = 0;
-            if self.config.cancel.is_cancelled() {
-                self.cancelled = true;
-                return false;
-            }
-        }
-        if depth == self.order.len() {
-            return true;
-        }
-        let pv = self.order[depth];
-        // BFS order on a connected pattern guarantees an earlier neighbour; scan
-        // the cheapest matched image's adjacency list.
-        let pivot = self.earlier[depth]
-            .iter()
-            .copied()
-            .min_by_key(|&pn| self.graph.degree(self.assignment[pn as usize].expect("assigned")))
-            .expect("BFS order has an earlier neighbour");
-        let gn = self.assignment[pivot as usize].expect("assigned");
-        let graph = self.graph;
-        for &gv in graph.neighbors(gn) {
-            if self.feasible(pv, gv, depth) {
-                self.assignment[pv as usize] = Some(gv);
-                let found = self.extend(depth + 1);
-                self.assignment[pv as usize] = None;
-                if found || self.cancelled {
-                    return found;
-                }
-            }
-        }
-        false
-    }
-}
+/// The pinned existence query of the reuse argument's step (3): does `pattern`
+/// have an occurrence in `graph` whose image meets the dirty region?  Answered
+/// by the naive reference search itself, so the reuse proof and the enumerators
+/// share one occurrence semantics.
+pub(crate) use ffsm_graph::isomorphism::touches as occurrences_touch;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ffsm_graph::isomorphism::enumerate_embeddings;
-    use ffsm_graph::{generators, patterns, Label};
+    use ffsm_graph::isomorphism::{enumerate_embeddings, IsoConfig};
+    use ffsm_graph::{generators, patterns, Label, LabeledGraph, Pattern};
 
     #[test]
     fn sorted_intersects_merges() {

@@ -7,7 +7,8 @@
 //!   and both enumerator backends, the timed run reproduces the untimed
 //!   run's patterns (canonical codes, support bits, occurrence counts), final
 //!   threshold, completion, evaluation counts — and the always-on counter
-//!   block itself;
+//!   block itself; the MIS runs also report overlap probes and overlap-build
+//!   time;
 //! * **`patterns_emitted` is the stream** — the counter equals the number of
 //!   `Pattern` events a streaming consumer sees, in both threshold and top-k
 //!   modes, under every backend (proptest);
@@ -23,7 +24,9 @@
 use ffsm::core::{EnumeratorBackend, MeasureKind};
 use ffsm::graph::canonical::canonical_code;
 use ffsm::graph::generators;
-use ffsm::miner::{MiningEvent, MiningResult, MiningSession, PreparedGraph, SessionCounters};
+use ffsm::miner::{
+    MiningEvent, MiningResult, MiningSession, Phase, PreparedGraph, SessionCounters,
+};
 use proptest::prelude::*;
 
 const MEASURES: [MeasureKind; 4] =
@@ -94,6 +97,14 @@ fn metrics_on_is_bit_for_bit_identical_across_measures_and_backends() {
                 on.stats.phase_timings.exclusive_total_nanos() > 0,
                 "{context}: timed run recorded no phase time"
             );
+            // MIS solves on the overlap graph: its build is counted and timed.
+            if measure == MeasureKind::Mis {
+                assert!(on.stats.counters.overlap_probes > 0, "{context}: no overlap probes");
+                assert!(
+                    on.stats.phase_timings.nanos(Phase::OverlapBuild) > 0,
+                    "{context}: no overlap-build time"
+                );
+            }
         }
     }
 }
