@@ -29,6 +29,24 @@
 //! candidates that may be frequent and will be extended keep their lists, and
 //! the lists are dropped with the level that holds their children.
 //!
+//! A vertex extension `(a, l)` seeds its new vertex with the distinct
+//! `l`-labelled data neighbours of the parent's list for `a`, and
+//! [`CandidateSpace::initial`] builds that list first.  A parent therefore
+//! counts, once per vertex `a` and for every alphabet label at once, the
+//! distinct neighbours of its list by label (lazily, on the first child that
+//! asks), and a run that records no cache decides a vertex extension whose
+//! count is below the threshold from that count alone, without building any
+//! list.  A caching run still builds every list, because the union of a capped
+//! candidate's lists is its cached touched set; both runs reach the same
+//! verdicts and counters.
+//!
+//! Candidates themselves come from [`new_children`]: each one-edge extension
+//! is coded from the parent's adjacency bitmasks plus the added edge, and a
+//! child whose class was not seen before is kept as a [`Growth`] of its
+//! parent.  Its pattern is built where its evaluation needs it and dropped
+//! after, so a candidate decided from the label counts never builds one, and
+//! built patterns never pile up between the evaluation's large temporaries.
+//!
 //! ## Determinism and interruption
 //!
 //! The partition and merge order of the level evaluation are fixed, so results
@@ -42,7 +60,7 @@
 //! user-defined measures take exactly the same path.
 
 use crate::delta::{occurrences_touch, sorted_intersects, CacheMode, CachedEval, EvalCache};
-use crate::extension::{dedupe_with_codes, extensions, seed_patterns};
+use crate::extension::{dedupe_with_codes, new_children, seed_patterns, Growth};
 use crate::prepared::PreparedGraph;
 use crate::sharded::{shard_pass, LevelBuffer};
 use crate::stream::{LevelSummary, MiningEvent, RunSummary};
@@ -59,9 +77,10 @@ use ffsm_graph::isomorphism::IsoConfig;
 use ffsm_graph::{patterns, Label, LabeledGraph, Pattern, VertexId};
 use ffsm_obs::{tls, Phase, PhaseTimes, SearchCounters};
 use ffsm_shard::PartitionedGraph;
+use std::borrow::Cow;
 use std::collections::{HashSet, VecDeque};
 use std::ops::ControlFlow;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// What a session mines: a whole prepared graph or a partition of one.  Built
@@ -177,26 +196,93 @@ pub(crate) struct EngineConfig {
 
 /// What a candidate inherits from the pattern it extends.
 struct Parent {
+    /// The pattern itself, which each child's [`Growth`] extends.
+    pattern: Pattern,
     /// The parent's certified upper bound (its support outside bounds-first
     /// mode); by anti-monotonicity it caps the child.
     hi: f64,
     /// The parent's refined candidate lists, when they were built over the
     /// whole graph: they seed the child's candidate space.
     lists: Option<Vec<Vec<VertexId>>>,
+    /// One slot per list, filled on first use: how many distinct data
+    /// neighbours of `lists[a]` carry each alphabet label, by alphabet
+    /// position — the seeded new-vertex list length of every vertex extension
+    /// at `a`.
+    neighbour_labels: Vec<OnceLock<Vec<u32>>>,
 }
 
-/// One candidate of a level: the pattern, its canonical code and a handle to
-/// its parent (`None` for the seeds).
-pub(crate) struct Candidate {
-    pub(crate) pattern: Pattern,
-    code: CanonicalCode,
-    parent: Option<Arc<Parent>>,
+impl Parent {
+    fn new(pattern: Pattern, hi: f64, lists: Option<Vec<Vec<VertexId>>>) -> Self {
+        let slots = lists.as_ref().map_or(0, Vec::len);
+        let neighbour_labels = (0..slots).map(|_| OnceLock::new()).collect();
+        Parent { pattern, hi, lists, neighbour_labels }
+    }
+
+    /// The number of distinct data neighbours of `lists[at]` labelled
+    /// `alphabet[position]` (the alphabet of `graph`, ascending).
+    fn neighbour_label_count(
+        &self,
+        at: VertexId,
+        position: usize,
+        graph: &LabeledGraph,
+        alphabet: &[Label],
+    ) -> usize {
+        let counts = self.neighbour_labels[at as usize].get_or_init(|| {
+            let list = &self.lists.as_deref().expect("slots exist only beside lists")[at as usize];
+            let mut neighbours: Vec<VertexId> =
+                list.iter().flat_map(|&w| graph.neighbors(w)).copied().collect();
+            neighbours.sort_unstable();
+            neighbours.dedup();
+            let mut counts = vec![0u32; alphabet.len()];
+            for x in neighbours {
+                if let Ok(i) = alphabet.binary_search(&graph.label(x)) {
+                    counts[i] += 1;
+                }
+            }
+            counts
+        });
+        counts[position] as usize
+    }
+}
+
+/// One candidate of a level: its pattern, or how it grows its parent's, and
+/// its canonical code.
+struct Candidate {
+    shape: Shape,
+    /// Kept only by caching runs, the code's one reader (the `seen` set holds
+    /// every code for deduplication).
+    code: Option<CanonicalCode>,
+}
+
+/// A candidate's pattern: a seed's is stored; an extension's is built from
+/// its parent's wherever it is needed and dropped after, so a candidate
+/// decided from its parent's label counts never builds one, and no built
+/// pattern outlives the evaluation that needed it.
+enum Shape {
+    Seed(Pattern),
+    Extension(Arc<Parent>, Growth),
 }
 
 impl Candidate {
+    /// The candidate's pattern.
+    fn pattern(&self) -> Cow<'_, Pattern> {
+        match &self.shape {
+            Shape::Seed(pattern) => Cow::Borrowed(pattern),
+            Shape::Extension(parent, growth) => Cow::Owned(growth.apply(&parent.pattern)),
+        }
+    }
+
+    /// The pattern this candidate extends (`None` for a seed).
+    fn parent(&self) -> Option<&Parent> {
+        match &self.shape {
+            Shape::Seed(_) => None,
+            Shape::Extension(parent, _) => Some(parent),
+        }
+    }
+
     /// The upper bound inherited from the parent (`+∞` for a seed).
     fn parent_hi(&self) -> f64 {
-        self.parent.as_ref().map_or(f64::INFINITY, |parent| parent.hi)
+        self.parent().map_or(f64::INFINITY, |parent| parent.hi)
     }
 }
 
@@ -260,6 +346,8 @@ struct LevelContext<'a> {
     /// during the level, so a value below it stays below).
     threshold: f64,
     label_counts: &'a [(Label, usize)],
+    /// The extension alphabet, ascending.
+    alphabet: &'a [Label],
     /// The whole graph's matching index (`None` under the naive backend and
     /// for a partition).
     index: Option<&'a GraphIndex>,
@@ -279,13 +367,17 @@ impl LevelContext<'_> {
         candidate: &Candidate,
         graph: Option<&LabeledGraph>,
     ) -> ControlFlow<EvalOutcome, Open> {
-        let pattern = &candidate.pattern;
         if let (CacheMode::Delta(ctx), Some(graph)) = (self.mode, graph) {
-            if let Some(cached) = ctx.prior.get(&candidate.code) {
+            if let Some(cached) = candidate.code.as_ref().and_then(|code| ctx.prior.get(code)) {
                 if cached.complete
                     && (!cached.capped || cached.support < self.threshold)
                     && !sorted_intersects(&cached.touched, &ctx.dirty_old)
-                    && !occurrences_touch(pattern, graph, &self.config.iso_config, &ctx.dirty_new)
+                    && !occurrences_touch(
+                        &candidate.pattern(),
+                        graph,
+                        &self.config.iso_config,
+                        &ctx.dirty_new,
+                    )
                 {
                     return ControlFlow::Break(EvalOutcome {
                         support: cached.support,
@@ -303,8 +395,12 @@ impl LevelContext<'_> {
             return ControlFlow::Continue(Open { pre: None, bounds_nanos: 0 });
         };
         let clock = self.config.metrics.then(Instant::now);
-        let pre =
-            evaluator.pre_bounds(pattern, self.label_counts, self.index, candidate.parent_hi());
+        let pre = evaluator.pre_bounds(
+            &candidate.pattern(),
+            self.label_counts,
+            self.index,
+            candidate.parent_hi(),
+        );
         let bounds_nanos = clock.map_or(0, |clock| clock.elapsed().as_nanos() as u64);
         match pre.decision {
             Some(frequent) => ControlFlow::Break(EvalOutcome {
@@ -336,15 +432,18 @@ impl LevelContext<'_> {
         graph: &LabeledGraph,
         arena: &mut SearchArena,
     ) -> EvalOutcome {
-        let pattern = &candidate.pattern;
         let iso_config = &self.config.iso_config;
         let Some(index) = self.index else {
-            let result = enumerate_with(pattern, graph, None, iso_config.clone(), arena);
-            let occ =
-                OccurrenceSet::from_embeddings(pattern.clone(), result.embeddings, result.complete);
+            let pattern = candidate.pattern();
+            let result = enumerate_with(&pattern, graph, None, iso_config.clone(), arena);
+            let occ = OccurrenceSet::from_embeddings(
+                pattern.into_owned(),
+                result.embeddings,
+                result.complete,
+            );
             return self.close(open, &occ);
         };
-        let parent = candidate.parent.as_ref().and_then(|parent| parent.lists.as_deref());
+        let parent = candidate.parent().and_then(|parent| parent.lists.as_deref());
         // A list shorter than `floor` proves the candidate infrequent.  A
         // caching run needs every list (their union is the cached touched
         // set), so it builds them all before testing the floor.
@@ -353,6 +452,21 @@ impl LevelContext<'_> {
             _ => 0,
         };
         let early = if self.mode.caching() { 0 } else { floor };
+        // `initial` builds a vertex extension's new-vertex list first, and that
+        // list is exactly the distinct neighbours of the anchor's list with the
+        // new label (the degree and fingerprint filter admits each of them), so
+        // the parent's count decides what `initial` would stop on.
+        if let Shape::Extension(parent, Growth::Vertex { at, position, .. }) = &candidate.shape {
+            if early > 0 {
+                let short = arena.span(Phase::CandidateSpace, |_| {
+                    parent.neighbour_label_count(*at, *position as usize, graph, self.alphabet)
+                });
+                if short < early {
+                    return self.capped(open, short, Vec::new());
+                }
+            }
+        }
+        let pattern = &*candidate.pattern();
         let built = arena.span(Phase::CandidateSpace, |_| {
             let initial = CandidateSpace::initial(pattern, graph, index, parent, early)
                 .map_err(|short| (short, Vec::new()))?;
@@ -573,8 +687,11 @@ fn evaluate_level(
                     pending.iter().skip(w).step_by(workers).map(|&i| LevelBuffer::new(i)).collect()
                 })
                 .collect();
+            // Every shard enumerates each pending pattern: build each once.
+            let patterns: Vec<Cow<'_, Pattern>> =
+                candidates.iter().map(Candidate::pattern).collect();
             if !pending.is_empty() {
-                shard_pass(parts, candidates, &mut buckets, arenas, iso_config, descending)?;
+                shard_pass(parts, &patterns, &mut buckets, arenas, iso_config, descending)?;
             }
             let closed = merge(on_workers(&mut buckets, arenas, |bucket, _| {
                 let before = tls::snapshot();
@@ -582,7 +699,7 @@ fn evaluate_level(
                     .drain(..)
                     .map(|buffer| {
                         let i = buffer.candidate;
-                        let (occ, cross_shard) = buffer.into_occurrences(&candidates[i].pattern);
+                        let (occ, cross_shard) = buffer.into_occurrences(&patterns[i]);
                         let state = open[i].expect("only open candidates are buffered");
                         EvalOutcome { cross_shard, ..cx.close(state, &occ) }
                     })
@@ -689,7 +806,10 @@ impl EngineState {
         stats.candidates_generated += seeds.len();
         let level = dedupe_with_codes(seeds, &mut seen)
             .into_iter()
-            .map(|(pattern, code)| Candidate { pattern, code, parent: None })
+            .map(|(pattern, code)| Candidate {
+                shape: Shape::Seed(pattern),
+                code: mode.caching().then_some(code),
+            })
             .collect();
         let threshold = config.min_support;
         EngineState {
@@ -757,14 +877,15 @@ impl EngineState {
             if let Some(evaluator) = self.config.bounds.clone() {
                 let index = self.source.index(self.config.iso_config.backend);
                 for candidate in std::mem::take(&mut self.level) {
+                    let pattern = candidate.pattern().into_owned();
                     let pre = evaluator.pre_bounds(
-                        &candidate.pattern,
+                        &pattern,
                         self.source.label_counts(),
                         index.as_deref(),
                         candidate.parent_hi(),
                     );
                     let undecided = UndecidedPattern {
-                        pattern: candidate.pattern,
+                        pattern,
                         interval: pre.interval,
                         certificate: pre.certificate,
                     };
@@ -828,6 +949,7 @@ impl EngineState {
             mode: &self.mode,
             threshold: self.threshold,
             label_counts: self.source.label_counts(),
+            alphabet: self.source.alphabet(),
             index: index.as_deref(),
         };
         // Alternate the shard order per level so a partition's LRU store
@@ -869,10 +991,8 @@ impl EngineState {
         // caps every child by anti-monotonicity, and its refined lists (when
         // kept) seed their candidate spaces.
         let mut accepted = 0usize;
-        let mut survivors: Vec<(Pattern, Parent)> = Vec::new();
-        for (Candidate { pattern, code, .. }, outcome) in
-            std::mem::take(&mut self.level).into_iter().zip(outcomes)
-        {
+        let mut survivors: Vec<Parent> = Vec::new();
+        for (mut candidate, outcome) in std::mem::take(&mut self.level).into_iter().zip(outcomes) {
             let EvalOutcome {
                 support,
                 num_occurrences,
@@ -896,11 +1016,10 @@ impl EngineState {
             self.stats.counters.cross_shard_occurrences += cross_shard;
             if self.mode.caching() {
                 self.cache_out.insert(
-                    code,
+                    candidate.code.take().expect("caching runs keep every code"),
                     CachedEval { support, num_occurrences, touched, complete, capped },
                 );
             }
-            let parent = Parent { hi: interval.map_or(support, |iv| iv.hi), lists };
             let frequent = support >= self.threshold;
             if !frequent {
                 self.stats.candidates_pruned += 1;
@@ -910,6 +1029,7 @@ impl EngineState {
                 budget_hit.get_or_insert(BudgetKind::Patterns);
                 continue;
             }
+            let pattern = candidate.pattern().into_owned();
             let found = FrequentPattern {
                 pattern: pattern.clone(),
                 support,
@@ -926,7 +1046,7 @@ impl EngineState {
                 Some(k) => self.threshold = insert_top_k(&mut self.frequent, found, k, self.floor),
             }
             accepted += 1;
-            survivors.push((pattern, parent));
+            survivors.push(Parent::new(pattern, interval.map_or(support, |iv| iv.hi), lists));
         }
         self.stats.levels_completed += 1;
         self.refresh_observability();
@@ -948,18 +1068,18 @@ impl EngineState {
         // candidates are never extended — sound because the measure is anti-monotone.
         let extension_start = Instant::now();
         let mut next: Vec<Candidate> = Vec::new();
-        for (pattern, parent) in survivors {
-            if pattern.num_edges() >= self.config.max_pattern_edges {
+        for parent in survivors {
+            if parent.pattern.num_edges() >= self.config.max_pattern_edges {
                 continue;
             }
-            let children = extensions(&pattern, self.source.alphabet());
-            self.stats.candidates_generated += children.len();
+            let (children, generated) =
+                new_children(&parent.pattern, self.source.alphabet(), &mut self.seen);
+            self.stats.candidates_generated += generated;
             let parent = Arc::new(parent);
-            next.extend(
-                dedupe_with_codes(children, &mut self.seen).into_iter().map(|(pattern, code)| {
-                    Candidate { pattern, code, parent: Some(parent.clone()) }
-                }),
-            );
+            next.extend(children.into_iter().map(|(code, growth)| Candidate {
+                shape: Shape::Extension(parent.clone(), growth),
+                code: self.mode.caching().then_some(code),
+            }));
         }
         self.engine_phase.record(Phase::Extension, extension_start.elapsed());
         self.level = next;

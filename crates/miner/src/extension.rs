@@ -7,10 +7,14 @@
 //!   an existing node.
 //!
 //! Candidates are later de-duplicated by canonical code, so the generator does not
-//! need to avoid producing isomorphic duplicates.
+//! need to avoid producing isomorphic duplicates.  The mining engine fuses the two
+//! steps: it codes each extension from the parent's [`PatternMasks`] and keeps
+//! only the children of classes not seen before, each as the one-edge growth
+//! of its parent that builds the child when it is needed.
 
-use ffsm_graph::canonical::{canonical_code, CanonicalCode};
-use ffsm_graph::{patterns, Label, Pattern};
+use ffsm_graph::canonical::{canonical_code, CanonicalCode, PatternMasks};
+use ffsm_graph::{patterns, Label, Pattern, VertexId};
+use std::collections::HashSet;
 
 /// All single-edge extensions of `pattern` over the given label alphabet.
 pub fn extensions(pattern: &Pattern, alphabet: &[Label]) -> Vec<Pattern> {
@@ -35,21 +39,14 @@ pub fn extensions(pattern: &Pattern, alphabet: &[Label]) -> Vec<Pattern> {
     out
 }
 
-/// Deduplicate a batch of candidate patterns by canonical code, preserving the first
-/// representative of each isomorphism class and skipping codes already in `seen`.
-pub fn dedupe_by_canonical_code(
-    candidates: Vec<Pattern>,
-    seen: &mut std::collections::HashSet<CanonicalCode>,
-) -> Vec<Pattern> {
-    dedupe_with_codes(candidates, seen).into_iter().map(|(pattern, _)| pattern).collect()
-}
-
-/// [`dedupe_by_canonical_code`], but keeping each survivor's canonical code —
-/// the mining engine threads the codes through to the per-pattern
-/// [`EvalCache`](crate::EvalCache) instead of canonicalising twice.
+/// Deduplicate a batch of candidate patterns by canonical code, preserving the
+/// first representative of each isomorphism class, skipping codes already in
+/// `seen`, and keeping each survivor's code — the mining engine threads the codes
+/// through to the per-pattern [`EvalCache`](crate::EvalCache) instead of
+/// canonicalising twice.
 pub fn dedupe_with_codes(
     candidates: Vec<Pattern>,
-    seen: &mut std::collections::HashSet<CanonicalCode>,
+    seen: &mut HashSet<CanonicalCode>,
 ) -> Vec<(Pattern, CanonicalCode)> {
     let mut out = Vec::new();
     for candidate in candidates {
@@ -59,6 +56,76 @@ pub fn dedupe_with_codes(
         }
     }
     out
+}
+
+/// How a child extends its parent by one edge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Growth {
+    /// An edge between two parent vertices.
+    Edge(VertexId, VertexId),
+    /// A new vertex labelled `label`, the alphabet's entry `position`, joined
+    /// to parent vertex `at`.
+    Vertex { at: VertexId, label: Label, position: u32 },
+}
+
+impl Growth {
+    /// The child this growth makes of `parent`.
+    pub(crate) fn apply(self, parent: &Pattern) -> Pattern {
+        match self {
+            Growth::Edge(u, v) => patterns::extend_with_edge(parent, u, v),
+            Growth::Vertex { at, label, .. } => patterns::extend_with_vertex(parent, at, label),
+        }
+        .expect("a one-edge extension of its parent")
+    }
+}
+
+/// `dedupe_with_codes(extensions(pattern, alphabet), seen)`, each child given
+/// by its code and its [`Growth`] of `pattern`, plus the number of extensions
+/// generated.  Each extension is coded by editing `pattern`'s masks by one
+/// edge, and no child pattern is built.
+///
+/// # Panics
+///
+/// Panics if a child would exceed [`ffsm_graph::canonical::MAX_VERTICES`]
+/// vertices.
+pub(crate) fn new_children(
+    pattern: &Pattern,
+    alphabet: &[Label],
+    seen: &mut HashSet<CanonicalCode>,
+) -> (Vec<(CanonicalCode, Growth)>, usize) {
+    let mut masks = PatternMasks::new(pattern);
+    let mut code = CanonicalCode::default();
+    let mut children = Vec::new();
+    let mut generated = 0;
+    let mut keep = |code: &CanonicalCode, growth| {
+        if !seen.contains(code) {
+            seen.insert(code.clone());
+            children.push((code.clone(), growth));
+        }
+    };
+    let n = pattern.num_vertices() as VertexId;
+    for u in 0..n {
+        for v in (u + 1)..n {
+            if masks.has_edge(u, v) {
+                continue;
+            }
+            generated += 1;
+            masks.flip_edge(u, v);
+            masks.code_into(&mut code);
+            masks.flip_edge(u, v);
+            keep(&code, Growth::Edge(u, v));
+        }
+    }
+    for at in 0..n {
+        for (position, &label) in alphabet.iter().enumerate() {
+            generated += 1;
+            masks.push_vertex(label, at);
+            masks.code_into(&mut code);
+            masks.pop_vertex();
+            keep(&code, Growth::Vertex { at, label, position: position as u32 });
+        }
+    }
+    (children, generated)
 }
 
 /// All frequent single-edge seed patterns of a graph: one pattern per unordered label
@@ -140,12 +207,64 @@ mod tests {
         // end); deduplication keeps only one.
         let p = patterns::uniform_path(3, Label(0));
         let exts = extensions(&p, &[Label(0)]);
-        let mut seen = std::collections::HashSet::new();
-        let unique = dedupe_by_canonical_code(exts.clone(), &mut seen);
+        let mut seen = HashSet::new();
+        let unique = dedupe_with_codes(exts.clone(), &mut seen);
         assert!(unique.len() < exts.len());
+        for (pattern, code) in &unique {
+            assert_eq!(*code, canonical_code(pattern));
+        }
         // Running again with the same `seen` yields nothing new.
-        let again = dedupe_by_canonical_code(exts, &mut seen);
+        let again = dedupe_with_codes(exts, &mut seen);
         assert!(again.is_empty());
+    }
+
+    /// The engine's fused extension equals generating every extension and
+    /// deduplicating it: same children, codes, order and generated count,
+    /// across several parents sharing one `seen`.
+    #[test]
+    fn new_children_equal_deduped_extensions() {
+        for seed in 0..40u64 {
+            let labels = 1 + (seed % 4) as u32;
+            let graph = ffsm_graph::generators::gnm_random(30, 60, labels, seed);
+            let alphabet: Vec<Label> =
+                graph.distinct_labels().into_iter().filter(|l| l.0 as u64 != seed % 3).collect();
+            let (mut seen_fused, mut seen_reference) = (HashSet::new(), HashSet::new());
+            for k in 0..6u64 {
+                let Some((parent, _)) = ffsm_graph::generators::sample_pattern(
+                    &graph,
+                    1 + (k % 4) as usize,
+                    seed * 7 + k,
+                ) else {
+                    continue;
+                };
+                let all = extensions(&parent, &alphabet);
+                let generated_reference = all.len();
+                let reference = dedupe_with_codes(all, &mut seen_reference);
+                let (fused, generated) = new_children(&parent, &alphabet, &mut seen_fused);
+                assert_eq!(generated, generated_reference, "seed {seed}, parent {k}");
+                let fused: Vec<(Pattern, CanonicalCode)> =
+                    fused.into_iter().map(|(code, growth)| (growth.apply(&parent), code)).collect();
+                assert_eq!(fused, reference, "seed {seed}, parent {k}");
+            }
+            assert_eq!(seen_fused, seen_reference);
+        }
+    }
+
+    #[test]
+    fn vertex_growths_name_their_alphabet_position() {
+        let parent = patterns::path(&[Label(0), Label(1)]);
+        let alphabet = [Label(0), Label(1), Label(2)];
+        let (children, generated) = new_children(&parent, &alphabet, &mut HashSet::new());
+        assert_eq!(generated, 6);
+        for (code, growth) in children {
+            let Growth::Vertex { at, label, position } = growth else {
+                panic!("a two-vertex path has only vertex extensions");
+            };
+            assert_eq!(alphabet[position as usize], label);
+            let child = growth.apply(&parent);
+            assert_eq!((child.neighbors(2), child.label(2)), (&[at][..], label));
+            assert_eq!(code, canonical_code(&child));
+        }
     }
 
     #[test]

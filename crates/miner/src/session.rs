@@ -78,6 +78,7 @@ use ffsm_core::{
     CancelToken, EnumeratorBackend, FfsmError, GraphDelta, MeasureConfig, MeasureKind,
     SupportMeasure,
 };
+use ffsm_graph::canonical::MAX_VERTICES;
 use ffsm_graph::LabeledGraph;
 #[cfg(doc)]
 use ffsm_shard::PartitionedGraph;
@@ -241,8 +242,10 @@ impl MiningSession {
         self
     }
 
-    /// Stop growing patterns beyond `edges` edges.  Over a partition, must not
-    /// exceed its halo depth (checked at `run()` / `stream()` time).
+    /// Stop growing patterns beyond `edges` edges: at most 63, so every pattern
+    /// has at most [`MAX_VERTICES`](ffsm_graph::canonical::MAX_VERTICES) vertices
+    /// for its canonical code.  Over a partition, must not exceed its halo depth
+    /// (both checked at `run()` / `stream()` time).
     pub fn max_edges(mut self, edges: usize) -> Self {
         self.config.max_edges = edges;
         self
@@ -346,8 +349,9 @@ impl MiningSession {
     ///
     /// # Errors
     ///
-    /// * [`FfsmError::InvalidConfig`] — non-finite or negative τ, `max_edges(0)`,
-    ///   `top_k(0)`, or an `MNI-0` measure;
+    /// * [`FfsmError::InvalidConfig`] — non-finite or negative τ, `max_edges` of
+    ///   0 or above 63 (a 64-edge pattern can have 65 vertices, past what a
+    ///   canonical code encodes), `top_k(0)`, or an `MNI-0` measure;
     /// * [`FfsmError::NotAntiMonotone`] — the selected measure refuses threshold
     ///   pruning (e.g. the raw occurrence count), which would make mining unsound;
     /// * [`FfsmError::Partition`] — over a partition with more than one shard,
@@ -375,6 +379,12 @@ impl MiningSession {
         }
         if config.max_edges == 0 {
             return Err(FfsmError::InvalidConfig("max_edges must be at least 1".into()));
+        }
+        if config.max_edges >= MAX_VERTICES {
+            return Err(FfsmError::InvalidConfig(format!(
+                "max_edges must be at most {}: a canonical code covers {MAX_VERTICES} vertices",
+                MAX_VERTICES - 1
+            )));
         }
         if config.top_k == Some(0) {
             return Err(FfsmError::InvalidConfig("top_k must be at least 1".into()));
@@ -642,6 +652,9 @@ mod tests {
         assert!(matches!(negative, Err(FfsmError::InvalidConfig(_))));
         let zero_edges = MiningSession::over(&prepared).max_edges(0).run();
         assert!(matches!(zero_edges, Err(FfsmError::InvalidConfig(_))));
+        let too_many_edges = MiningSession::over(&prepared).max_edges(64).run();
+        assert!(matches!(too_many_edges, Err(FfsmError::InvalidConfig(_))));
+        assert!(MiningSession::over(&prepared).max_edges(63).run().is_ok());
         let zero_k = MiningSession::over(&prepared).top_k(0).run();
         assert!(matches!(zero_k, Err(FfsmError::InvalidConfig(_))));
         let mni0 = MiningSession::over(&prepared).measure(MeasureKind::MniK(0)).run();

@@ -43,7 +43,7 @@
 //!   contract `tests/shard_differential.rs` enforces at shard counts 1, 2, 3
 //!   and 7.
 
-use crate::engine::{on_workers, Candidate};
+use crate::engine::on_workers;
 use crate::session::MiningSession;
 use ffsm_core::{
     enumerate_with, EnumerationResult, EnumeratorBackend, FfsmError, OccurrenceSet, SearchArena,
@@ -51,6 +51,7 @@ use ffsm_core::{
 use ffsm_graph::isomorphism::{Embedding, IsoConfig};
 use ffsm_graph::{Pattern, VertexId};
 use ffsm_shard::{PartitionedGraph, ShardStoreStats};
+use std::borrow::Cow;
 
 /// One candidate's kept occurrences from the shards visited so far in a level,
 /// stored flat: image `k` is `images[k * stride..(k + 1) * stride]` with
@@ -112,7 +113,8 @@ impl LevelBuffer {
 }
 
 /// Fill every buffer in `buckets` shard-major: fetch each shard once, and
-/// enumerate on it every candidate that has a buffer.  Shards are visited in
+/// enumerate on it every candidate that has a buffer (`patterns` holds the
+/// level's patterns in candidate order).  Shards are visited in
 /// ascending order, or descending when `descending`.  Worker `w` fills
 /// `buckets[w]` with `arenas[w]`; the merge sorts, so neither the bucket split
 /// nor the shard order changes the result.
@@ -123,7 +125,7 @@ impl LevelBuffer {
 /// store) fails the whole pass.
 pub(crate) fn shard_pass(
     partitioned: &PartitionedGraph,
-    candidates: &[Candidate],
+    patterns: &[Cow<'_, Pattern>],
     buckets: &mut [Vec<LevelBuffer>],
     arenas: &mut [SearchArena],
     iso_config: &IsoConfig,
@@ -139,7 +141,7 @@ pub(crate) fn shard_pass(
         let (graph, to_global) = (shard.graph(), shard.to_global());
         on_workers(buckets, arenas, |bucket, arena| {
             for buffer in bucket.iter_mut() {
-                let pattern = &candidates[buffer.candidate].pattern;
+                let pattern = &*patterns[buffer.candidate];
                 if graph.num_vertices() < pattern.num_vertices() {
                     continue;
                 }
