@@ -93,6 +93,7 @@ pub fn run(run: &mut Run) {
                 .raw("patterns", result.len())
                 .raw("evaluated", result.stats.candidates_evaluated)
                 .raw("reused", result.stats.evaluations_reused)
+                .raw("capped", result.stats.counters.space_capped)
                 .raw("cold_us", cold.as_micros())
                 .raw("incremental_us", incremental.as_micros())
                 .raw("speedup", format!("{speedup:.2}")),

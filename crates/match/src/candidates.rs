@@ -139,14 +139,6 @@ impl InitialSets {
         self.lists.iter().map(Vec::len).min().unwrap_or(0)
     }
 
-    /// The sorted union of all lists: a superset of every embedding's image.
-    pub fn touched(&self) -> Vec<VertexId> {
-        let mut all: Vec<VertexId> = self.lists.concat();
-        all.sort_unstable();
-        all.dedup();
-        all
-    }
-
     /// Phase 2: refine the lists to neighbourhood consistency (see the module
     /// docs).  `pattern`, `graph` and `index` must be the ones the lists were
     /// built for.

@@ -9,7 +9,7 @@
 //!
 //! * [`EvalCache`] — per-pattern evaluation results of one epoch, keyed by
 //!   canonical code: support, occurrence count, and the sorted set of data
-//!   vertices **touched** by any occurrence image;
+//!   vertices **touched** by any occurrence image (empty for a capped entry);
 //! * a **pinned existence query** ([`occurrences_touch`]) answering "does this
 //!   pattern have an occurrence whose image meets the dirty region?".  It is
 //!   the naive reference search of `ffsm_graph::isomorphism` (its `touches`
@@ -45,10 +45,17 @@
 //! rising top-k thresholds and budget cut-offs) is identical.
 //!
 //! A candidate the seeded candidate-space cap decided (see [`CachedEval::capped`])
-//! never enumerated its occurrences: its entry records the cap and, as touched
-//! set, the union of its seeded candidate lists, which contains every image.
-//! The same argument then keeps the occurrence set, so the cap still bounds the
-//! support; it is reused only while it stays below the threshold.
+//! never enumerated its occurrences.  Its entry records the cap, the length of
+//! the seeded list of some pattern vertex `u` (a list holding every old image
+//! of `u`), and an **empty** touched set, so (2) holds trivially.  The entry
+//! needs no exact value, only a proof that the support stays below the
+//! threshold, and (3) alone gives that: by the dirtiness invariants of
+//! `ffsm_graph::update`, a new occurrence avoiding `dirty_new` was an old one
+//! under the same vertex ids, so `u`'s new images are a subset of its old ones
+//! and `support ≤ MNI ≤ |images(u)| ≤ cap` (the cap applies only to measures at
+//! or below MNI).  It is reused only while it stays below the current
+//! threshold, and a reused cap carries the same bound on, so by induction it
+//! holds across any chain of reuses.
 //!
 //! The cache is sound across thresholds (supports do not depend on τ) but must
 //! come from a run with the same measure, measure configuration and enumeration
@@ -67,18 +74,17 @@ pub struct CachedEval {
     pub support: f64,
     /// Number of occurrences enumerated for the support.
     pub num_occurrences: usize,
-    /// Sorted distinct data vertices appearing in any occurrence image.
-    /// `Arc`-shared so carrying an entry across epochs is a refcount bump, not
-    /// a copy of a possibly graph-sized vertex list.
+    /// Sorted distinct data vertices in any occurrence image (none for a
+    /// capped entry).  `Arc`-shared so carrying an entry across epochs is a
+    /// refcount bump, not a copy of a possibly graph-sized vertex list.
     pub touched: Arc<[VertexId]>,
     /// `false` if the enumeration hit its embedding budget; such entries are
     /// never reused (their touched set is partial).
     pub complete: bool,
     /// `true` when the seeded candidate-space cap decided the pattern: then
-    /// `support` is that cap, an upper bound below the recording run's
-    /// threshold, `num_occurrences` is 0 and `touched` is the union of the
-    /// seeded candidate lists (a superset of every image).  Reused only while
-    /// the cap stays below the current threshold.
+    /// `support` is that cap (the first seeded list below the recording run's
+    /// threshold), `num_occurrences` is 0 and `touched` is empty.  Reused iff
+    /// complete, below the current threshold and the pinned query is false.
     pub capped: bool,
 }
 
@@ -107,6 +113,10 @@ impl EvalCache {
     /// The cached evaluation of the pattern with this canonical code, if any.
     pub fn get(&self, code: &CanonicalCode) -> Option<&CachedEval> {
         self.entries.get(code)
+    }
+
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.entries.reserve(additional);
     }
 
     pub(crate) fn insert(&mut self, code: CanonicalCode, eval: CachedEval) {

@@ -22,7 +22,7 @@
 //! buckets (the refined space is the same — see [`CandidateSpace::initial`]).
 //! The seeded lists also bound the support: every MNI image of pattern vertex
 //! `u` lies in `u`'s list, so for a measure at or below MNI in the containment
-//! chain (those [`BoundsEvaluator::supports`] admits) a shortest list below the
+//! chain (those [`BoundsEvaluator::supports`] admits) any list below the
 //! level's threshold decides the candidate infrequent before any refinement,
 //! search or solve.  The cap is an upper bound on the exact value, so it never
 //! changes a verdict, in exact sessions as in bounds-first ones.  Only
@@ -34,11 +34,10 @@
 //! [`CandidateSpace::initial`] builds that list first.  A parent therefore
 //! counts, once per vertex `a` and for every alphabet label at once, the
 //! distinct neighbours of its list by label (lazily, on the first child that
-//! asks), and a run that records no cache decides a vertex extension whose
+//! asks), and every run, recording or not, decides a vertex extension whose
 //! count is below the threshold from that count alone, without building any
-//! list.  A caching run still builds every list, because the union of a capped
-//! candidate's lists is its cached touched set; both runs reach the same
-//! verdicts and counters.
+//! list: a capped cache entry records no touched set (see the `delta` module
+//! docs).  An edge extension's cap is the first seeded list below the threshold.
 //!
 //! Candidates themselves come from [`new_children`]: each one-edge extension
 //! is coded from the parent's adjacency bitmasks plus the added edge, and a
@@ -296,8 +295,8 @@ struct EvalOutcome {
     /// by construction.
     support: f64,
     num_occurrences: usize,
-    /// Sorted distinct image vertices — only populated when a cache is recorded
-    /// (shared, so reuse across epochs never copies the list).
+    /// Sorted distinct image vertices, recorded by caching runs for enumerated
+    /// candidates only (shared, so reuse across epochs never copies the list).
     touched: Arc<[VertexId]>,
     /// `false` when the enumeration hit its embedding budget.
     complete: bool,
@@ -420,11 +419,11 @@ impl LevelContext<'_> {
     /// Enumerate an open candidate over the whole graph and close it.
     ///
     /// On the candidate-space engine the space is seeded from the parent's
-    /// lists, and when the measure admits the cap and the seeded lists' shortest
-    /// falls below the threshold, the candidate is decided right there (see
-    /// the module docs).  Seeds, and children of parents without lists, build
-    /// cold and are never capped.  A candidate that may be frequent and will be
-    /// extended keeps its refined lists for its children.
+    /// lists, and when the measure admits the cap and a seeded list falls below
+    /// the threshold, the candidate is decided right there (see the module
+    /// docs).  Seeds, and children of parents without lists, build cold and are
+    /// never capped.  A candidate that may be frequent and will be extended
+    /// keeps its refined lists for its children.
     fn evaluate_whole(
         &self,
         candidate: &Candidate,
@@ -444,45 +443,34 @@ impl LevelContext<'_> {
             return self.close(open, &occ);
         };
         let parent = candidate.parent().and_then(|parent| parent.lists.as_deref());
-        // A list shorter than `floor` proves the candidate infrequent.  A
-        // caching run needs every list (their union is the cached touched
-        // set), so it builds them all before testing the floor.
+        // A list shorter than `floor` proves the candidate infrequent.
         let floor = match parent {
             Some(_) if self.config.space_cap => self.threshold.ceil() as usize,
             _ => 0,
         };
-        let early = if self.mode.caching() { 0 } else { floor };
         // `initial` builds a vertex extension's new-vertex list first, and that
         // list is exactly the distinct neighbours of the anchor's list with the
         // new label (the degree and fingerprint filter admits each of them), so
         // the parent's count decides what `initial` would stop on.
         if let Shape::Extension(parent, Growth::Vertex { at, position, .. }) = &candidate.shape {
-            if early > 0 {
+            if floor > 0 {
                 let short = arena.span(Phase::CandidateSpace, |_| {
                     parent.neighbour_label_count(*at, *position as usize, graph, self.alphabet)
                 });
-                if short < early {
-                    return self.capped(open, short, Vec::new());
+                if short < floor {
+                    return self.capped(open, short);
                 }
             }
         }
         let pattern = &*candidate.pattern();
         let built = arena.span(Phase::CandidateSpace, |_| {
-            let initial = CandidateSpace::initial(pattern, graph, index, parent, early)
-                .map_err(|short| (short, Vec::new()))?;
-            match initial.min_len() {
-                short if short < floor => Err((short, initial.touched())),
-                _ => Ok(Matcher::with_space(
-                    pattern,
-                    graph,
-                    index,
-                    initial.refine(pattern, graph, index),
-                )),
-            }
+            CandidateSpace::initial(pattern, graph, index, parent, floor).map(|initial| {
+                Matcher::with_space(pattern, graph, index, initial.refine(pattern, graph, index))
+            })
         });
         let matcher = match built {
             Ok(matcher) => matcher,
-            Err((short, touched)) => return self.capped(open, short, touched),
+            Err(short) => return self.capped(open, short),
         };
         arena.add_refine_rounds(matcher.space().refinement_rounds() as u64);
         let result =
@@ -496,13 +484,12 @@ impl LevelContext<'_> {
     }
 
     /// The outcome of a candidate with a seeded list of `short` < threshold
-    /// vertices.  In a caching run `touched` is the union of all its lists,
-    /// which contains every image, so delta reuse stays sound.
-    fn capped(&self, open: Open, short: usize, touched: Vec<VertexId>) -> EvalOutcome {
+    /// vertices.  Its touched set is empty: delta reuse of a cap rests on the
+    /// pinned query alone (see the `delta` module docs).
+    fn capped(&self, open: Open, short: usize) -> EvalOutcome {
         let interval = open.pre.map(|_| SupportInterval::new(0.0, short as f64));
         EvalOutcome {
             support: short as f64,
-            touched: if self.mode.caching() { Arc::from(touched) } else { Arc::default() },
             complete: true,
             interval,
             certificate: interval.map(|_| Certificate::CandidateSpace),
@@ -986,6 +973,10 @@ impl EngineState {
             self.engine_phase.add_nanos(Phase::BoundsEval, bounds_nanos);
         }
 
+        // Every candidate of a level has its own code: one entry each.
+        if self.mode.caching() {
+            self.cache_out.reserve(evaluated);
+        }
         // Apply the (possibly rising) threshold in candidate order.  Each
         // survivor becomes its children's parent: its certified upper bound
         // caps every child by anti-monotonicity, and its refined lists (when
@@ -1108,5 +1099,68 @@ impl EngineState {
     pub(crate) fn into_result_and_cache(mut self) -> (MiningResult, EvalCache) {
         let cache = std::mem::take(&mut self.cache_out);
         (self.into_result(), cache)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ffsm_graph::generators;
+
+    /// A sparse random graph plus `hubs` vertices joined to 40 others each, so
+    /// the index stores hub adjacency bitsets (degree ≥ 32).
+    fn graph_with_hubs(seed: u64, hubs: u64) -> LabeledGraph {
+        let mut graph = generators::gnm_random(160, 260, 3, seed);
+        let n = graph.num_vertices() as u64;
+        for h in 0..hubs {
+            let hub = ((seed + 17 * h) % n) as VertexId;
+            for k in 0..40 {
+                let other = ((seed * 31 + 7 * k + 3 * h + 1) % n) as VertexId;
+                if other != hub {
+                    let _ = graph.add_edge(hub, other);
+                }
+            }
+        }
+        graph
+    }
+
+    /// The label-count shortcut's oracle: for every vertex extension `(a, l)`
+    /// of random parents, the parent's count of distinct `l`-labelled
+    /// neighbours of its list for `a` is the length of the new vertex's seeded
+    /// list, which `CandidateSpace::initial` builds first and stops on.  The
+    /// alphabet includes a label the graph lacks.
+    #[test]
+    fn neighbour_label_count_is_the_new_vertex_list_length() {
+        let alphabet = [Label(0), Label(1), Label(2), Label(3)];
+        let mut extensions = 0;
+        for seed in 0..16u64 {
+            let graph = graph_with_hubs(seed, 3);
+            let index = GraphIndex::build(&graph);
+            assert!(
+                (0..graph.num_vertices() as VertexId).any(|v| index.adjacency_words(v).is_some())
+            );
+            for edges in 1..4 {
+                let Some((pattern, _)) = generators::sample_pattern(&graph, edges, seed ^ 0x5eed)
+                else {
+                    continue;
+                };
+                let lists = CandidateSpace::build(&pattern, &graph, &index).into_lists();
+                let parent = Parent::new(pattern, f64::INFINITY, Some(lists));
+                let lists = parent.lists.as_deref();
+                for at in 0..parent.pattern.num_vertices() as VertexId {
+                    for (position, &label) in alphabet.iter().enumerate() {
+                        let growth = Growth::Vertex { at, label, position: position as u32 };
+                        let child = growth.apply(&parent.pattern);
+                        let built =
+                            CandidateSpace::initial(&child, &graph, &index, lists, usize::MAX)
+                                .expect_err("no list reaches usize::MAX");
+                        let count = parent.neighbour_label_count(at, position, &graph, &alphabet);
+                        assert_eq!(count, built, "seed {seed}, {edges} edges, {growth:?}");
+                        extensions += 1;
+                    }
+                }
+            }
+        }
+        assert!(extensions > 0);
     }
 }

@@ -1,12 +1,12 @@
 //! A plain run and a recording run do the same work.
 //!
-//! `run()` decides a vertex extension whose seeded new-vertex list would fall
+//! Both runs decide a vertex extension whose seeded new-vertex list would fall
 //! below the threshold from its parent's per-label neighbour count, without
-//! building any list; `run_recorded()` needs every list's vertices for its
-//! cache, so it builds them all and tests the floor after.  Both must emit the
-//! same patterns and report the same `space_capped`, `candidates_evaluated`,
-//! `candidates_generated` and search steps — which pins the shortcut as exact
-//! — across measures and thread counts.
+//! building any list; recording adds a cache entry per candidate and changes
+//! nothing else.  Both must emit the same patterns and report the same
+//! `space_capped`, `candidates_evaluated`, `candidates_generated` and search
+//! steps, across measures and thread counts.  (The shortcut's own oracle is a
+//! unit test in `crates/miner/src/engine.rs`.)
 
 use ffsm::core::{MeasureConfig, MeasureKind};
 use ffsm::graph::canonical::canonical_code;

@@ -12,8 +12,9 @@
 //!   order) as naive-backend sessions, which have no candidate space and so no
 //!   cap, across measures, thread counts and the exact, bounds-first and top-k
 //!   modes;
-//! * **cached caps stay sound** — a delta whose update touches a cap-decided
-//!   candidate's lists re-evaluates it, while an untouched one is reused.
+//! * **cached caps stay sound** — a delta that creates an occurrence of a
+//!   cap-decided candidate re-evaluates it, while one that only shrinks its
+//!   seeded lists, with no occurrence at a dirty vertex, reuses the cap.
 //!
 //! The proptest shim seeds each generator deterministically from the test name,
 //! so every run replays the same fixed case sequence.
@@ -21,13 +22,13 @@
 use ffsm::approx::Certificate;
 use ffsm::core::{EnumeratorBackend, GraphUpdate, MeasureKind};
 use ffsm::graph::canonical::{canonical_code, CanonicalCode};
-use ffsm::graph::isomorphism::IsoConfig;
+use ffsm::graph::isomorphism::{enumerate_embeddings, IsoConfig};
 use ffsm::graph::{generators, Label, LabeledGraph, VertexId};
 use ffsm::matching::{CandidateSpace, GraphIndex, Matcher};
 use ffsm::miner::extension::extensions;
-use ffsm::miner::{EvalCache, MiningResult, MiningSession, PreparedGraph};
+use ffsm::miner::{MiningResult, MiningSession, PreparedGraph};
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::collections::HashSet;
 
 /// A sparse random graph plus `hubs` vertices joined to 40 others each, so
 /// the index stores hub adjacency bitsets (degree ≥ 32).
@@ -195,54 +196,83 @@ fn capped_sessions_equal_naive_sessions() {
     assert!(capped_total > 0, "the cap never fired: the test has no teeth");
 }
 
-/// A delta touching a cap-decided candidate's lists re-evaluates it; one that
-/// leaves another capped candidate's lists alone reuses its cached cap, unless
-/// the cap no longer falls below the threshold.  Every delta run reproduces
-/// the cold mine of its epoch.
+/// Delta reuse of a cap-decided candidate rests on the pinned query alone.
+/// (a) An update that shrinks a capped candidate's seeded lists but leaves no
+/// occurrence of it at a dirty vertex keeps the cached cap, which still bounds
+/// the support.  (b) An update that creates an occurrence of a capped candidate
+/// evaluates it again.  Every delta run reproduces the cold mine of its epoch.
 #[test]
 fn delta_recomputes_a_touched_capped_candidate() {
     let prepared = PreparedGraph::new(generators::gnm_random(260, 420, 7, 3));
     let session = |p: &PreparedGraph| MiningSession::over(p).min_support(6.0).max_edges(3);
     let (cold0, cache) = session(&prepared).run_recorded().unwrap();
     assert!(cold0.stats.counters.space_capped > 0);
-    // Capped children of frequent seeds: a one-edge update leaves their
-    // parents frequent, so the next epoch evaluates them again.
-    let mut capped: Vec<(CanonicalCode, Arc<[VertexId]>)> = Vec::new();
+    // Capped two-edge paths, children of frequent seeds: the updates below
+    // leave their parents frequent, so the next epoch evaluates them again.
+    let mut capped: Vec<(LabeledGraph, CanonicalCode, f64)> = Vec::new();
     for p in cold0.patterns.iter().filter(|p| p.pattern.num_edges() == 1) {
         for child in extensions(&p.pattern, prepared.alphabet()) {
             let code = canonical_code(&child);
             if let Some(entry) = cache.get(&code).filter(|e| e.capped) {
-                capped.push((code, entry.touched.clone()));
+                if capped.iter().all(|(_, seen, _)| *seen != code) {
+                    capped.push((child, code, entry.support));
+                }
             }
         }
     }
     let graph = prepared.graph();
-    let (code, touched) = capped.first().cloned().expect("some candidate was capped");
-    // Join a vertex of the capped candidate's lists to a non-neighbour.
-    let hit = touched[0];
-    let other = (0..graph.num_vertices() as VertexId)
-        .find(|&v| v != hit && !graph.has_edge(hit, v))
-        .expect("a non-neighbour");
-    let (next, delta) = prepared.apply_updates(&[GraphUpdate::AddEdge(hit, other)]).unwrap();
+    let only = |v: VertexId, label: Label, w: VertexId| {
+        graph.neighbors(v).iter().filter(|&&x| graph.label(x) == label).eq([&w])
+    };
+    // (a) An occurrence q–w–v of a capped path whose three labels differ, and
+    // whose vertices have no other neighbour with a label the path joins them
+    // to.  Cutting w–v drops v and q from the seeded lists the cap came from,
+    // and leaves no occurrence of the path at w or v.
+    let (code, w, v) = capped
+        .iter()
+        .filter(|(path, _, _)| {
+            let labels: HashSet<Label> = (0..3).map(|u| path.label(u)).collect();
+            labels.len() == 3
+        })
+        .find_map(|(path, code, _)| {
+            let center = (0..3).find(|&u| path.degree(u) == 2)?;
+            let (a, b) = (path.neighbors(center)[0], path.neighbors(center)[1]);
+            let found = enumerate_embeddings(path, graph, IsoConfig::default())
+                .embeddings
+                .into_iter()
+                .flat_map(|emb| {
+                    [(emb[a as usize], emb[b as usize]), (emb[b as usize], emb[a as usize])]
+                        .map(|(q, v)| (q, emb[center as usize], v))
+                })
+                .find(|&(q, w, v)| {
+                    let (x, y, z) = (graph.label(q), graph.label(w), graph.label(v));
+                    only(q, y, w) && only(w, x, q) && only(w, z, v) && only(v, y, w)
+                })?;
+            Some((code.clone(), found.1, found.2))
+        })
+        .expect("an isolated occurrence of a capped path");
+    let (next, delta) = prepared.apply_updates(&[GraphUpdate::RemoveEdge(w, v)]).unwrap();
     let (incremental, after) = session(&next).run_delta(cache.clone(), &delta).unwrap();
     let cold1 = session(&next).run().unwrap();
     assert_eq!(listing(&incremental), listing(&cold1));
-    let find = |cache: &EvalCache, code: &CanonicalCode| {
-        cache.get(code).map(|entry| (entry.touched.clone(), entry.capped))
-    };
-    let (before, _) = find(&cache, &code).expect("recorded");
-    let (now, _) = find(&after, &code).expect("evaluated again in the next epoch");
-    assert!(!Arc::ptr_eq(&before, &now), "a touched capped verdict was reused");
-    // Capped candidates whose lists avoid both dirty vertices keep their
-    // cached caps.
-    let reused = capped
-        .iter()
-        .filter(|(_, t)| t.binary_search(&hit).is_err() && t.binary_search(&other).is_err())
-        .filter(|(code, t)| {
-            find(&after, code).is_some_and(|(now, capped)| capped && Arc::ptr_eq(t, &now))
-        })
-        .count();
-    assert!(reused > 0, "no untouched capped verdict was reused");
+    let kept = cache.get(&code).expect("recorded");
+    assert_eq!(after.get(&code), Some(kept), "a cap with no dirty occurrence was not kept");
+    let (_, fresh) = session(&next).run_recorded().unwrap();
+    let recomputed = fresh.get(&code).expect("evaluated in the next epoch");
+    assert!(recomputed.support < kept.support, "the update left the cap's seeded lists alone");
+    // (b) A copy of a capped path on new vertices is an occurrence at dirty
+    // vertices.  It adds one to three vertices to the seeded list the cap came
+    // from, so a cap of at most 2 grows and stays below τ = 6.
+    let (path, code, cap) = capped.iter().find(|(_, _, cap)| *cap <= 2.0).expect("a cap ≤ 2");
+    let n = graph.num_vertices() as VertexId;
+    let mut copy: Vec<GraphUpdate> =
+        (0..3).map(|u| GraphUpdate::AddVertex(path.label(u))).collect();
+    copy.extend(path.edges().map(|(a, b)| GraphUpdate::AddEdge(n + a, n + b)));
+    let (grown, grown_delta) = prepared.apply_updates(&copy).unwrap();
+    let (incremental, after) = session(&grown).run_delta(cache.clone(), &grown_delta).unwrap();
+    assert_eq!(listing(&incremental), listing(&session(&grown).run().unwrap()));
+    let now = after.get(code).expect("evaluated again in the next epoch");
+    assert!(now.capped && now.support > *cap, "a cap with a new occurrence was reused");
     // A cached cap bounds the support, it is not the support: a delta run at a
     // lower threshold must not reuse caps that no longer fall below it.
     let lower = |p: &PreparedGraph| MiningSession::over(p).min_support(3.0).max_edges(3);
