@@ -15,8 +15,8 @@
 //!   `σMIS = σMIES ≤ νMIES = νMVC ≤ σMVC ≤ σMI ≤ σMNI` (Section 4.4) is
 //!   deployed: the linear-time MNI caps the expensive measures from above, a
 //!   greedy independent edge set (a feasible packing) bounds them from below,
-//!   and the fractional covering LP — presolved, then solved once for a checked
-//!   packing and a checked cover — tightens whichever side the measure needs,
+//!   and the fractional covering LP — solved once for a checked packing and a
+//!   checked cover — tightens whichever side the measure needs,
 //!   with weak duality guaranteeing soundness even when the simplex stops short
 //!   of a certified optimum.
 //!
@@ -33,7 +33,7 @@ use ffsm_core::{HypergraphBasis, MvcAlgorithm};
 use ffsm_graph::{Label, Pattern};
 use ffsm_hypergraph::matching::greedy_independent_edge_set;
 use ffsm_hypergraph::Hypergraph;
-use ffsm_lp::{presolve_covering, Solution};
+use ffsm_lp::{covering_lp, Solution};
 
 /// Slack used when rounding fractional LP bounds to the integral measures, and
 /// when stamping LP optimality certificates.
@@ -236,13 +236,13 @@ impl BoundsEvaluator {
 }
 
 /// Sound envelope around the fractional covering optimum νMVC (= νMIES) of
-/// `h`, via presolve and one simplex run: `objective ≤ ν ≤ upper` by weak
-/// duality, from a packing and a cover both checked feasible, whether or not
-/// the simplex reached a certified optimum (`optimal`).  `None` when the
-/// solver fails: the caller simply keeps its current bounds.
+/// `h`, via one simplex run: `objective ≤ ν ≤ upper` by weak duality, from a
+/// packing and a cover both checked feasible, whether or not the simplex
+/// reached a certified optimum (`optimal`).  `None` when the solver fails: the
+/// caller simply keeps its current bounds.
 fn covering_envelope(h: &Hypergraph) -> Option<Solution> {
     let sets: Vec<Vec<usize>> = h.edges().map(|(_, e)| e.to_vec()).collect();
-    presolve_covering(h.num_vertices(), &sets).solve(h.num_vertices()).ok()
+    covering_lp(h.num_vertices(), &sets).solve().ok()
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! Experiment harness: prints the paper-reproduction tables E1–E14 as Markdown
-//! (there is no E10).
+//! (there is no E10 or E12).
 //!
 //! Usage:
 //!
@@ -24,8 +24,8 @@ use ffsm_graph::{generators, LabeledGraph, Pattern};
 use ffsm_hypergraph::SearchBudget;
 use ffsm_miner::MiningSession;
 
-const EXPERIMENTS: [&str; 13] =
-    ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e11", "e12", "e13", "e14"];
+const EXPERIMENTS: [&str; 12] =
+    ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e11", "e13", "e14"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -33,7 +33,7 @@ fn main() {
     let which: Vec<&str> = args.iter().map(String::as_str).filter(|a| *a != "--quick").collect();
     if let Some(bad) = which.iter().find(|a| **a != "all" && !EXPERIMENTS.contains(a)) {
         eprintln!(
-            "experiments: unknown experiment or flag {bad:?} (expected e1..e9, e11..e14, all or --quick)"
+            "experiments: unknown experiment or flag {bad:?} (expected e1..e9, e11, e13, e14, all or --quick)"
         );
         std::process::exit(1);
     }
@@ -52,7 +52,6 @@ fn main() {
             "e8" => e8_overlap(quick),
             "e9" => e9_hypergraphs(),
             "e11" => e11_overlap_variants(quick),
-            "e12" => e12_presolve(quick),
             "e13" => e13_mcp_spectrum(quick),
             "e14" => e14_search_schemes(quick),
             _ => unreachable!("names are validated above"),
@@ -493,38 +492,6 @@ fn e11_overlap_variants(quick: bool) {
     }
     table.print();
     println!("expected shape: harmful/structural/edge pair counts <= simple pair counts, and the corresponding MIS values >= MIS(simple); MCP(simple) >= MIS(simple).\n");
-}
-
-/// E12: covering-LP presolve before νMVC, on overlap-heavy workloads.
-fn e12_presolve(quick: bool) {
-    use ffsm_core::HypergraphBasis;
-    use ffsm_lp::{covering_lp, presolve_covering};
-
-    let mut table = Table::new(
-        "E12 — LP presolve before nuMVC",
-        &["workload", "edges", "LP rows after presolve", "nuMVC", "nuMVC equal"],
-    );
-    let sizes: Vec<usize> = if quick { vec![64, 256] } else { vec![64, 256, 1024] };
-    for &target in &sizes {
-        let (graph, pattern) = workloads::star_overlap_workload(target);
-        let occ = workloads::enumerate(&pattern, &graph, 2_000_000);
-        let h = occ.hypergraph(HypergraphBasis::Occurrence);
-        let sets: Vec<Vec<usize>> = h.edges().map(|(_, e)| e.to_vec()).collect();
-        let direct_lp =
-            covering_lp(h.num_vertices(), &sets).solve().map(|s| s.objective).unwrap_or(f64::NAN);
-        let presolved = presolve_covering(h.num_vertices(), &sets);
-        let presolved_lp =
-            presolved.solve(h.num_vertices()).map(|s| s.objective).unwrap_or(f64::NAN);
-        table.add_row(vec![
-            format!("star-overlap({target})"),
-            h.num_edges().to_string(),
-            presolved.rows.len().to_string(),
-            fmt_value(direct_lp),
-            ((direct_lp - presolved_lp).abs() < 1e-6).to_string(),
-        ]);
-    }
-    table.print();
-    println!("expected shape: nuMVC equal with and without presolve; a star overlap's single-edge occurrences have no duplicate, dominated or singleton rows, so presolve keeps every row.\n");
 }
 
 /// E13: MCP in the value spectrum — where the clique-partition measure falls relative

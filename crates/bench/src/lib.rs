@@ -3,7 +3,8 @@
 //! Two binaries share this library: `bench` runs the gate suites through the
 //! [`harness`] (one `BENCH_<suite>.json` report per suite, a non-zero exit on a
 //! failed gate), and `experiments` prints the paper-reproduction tables E1–E14
-//! as Markdown ([`report::Table`]).  Both draw their inputs from [`workloads`].
+//! (no E10 or E12) as Markdown ([`report::Table`]).  Both draw their inputs
+//! from [`workloads`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

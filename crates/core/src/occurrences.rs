@@ -128,30 +128,6 @@ impl OccurrenceSet {
         self.hg_vertex_to_data[i]
     }
 
-    /// The hypergraph vertex index of data-graph vertex `v`, if it is an image.
-    pub fn hypergraph_index(&self, v: VertexId) -> Option<usize> {
-        self.data_to_hg_vertex.get(&v).copied()
-    }
-
-    /// Inverted index from hypergraph vertex index to the ids (ascending) of the
-    /// occurrences whose image contains that vertex — the candidate-pruning index of
-    /// the indexed overlap builder: two occurrences can only overlap if they meet in
-    /// one of these buckets.
-    pub fn vertex_occurrence_index(&self) -> Vec<Vec<u32>> {
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); self.num_images()];
-        for (i, emb) in self.embeddings.iter().enumerate() {
-            for &v in emb {
-                let bucket = &mut buckets[self.data_to_hg_vertex[&v]];
-                // A non-injective image may repeat a vertex; occurrence ids arrive in
-                // ascending order, so a tail check keeps each bucket sorted unique.
-                if bucket.last() != Some(&(i as u32)) {
-                    bucket.push(i as u32);
-                }
-            }
-        }
-        buckets
-    }
-
     /// Distinct images of pattern node `node` (the image set whose size MNI minimises).
     pub fn node_images(&self, node: VertexId) -> BTreeSet<VertexId> {
         self.embeddings.iter().map(|emb| emb[node as usize]).collect()
@@ -293,32 +269,10 @@ mod tests {
     fn mapping_between_hypergraph_and_data_vertices() {
         let occ = build(&figures::figure6());
         assert_eq!(occ.num_images(), 8);
-        for i in 0..occ.num_images() {
-            let data = occ.image_vertex(i);
-            assert_eq!(occ.hypergraph_index(data), Some(i));
-        }
-        assert_eq!(occ.hypergraph_index(1000), None);
-    }
-
-    #[test]
-    fn vertex_occurrence_index_inverts_the_embeddings() {
-        let occ = build(&figures::figure6());
-        let buckets = occ.vertex_occurrence_index();
-        assert_eq!(buckets.len(), occ.num_images());
-        for (h, bucket) in buckets.iter().enumerate() {
-            let data_vertex = occ.image_vertex(h);
-            let expected: Vec<u32> = occ
-                .embeddings()
-                .iter()
-                .enumerate()
-                .filter(|(_, emb)| emb.contains(&data_vertex))
-                .map(|(i, _)| i as u32)
-                .collect();
-            assert_eq!(bucket, &expected, "bucket of hypergraph vertex {h}");
-        }
-        // Every occurrence id shows up exactly pattern-size times across the buckets.
-        let total: usize = buckets.iter().map(Vec::len).sum();
-        assert_eq!(total, occ.num_occurrences() * occ.pattern().num_vertices());
+        let mapped: BTreeSet<VertexId> =
+            (0..occ.num_images()).map(|i| occ.image_vertex(i)).collect();
+        let images: BTreeSet<VertexId> = occ.embeddings().iter().flatten().copied().collect();
+        assert_eq!(mapped, images, "one hypergraph vertex per distinct image");
     }
 
     #[test]

@@ -9,21 +9,23 @@
 //!
 //! # Indexed construction
 //!
-//! The default overlap-graph builder is *indexed*: an inverted index from data-graph
-//! vertex (and, for [`OverlapKind::Edge`], data-graph edge) to the occurrences whose
-//! image touches it.  Two occurrences can only overlap — under *any* of the four
-//! notions — if they share an image vertex (edge overlap additionally requires a
-//! shared image edge), so only pairs that meet in some index bucket are ever tested.
-//! This replaces the all-pairs `m²/2` comparisons of the naive builder with work
-//! proportional to the candidate pairs actually sharing structure, which is what the
-//! paper's Definition 2.2.5 graphs cost on real data.  The resulting graph is stored
-//! in CSR form ([`SimpleGraph`]); the transitive-pair relation behind structural
-//! overlap is a packed bitset ([`PairMatrix`]).
+//! Two occurrences can only overlap — under *any* of the four notions — if they
+//! share an image vertex, so every notion's overlap graph is a subgraph of the
+//! simple-overlap graph (Definition 2.2.5).  The default builder therefore has one
+//! index: the simple-overlap graph is the overlap graph of the occurrence
+//! hypergraph ([`Hypergraph::overlap_graph`](ffsm_hypergraph::Hypergraph::overlap_graph),
+//! the builder MIS and MCP use), which visits only hyperedge pairs meeting in some
+//! vertex's incidence list; harmful, structural and edge overlap keep those simple
+//! pairs that pass their predicate.  This replaces the all-pairs `m²/2`
+//! comparisons of the naive builder with work proportional to the pairs actually
+//! sharing a vertex.  The resulting graph is stored in CSR form ([`SimpleGraph`]);
+//! the transitive-pair relation behind structural overlap is a packed bitset
+//! ([`PairMatrix`]).
 //!
-//! The old all-pairs builder is retained as
-//! [`OverlapAnalysis::overlap_graph_naive`] — it is the *test oracle*: the
-//! `overlap_differential` property harness asserts the indexed builder produces an
-//! identical graph for every notion on randomly generated pattern/data-graph pairs.
+//! The all-pairs builder is retained as [`OverlapAnalysis::overlap_graph_naive`] —
+//! it is the *test oracle*: the `overlap_differential` property harness asserts the
+//! indexed builder produces an identical graph for every notion on randomly
+//! generated pattern/data-graph pairs.
 //!
 //! # Caching
 //!
@@ -39,7 +41,7 @@ use ffsm_graph::isomorphism::Embedding;
 use ffsm_graph::VertexId;
 use ffsm_hypergraph::independent_set::{exact_max_independent_set, SimpleGraph};
 use ffsm_hypergraph::SearchBudget;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -169,90 +171,6 @@ impl OverlapCache {
     }
 }
 
-/// The image-edge half of the inverted index, only needed by [`OverlapKind::Edge`]
-/// and therefore built lazily.
-#[derive(Debug)]
-struct EdgeIndex {
-    /// Occurrence ids (ascending) per distinct data-graph image edge.
-    edge_buckets: Vec<Vec<u32>>,
-    /// Sorted unique image-edge bucket ids per occurrence.
-    occ_edges: Vec<Vec<u32>>,
-}
-
-impl EdgeIndex {
-    fn new(occurrences: &OccurrenceSet) -> Self {
-        let m = occurrences.num_occurrences();
-        let pattern_edges: Vec<(VertexId, VertexId)> = occurrences.pattern().edges().collect();
-        let mut edge_ids: HashMap<(VertexId, VertexId), u32> = HashMap::new();
-        let mut edge_buckets: Vec<Vec<u32>> = Vec::new();
-        let mut occ_edges = Vec::with_capacity(m);
-        for (i, emb) in occurrences.embeddings().iter().enumerate() {
-            let mut ids: Vec<u32> = pattern_edges
-                .iter()
-                .map(|&(u, v)| {
-                    let (a, b) = (emb[u as usize], emb[v as usize]);
-                    let next = edge_buckets.len() as u32;
-                    let id = *edge_ids.entry((a.min(b), a.max(b))).or_insert(next);
-                    if id == next {
-                        edge_buckets.push(Vec::new());
-                    }
-                    id
-                })
-                .collect();
-            ids.sort_unstable();
-            ids.dedup();
-            for &e in &ids {
-                edge_buckets[e as usize].push(i as u32);
-            }
-            occ_edges.push(ids);
-        }
-        EdgeIndex { edge_buckets, occ_edges }
-    }
-}
-
-/// The inverted index the default builder prunes candidate pairs with.  The vertex
-/// half serves simple/harmful/structural overlap; the edge half is initialised on
-/// the first edge-overlap query.
-#[derive(Debug)]
-struct OverlapIndex {
-    /// Occurrence ids (ascending) per hypergraph vertex index.
-    vertex_buckets: Vec<Vec<u32>>,
-    /// Sorted unique hypergraph vertex indices per occurrence.
-    occ_vertices: Vec<Vec<u32>>,
-    /// Sorted unique data-graph image vertices per occurrence (for the membership
-    /// tests of the harmful predicate).
-    images: Vec<Vec<VertexId>>,
-    /// Lazily built image-edge index ([`OverlapKind::Edge`] only).
-    edge: OnceLock<EdgeIndex>,
-}
-
-impl OverlapIndex {
-    fn new(occurrences: &OccurrenceSet) -> Self {
-        let m = occurrences.num_occurrences();
-        let vertex_buckets = occurrences.vertex_occurrence_index();
-        let mut occ_vertices = Vec::with_capacity(m);
-        let mut images = Vec::with_capacity(m);
-        for emb in occurrences.embeddings() {
-            let mut dense: Vec<u32> = emb
-                .iter()
-                .map(|&v| occurrences.hypergraph_index(v).expect("image is indexed") as u32)
-                .collect();
-            dense.sort_unstable();
-            dense.dedup();
-            occ_vertices.push(dense);
-            let mut img: Vec<VertexId> = emb.clone();
-            img.sort_unstable();
-            img.dedup();
-            images.push(img);
-        }
-        OverlapIndex { vertex_buckets, occ_vertices, images, edge: OnceLock::new() }
-    }
-
-    fn edge(&self, occurrences: &OccurrenceSet) -> &EdgeIndex {
-        self.edge.get_or_init(|| EdgeIndex::new(occurrences))
-    }
-}
-
 /// Pairwise overlap analysis for a set of occurrences of one pattern.
 #[derive(Debug)]
 pub struct OverlapAnalysis<'a> {
@@ -260,7 +178,8 @@ pub struct OverlapAnalysis<'a> {
     /// Packed symmetric relation: u, v are a transitive pair in some subgraph of the
     /// pattern.
     transitive: PairMatrix,
-    index: OnceLock<OverlapIndex>,
+    /// The pattern's edges, for the edge-overlap predicate.
+    pattern_edges: Vec<(VertexId, VertexId)>,
     cache: OverlapCache,
 }
 
@@ -268,10 +187,11 @@ impl<'a> OverlapAnalysis<'a> {
     /// Prepare the analysis (computes the pattern's transitive-pair relation once).
     pub fn new(occurrences: &'a OccurrenceSet) -> Self {
         let transitive = transitive_pair_matrix(occurrences.pattern());
+        let pattern_edges = occurrences.pattern().edges().collect();
         OverlapAnalysis {
             occurrences,
             transitive,
-            index: OnceLock::new(),
+            pattern_edges,
             cache: OverlapCache::with_slots(OverlapKind::all().len()),
         }
     }
@@ -284,10 +204,6 @@ impl<'a> OverlapAnalysis<'a> {
 
     fn embedding(&self, i: usize) -> &Embedding {
         &self.occurrences.embeddings()[i]
-    }
-
-    fn index(&self) -> &OverlapIndex {
-        self.index.get_or_init(|| OverlapIndex::new(self.occurrences))
     }
 
     /// Simple (vertex) overlap of occurrences `i` and `j`.
@@ -359,88 +275,73 @@ impl<'a> OverlapAnalysis<'a> {
         }
     }
 
-    /// Overlap test for a candidate pair already known to share an image vertex (or,
-    /// for [`OverlapKind::Edge`], an image edge).  Simple and edge overlap are then
-    /// true by construction; harmful and structural reduce to allocation-free probes
-    /// of the sorted image arrays and the packed transitive relation.
-    fn candidate_overlaps(
-        &self,
-        index: &OverlapIndex,
-        i: usize,
-        j: usize,
-        kind: OverlapKind,
-    ) -> bool {
+    /// Overlap test for a pair already known to share an image vertex.  Simple
+    /// overlap is then true by construction; the other notions reduce to
+    /// allocation-free probes of the two embeddings, the packed transitive
+    /// relation and the pattern's edge list.
+    fn simple_pair_overlaps(&self, i: usize, j: usize, kind: OverlapKind) -> bool {
+        let fi = self.embedding(i);
+        let fj = self.embedding(j);
         match kind {
-            OverlapKind::Simple | OverlapKind::Edge => true,
+            OverlapKind::Simple => true,
+            // f_i(v) ∈ images(i) and f_j(v) ∈ images(j) always hold, so the
+            // four-way membership of Definition 4.5.1 reduces to the two cross
+            // memberships below.
             OverlapKind::Harmful => {
-                // f_i(v) ∈ images(i) and f_j(v) ∈ images(j) always hold, so the
-                // four-way membership of Definition 4.5.1 reduces to the two cross
-                // memberships below.
-                let fi = self.embedding(i);
-                let fj = self.embedding(j);
-                let si = &index.images[i];
-                let sj = &index.images[j];
-                (0..fi.len())
-                    .any(|v| sj.binary_search(&fi[v]).is_ok() && si.binary_search(&fj[v]).is_ok())
+                fi.iter().zip(fj).any(|(a, b)| fj.contains(a) && fi.contains(b))
             }
-            OverlapKind::Structural => {
-                // f_i(v) = f_j(w) already lies in both image sets, so the condition
-                // of Definition 4.5.2 reduces to a transitive pair with equal images.
-                let fi = self.embedding(i);
-                let fj = self.embedding(j);
-                (0..fi.len())
-                    .any(|v| (0..fj.len()).any(|w| self.transitive.get(v, w) && fi[v] == fj[w]))
+            // f_i(v) = f_j(w) already lies in both image sets, so the condition
+            // of Definition 4.5.2 reduces to a transitive pair with equal images.
+            OverlapKind::Structural => (0..fi.len())
+                .any(|v| (0..fj.len()).any(|w| self.transitive.get(v, w) && fi[v] == fj[w])),
+            OverlapKind::Edge => {
+                let image = |f: &Embedding, (u, v): (VertexId, VertexId)| {
+                    let (a, b) = (f[u as usize], f[v as usize]);
+                    (a.min(b), a.max(b))
+                };
+                self.pattern_edges.iter().any(|&e| {
+                    let target = image(fi, e);
+                    self.pattern_edges.iter().any(|&d| image(fj, d) == target)
+                })
             }
         }
     }
 
-    /// Emit the overlap edges with smaller endpoint in `rows` into `out`, using the
-    /// inverted index: for every occurrence `i`, only occurrences sharing one of its
-    /// buckets are visited, each at most once (the `stamp` array dedupes occurrences
-    /// appearing in several shared buckets).
-    fn indexed_pairs_into(
-        &self,
-        index: &OverlapIndex,
-        kind: OverlapKind,
-        rows: std::ops::Range<usize>,
-        out: &mut Vec<(usize, usize)>,
-    ) {
-        let (buckets, items) = match kind {
-            OverlapKind::Edge => {
-                let edge = index.edge(self.occurrences);
-                (&edge.edge_buckets, &edge.occ_edges)
-            }
-            _ => (&index.vertex_buckets, &index.occ_vertices),
-        };
-        let m = index.images.len();
-        let mut stamp = vec![u32::MAX; m];
-        let mut probes = 0u64;
-        for i in rows {
-            for &item in &items[i] {
-                for &j in &buckets[item as usize] {
-                    let j = j as usize;
-                    if j <= i || stamp[j] == i as u32 {
-                        continue;
-                    }
-                    stamp[j] = i as u32;
-                    probes += 1;
-                    if self.candidate_overlaps(index, i, j, kind) {
-                        out.push((i, j));
-                    }
+    /// The simple-overlap graph: the overlap graph of the occurrence hypergraph,
+    /// whose hyperedge `i` is occurrence `i`.
+    fn simple_graph(&self) -> SimpleGraph {
+        let graph = self.occurrences.occurrence_hypergraph().overlap_graph();
+        // The incidence-index builder probes exactly the pairs it emits.
+        ffsm_obs::tls::add_overlap_probes(graph.num_edges() as u64);
+        graph
+    }
+
+    /// The overlap graph under `kind` as the edges of the simple-overlap graph
+    /// `simple` that pass the notion's predicate: every notion implies a shared
+    /// image vertex, so no other pair can overlap.
+    fn filtered(&self, simple: &SimpleGraph, kind: OverlapKind) -> SimpleGraph {
+        let m = simple.num_vertices();
+        let mut pairs = Vec::new();
+        for i in 0..m {
+            for &j in simple.neighbors(i) {
+                if j > i && self.simple_pair_overlaps(i, j, kind) {
+                    pairs.push((i, j));
                 }
             }
         }
-        // One thread-local add per chunk, not per probe — the engine samples
-        // these totals around each worker's slice of a level.
-        ffsm_obs::tls::add_overlap_probes(probes);
+        ffsm_obs::tls::add_overlap_probes(simple.num_edges() as u64);
+        SimpleGraph::from_edge_list(m, &pairs)
     }
 
-    /// The occurrence overlap graph under `kind` via the inverted index.
+    /// The occurrence overlap graph under `kind`, built without the cache: the
+    /// simple-overlap graph from the occurrence hypergraph's incidence index,
+    /// filtered by the notion's predicate for the other notions.
     pub fn overlap_graph_indexed(&self, kind: OverlapKind) -> SimpleGraph {
-        let m = self.occurrences.num_occurrences();
-        let mut pairs = Vec::new();
-        self.indexed_pairs_into(self.index(), kind, 0..m, &mut pairs);
-        SimpleGraph::from_edge_list(m, &pairs)
+        let simple = self.simple_graph();
+        match kind {
+            OverlapKind::Simple => simple,
+            _ => self.filtered(&simple, kind),
+        }
     }
 
     /// The occurrence overlap graph under `kind` via the retained all-pairs builder —
@@ -461,11 +362,16 @@ impl<'a> OverlapAnalysis<'a> {
 
     /// The occurrence overlap graph under `kind` (Definition 2.2.5 with the chosen
     /// overlap notion): one vertex per occurrence, an edge for every overlapping
-    /// pair.  Built by [`OverlapAnalysis::overlap_graph_indexed`] and cached:
+    /// pair.  Built as by [`OverlapAnalysis::overlap_graph_indexed`] and cached:
     /// repeated calls — including through `mis_under`, `mcp_under`,
-    /// `overlap_edge_count` and `overlap_census` — share one build per notion.
+    /// `overlap_edge_count` and `overlap_census` — share one build per notion,
+    /// and every notion filters the one cached simple-overlap graph.
     pub fn overlap_graph(&self, kind: OverlapKind) -> Arc<SimpleGraph> {
-        self.cache.get_or_build(kind.index(), || self.overlap_graph_indexed(kind))
+        let simple = self.cache.get_or_build(OverlapKind::Simple.index(), || self.simple_graph());
+        match kind {
+            OverlapKind::Simple => simple,
+            _ => self.cache.get_or_build(kind.index(), || self.filtered(&simple, kind)),
+        }
     }
 
     /// Number of overlapping pairs under `kind` (the overlap graph's edge count).

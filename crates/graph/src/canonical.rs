@@ -13,10 +13,12 @@
 //! each position, a vertex whose word pair `(label, adjᵢ)` is the smallest among
 //! the vertices not yet placed.  The search therefore branches only over the
 //! vertices tied on that minimal pair, and prunes a branch whose prefix already
-//! exceeds the best code found.  The branching is exact, not heuristic: ties left
-//! by labels and adjacency are all explored, so the cost grows with the number of
-//! such ties (a pattern whose vertices are all alike, such as an unlabelled
-//! clique, still visits every ordering).
+//! exceeds the best code found.  The branching is exact, not heuristic: of two
+//! tied *twins* — vertices with the same neighbours apart from each other — only
+//! the first is tried, because swapping them is an automorphism that fixes the
+//! placed prefix and so yields the same codes; every other tie is explored, so
+//! the cost still grows with ties that no twin swap explains (an unlabelled
+//! cycle visits an ordering per rotation and reflection).
 //!
 //! The adjacency word is one `u64`, which limits a code to [`MAX_VERTICES`]
 //! vertices.  The search keeps each unplaced vertex's placed-neighbour word
@@ -191,7 +193,16 @@ impl Search<'_> {
         self.current[2 * pos] = word.0;
         self.current[2 * pos + 1] = word.1;
         let mut improved = false;
+        // Two tied vertices are twins when they agree on every neighbour but each
+        // other; swapping them is then an automorphism fixing the placed prefix,
+        // so the later twin's branch yields exactly the earlier one's codes.
+        let adj = &self.masks.adj;
+        let twins = |u: usize, v: usize| adj[u] & !(1 << v) == adj[v] & !(1 << u);
+        let check_twins = ties & (ties - 1) != 0;
         for v in bits(ties) {
+            if check_twins && bits(ties & ((1 << v) - 1)).any(|u| twins(u, v)) {
+                continue;
+            }
             let neighbours = self.masks.adj[v] & self.unused;
             self.unused &= !(1 << v);
             for w in bits(neighbours) {
@@ -403,6 +414,33 @@ mod tests {
                 relabelled.add_edge(u, v).unwrap();
             }
             assert_ne!(code, canonical_code(&relabelled));
+        }
+    }
+
+    /// Same-label patterns whose ties are all twin swaps, far past the sizes
+    /// an exhaustive search over tied orderings finishes: a 24-leaf star, a
+    /// 16-clique and `K_{4,5}`, each coded equal to shuffled copies.
+    #[test]
+    fn twin_heavy_patterns_are_coded() {
+        let mut bipartite = Pattern::new();
+        for _ in 0..9 {
+            bipartite.add_vertex(Label(0));
+        }
+        for u in 0..4 {
+            for v in 4..9 {
+                bipartite.add_edge(u, v).unwrap();
+            }
+        }
+        for pattern in [
+            patterns::uniform_star(24, Label(0), Label(0)),
+            patterns::uniform_clique(16, Label(0)),
+            bipartite,
+        ] {
+            let code = canonical_code(&pattern);
+            assert_eq!(code.as_slice().len(), 2 * pattern.num_vertices());
+            for seed in 0..3 {
+                assert_eq!(code, canonical_code(&shuffled(&pattern, seed)));
+            }
         }
     }
 

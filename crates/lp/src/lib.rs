@@ -24,8 +24,7 @@
 //! solve reports [`Solution::optimal`] when the gap is at most [`OPTIMALITY_GAP`].
 //!
 //! * [`covering_lp`] / [`packing_lp`] — the pair, spelled from either side;
-//! * [`CoveringLp::solve`] — one simplex run, both checked vectors;
-//! * [`presolve_covering`] — reduction rules that shrink the instance first.
+//! * [`CoveringLp::solve`] — one simplex run, both checked vectors.
 //!
 //! ```
 //! use ffsm_lp::covering_lp;
@@ -41,10 +40,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod presolve;
 mod simplex;
-
-pub use presolve::{presolve_covering, PresolvedCovering};
 
 /// Numerical tolerance used throughout the solver.
 pub const EPS: f64 = 1e-9;
@@ -279,8 +275,8 @@ mod tests {
         }
     }
 
-    /// A random covering instance: `sets` over `n` elements, with the rows the
-    /// presolve rules target mixed in (duplicate, dominated and singleton rows).
+    /// A random covering instance: `sets` over `n` elements, with a duplicate,
+    /// dominated or singleton row mixed in.
     fn random_instance(rng: &mut StdRng) -> (usize, Vec<Vec<usize>>) {
         let n = rng.gen_range(1..40);
         let m = rng.gen_range(1..50);
@@ -310,31 +306,22 @@ mod tests {
 
     #[test]
     fn random_instances_yield_feasible_bracketing_vectors() {
-        // Every solve, capped or not, directly or through presolve, returns a
-        // feasible cover and a feasible packing with lower ≤ upper, and an optimal
-        // flag only when the two meet.
+        // Every solve, capped or not, returns a feasible cover and a feasible
+        // packing with lower ≤ upper, and an optimal flag only when the two meet.
         for seed in 0..200u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let (n, sets) = random_instance(&mut rng);
             let cap = [0, 1, 2, 5, simplex::MAX_PIVOTS][rng.gen_range(0..5)];
-            let direct = covering_lp(n, &sets).solve_capped(cap).unwrap();
-            let presolved = presolve_covering(n, &sets).solve(n).unwrap();
-            for sol in [&direct, &presolved] {
-                assert!(cover_violation(&sol.cover, &sets) <= 1e-9, "seed {seed}: cover");
-                assert!(packing_violation(&sol.packing, n, &sets) <= 1e-9, "seed {seed}: packing");
-                assert!(sol.objective <= sol.upper + 1e-9, "seed {seed}: lower > upper");
-                if sol.optimal {
-                    assert!(sol.upper - sol.objective <= 1e-6, "seed {seed}: optimal with a gap");
-                }
+            let sol = covering_lp(n, &sets).solve_capped(cap).unwrap();
+            assert!(cover_violation(&sol.cover, &sets) <= 1e-9, "seed {seed}: cover");
+            assert!(packing_violation(&sol.packing, n, &sets) <= 1e-9, "seed {seed}: packing");
+            assert!(sol.objective <= sol.upper + 1e-9, "seed {seed}: lower > upper");
+            if sol.optimal {
+                assert!(sol.upper - sol.objective <= 1e-6, "seed {seed}: optimal with a gap");
             }
-            assert!(presolved.optimal, "seed {seed}: uncapped presolved solve not optimal");
             if cap == simplex::MAX_PIVOTS {
-                assert!(direct.optimal, "seed {seed}: uncapped solve not optimal");
-                assert!((direct.objective - presolved.objective).abs() <= 1e-6, "seed {seed}");
+                assert!(sol.optimal, "seed {seed}: uncapped solve not optimal");
             }
-            // Weak duality across the two solves.
-            assert!(direct.objective <= presolved.upper + 1e-9);
-            assert!(presolved.objective <= direct.upper + 1e-9);
         }
     }
 }

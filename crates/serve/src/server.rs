@@ -49,6 +49,10 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Tunables for one [`Server`].
+///
+/// A served mining session always evaluates its candidates with one thread
+/// (`threads(1)`): sessions already run concurrently with each other, one per
+/// worker.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Mining worker threads (concurrent sessions).  `0` = one per core,
@@ -58,9 +62,6 @@ pub struct ServerConfig {
     /// the queue full means new `mine` requests get a typed `overloaded`
     /// rejection.
     pub queue_capacity: usize,
-    /// Threads each mining session evaluates candidates with (`1` =
-    /// sequential; sessions are already concurrent with each other).
-    pub session_threads: usize,
     /// Deadline applied to requests that do not carry their own
     /// `deadline_ms`.  `None` lets such requests run to completion.
     pub default_deadline: Option<Duration>,
@@ -80,7 +81,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 0,
             queue_capacity: 16,
-            session_threads: 1,
             default_deadline: None,
             retain_epochs: 4,
             write_timeout: Duration::from_secs(10),
@@ -404,7 +404,7 @@ fn run_mine_session(
         .measure(params.measure)
         .min_support(params.tau)
         .max_edges(params.max_edges)
-        .threads(state.config.session_threads)
+        .threads(1)
         .metrics(state.config.session_metrics)
         .bounds_first(params.bounds)
         .cancel_token(token.clone());
