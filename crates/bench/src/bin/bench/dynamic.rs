@@ -7,8 +7,11 @@
 //! serving loop would move it), so its time can only be overstated.  The
 //! incremental result is cross-checked against the cold one pattern for pattern.
 //!
-//! Gate: ≥ 5x speedup at every delta of ≤ 8 edges, where incremental
-//! maintenance must win decisively.
+//! Gates: ≥ 5x speedup at every delta of ≤ 8 edges, where incremental
+//! maintenance must win decisively; and at every delta size, exactly the
+//! number of reused evaluations the reuse argument allows on this workload
+//! (deterministic: the workload and its deltas are seeded).  Each row also
+//! records `dirty_subgraphs`, the dirty-region subgraphs the delta run coded.
 
 use ffsm_bench::harness::{min_of_k, Run};
 use ffsm_core::{GraphUpdate, MeasureKind};
@@ -21,6 +24,8 @@ const VERTICES: usize = 30_000;
 const EDGES: usize = 45_000;
 const LABELS: u32 = 24;
 const ROUNDS: usize = 3;
+/// Evaluations reused at 1, 8 and 64 delta edges.
+const REUSED: [(usize, usize); 3] = [(1, 7_469), (8, 7_224), (64, 5_655)];
 
 /// The per-epoch query: a level-2 threshold mine — enumeration-heavy enough
 /// that per-epoch setup and re-evaluation both matter.
@@ -60,7 +65,7 @@ fn fingerprints(result: &MiningResult) -> Vec<(u64, usize)> {
 pub fn run(run: &mut Run) {
     let prepared = PreparedGraph::new(generators::gnm_random(VERTICES, EDGES, LABELS, 7));
     let mut rng = StdRng::seed_from_u64(42);
-    for delta_edges in [1usize, 8, 64] {
+    for (delta_edges, reused) in REUSED {
         // Prior epoch: the recorded base mine, paid once by a serving loop, untimed.
         let (_, cache) = query(MiningSession::over(&prepared)).run_recorded().expect("base mine");
         let batch = edge_delta(prepared.graph(), delta_edges, &mut rng);
@@ -93,10 +98,19 @@ pub fn run(run: &mut Run) {
                 .raw("patterns", result.len())
                 .raw("evaluated", result.stats.candidates_evaluated)
                 .raw("reused", result.stats.evaluations_reused)
+                .raw("dirty_subgraphs", result.stats.dirty_subgraphs)
                 .raw("capped", result.stats.counters.space_capped)
                 .raw("cold_us", cold.as_micros())
                 .raw("incremental_us", incremental.as_micros())
                 .raw("speedup", format!("{speedup:.2}")),
+        );
+        run.gate(
+            &format!("reused_{delta_edges}_edges"),
+            result.stats.evaluations_reused == reused,
+            format!(
+                "{} evaluations reused at {delta_edges} delta edges, expected exactly {reused}",
+                result.stats.evaluations_reused
+            ),
         );
         if delta_edges <= 8 {
             run.gate(

@@ -25,14 +25,9 @@
 //! exactly.  [`EnumeratorBackend`] selects between the two; the functions here always
 //! run the naive search regardless of the configured backend (dispatch happens one
 //! layer up, in `ffsm-core`).
-//!
-//! The same search also answers delta re-mining's reuse query: [`touches`] asks
-//! whether any occurrence meets a set of dirty vertices by rooting the search at
-//! those vertices only, so the reuse proof shares the enumerators' semantics.
 
 use crate::cancel::{CancelToken, CHECK_STRIDE};
 use crate::{LabeledGraph, Pattern, VertexId};
-use std::borrow::Cow;
 
 /// An occurrence: `assignment[p]` is the data-graph image of pattern vertex `p`.
 pub type Embedding = Vec<VertexId>;
@@ -274,33 +269,14 @@ fn search_order(pattern: &Pattern, graph: &LabeledGraph) -> Vec<VertexId> {
     order
 }
 
-/// Breadth-first order over a connected pattern, starting at `root`: every vertex
-/// after the first has an earlier neighbour, so only `root` is searched from a
-/// candidate list.
-fn bfs_order(pattern: &Pattern, root: VertexId) -> Vec<VertexId> {
-    let mut order = Vec::with_capacity(pattern.num_vertices());
-    order.push(root);
-    let mut head = 0;
-    while head < order.len() {
-        let v = order[head];
-        head += 1;
-        for &w in pattern.neighbors(v) {
-            if !order.contains(&w) {
-                order.push(w);
-            }
-        }
-    }
-    order
-}
-
 struct Search<'a> {
     pattern: &'a Pattern,
     graph: &'a LabeledGraph,
     order: Vec<VertexId>,
     /// For each position with *no* earlier neighbour (the root and any later
-    /// component root), the data vertices it is searched from — computed once so
-    /// the search never rescans the whole vertex set.
-    root_candidates: Vec<Cow<'a, [VertexId]>>,
+    /// component root), the label-matching data vertices it is searched from —
+    /// computed once so the search never rescans the whole vertex set.
+    root_candidates: Vec<Vec<VertexId>>,
     config: &'a IsoConfig,
     /// The image of each pattern vertex.  Injectivity is checked against these
     /// at most `|V(pattern)|` entries, so the search allocates nothing sized by
@@ -312,41 +288,6 @@ struct Search<'a> {
 }
 
 impl<'a> Search<'a> {
-    /// A search visiting pattern vertices in `order`.  The first position is
-    /// searched from `first_candidates` when given; every other position with
-    /// no earlier neighbour, from every label-matching data vertex.
-    fn new(
-        pattern: &'a Pattern,
-        graph: &'a LabeledGraph,
-        config: &'a IsoConfig,
-        order: Vec<VertexId>,
-        mut first_candidates: Option<&'a [VertexId]>,
-    ) -> Self {
-        let root_candidates = order
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| {
-                if pattern.neighbors(v).iter().any(|w| order[..i].contains(w)) {
-                    Cow::default()
-                } else if let Some(first) = first_candidates.take() {
-                    Cow::Borrowed(first)
-                } else {
-                    graph.vertices().filter(|&gv| graph.label(gv) == pattern.label(v)).collect()
-                }
-            })
-            .collect();
-        Search {
-            pattern,
-            graph,
-            order,
-            root_candidates,
-            config,
-            assignment: vec![None; pattern.num_vertices()],
-            stopped: false,
-            steps: 0,
-        }
-    }
-
     /// The images of `pv`'s already-matched pattern neighbours.  Vertices are
     /// matched in `order`, so these are exactly its earlier neighbours.
     fn matched_neighbors(&self, pv: VertexId) -> impl Iterator<Item = VertexId> + '_ {
@@ -413,39 +354,28 @@ impl<'a> Search<'a> {
             return;
         }
         let pv = self.order[depth];
-        match self.min_degree_pivot(pv) {
-            Some(gn) => {
-                // The adjacency slice borrows the graph, not the search state, so no
-                // clone is needed around the recursive calls.
-                let graph: &'a LabeledGraph = self.graph;
-                for &gv in graph.neighbors(gn) {
-                    if self.feasible(pv, gv) {
-                        self.assignment[pv as usize] = Some(gv);
-                        self.run(depth + 1, visitor);
-                        self.assignment[pv as usize] = None;
-                        if self.stopped {
-                            return;
-                        }
-                    }
+        // Candidates: the pivot's neighbours, or the precomputed list of the root
+        // of a (new) pattern component.  The adjacency slice borrows the graph,
+        // not the search state, and the list is moved out and back in, so the
+        // recursive calls can borrow `self` mutably.
+        let graph: &'a LabeledGraph = self.graph;
+        let pivot = self.min_degree_pivot(pv);
+        let roots = match pivot {
+            Some(_) => Vec::new(),
+            None => std::mem::take(&mut self.root_candidates[depth]),
+        };
+        for &gv in pivot.map_or(&roots[..], |gn| graph.neighbors(gn)) {
+            if self.feasible(pv, gv) {
+                self.assignment[pv as usize] = Some(gv);
+                self.run(depth + 1, visitor);
+                self.assignment[pv as usize] = None;
+                if self.stopped {
+                    break;
                 }
             }
-            None => {
-                // Root of a (new) pattern component: scan its precomputed
-                // candidate list.  Moved out and back in so the recursion can
-                // borrow `self` mutably without cloning the list.
-                let candidates = std::mem::take(&mut self.root_candidates[depth]);
-                for &gv in candidates.iter() {
-                    if self.feasible(pv, gv) {
-                        self.assignment[pv as usize] = Some(gv);
-                        self.run(depth + 1, visitor);
-                        self.assignment[pv as usize] = None;
-                        if self.stopped {
-                            break;
-                        }
-                    }
-                }
-                self.root_candidates[depth] = candidates;
-            }
+        }
+        if pivot.is_none() {
+            self.root_candidates[depth] = roots;
         }
     }
 }
@@ -474,7 +404,25 @@ pub fn enumerate_with_visitor<V: EmbeddingVisitor>(
     if config.cancel.is_cancelled() {
         return false;
     }
-    let mut search = Search::new(pattern, graph, &config, search_order(pattern, graph), None);
+    let order = search_order(pattern, graph);
+    let root_candidates = order
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| match pattern.neighbors(v).iter().any(|w| order[..i].contains(w)) {
+            true => Vec::new(),
+            false => graph.vertices_with_label(pattern.label(v)),
+        })
+        .collect();
+    let mut search = Search {
+        pattern,
+        graph,
+        order,
+        root_candidates,
+        config: &config,
+        assignment: vec![None; pattern.num_vertices()],
+        stopped: false,
+        steps: 0,
+    };
     search.run(0, visitor);
     !search.stopped
 }
@@ -500,48 +448,6 @@ pub fn has_embedding(pattern: &Pattern, graph: &LabeledGraph) -> bool {
     let mut exists = ExistsVisitor::default();
     enumerate_with_visitor(pattern, graph, IsoConfig::default(), &mut exists);
     exists.found
-}
-
-/// `true` if `pattern` has an occurrence in `graph` whose image contains a vertex
-/// of `dirty` — the reuse test of delta re-mining.
-///
-/// For each pattern vertex some dirty vertex can stand in for (same label, enough
-/// degree), one search runs in breadth-first order from that vertex with the
-/// dirty vertices as its only root candidates, so the cost follows the dirty
-/// neighbourhood, not the graph.  The occurrence semantics are the enumerator's
-/// own, `config.induced` included.
-///
-/// Conservative exits: a disconnected pattern, and a search stopped by
-/// `config.cancel`, answer `true`.
-pub fn touches(
-    pattern: &Pattern,
-    graph: &LabeledGraph,
-    config: &IsoConfig,
-    dirty: &[VertexId],
-) -> bool {
-    let n = pattern.num_vertices();
-    if n == 0 || dirty.is_empty() || n > graph.num_vertices() {
-        return false;
-    }
-    if !pattern.is_connected() {
-        return true;
-    }
-    for root in pattern.vertices() {
-        let can_pin = |&d: &VertexId| {
-            graph.label(d) == pattern.label(root) && graph.degree(d) >= pattern.degree(root)
-        };
-        if !dirty.iter().any(can_pin) {
-            continue;
-        }
-        // The root's feasibility test skips the dirty vertices it cannot pin.
-        let mut search = Search::new(pattern, graph, config, bfs_order(pattern, root), Some(dirty));
-        search.run(0, &mut ExistsVisitor::default());
-        // Stopped early: an occurrence was found, or the token fired.
-        if search.stopped {
-            return true;
-        }
-    }
-    false
 }
 
 /// `true` if the two graphs are isomorphic (Definition 2.1.5): same vertex count, same
@@ -745,23 +651,6 @@ mod tests {
         let p = patterns::path(&[Label(0), Label(0)]);
         assert_eq!(count_embeddings(&p, &g, IsoConfig::with_limit(3)), 3);
         assert_eq!(count_embeddings(&p, &g, IsoConfig::default()), 2 * g.num_edges());
-    }
-
-    #[test]
-    fn pinned_query_answers_true_once_its_token_fires() {
-        // K_{2,m}: two hubs, each joined to the same m spokes.  It has no
-        // triangle, so the triangle search pinned at hub 0 tries every spoke —
-        // more than CHECK_STRIDE steps — and finds nothing.
-        let m = 2 * CHECK_STRIDE;
-        let labels = vec![0; m as usize + 2];
-        let edges: Vec<(VertexId, VertexId)> =
-            (2..m + 2).flat_map(|spoke| [(0, spoke), (1, spoke)]).collect();
-        let g = LabeledGraph::from_edges(&labels, &edges);
-        let p = patterns::triangle(Label(0), Label(0), Label(0));
-        assert!(!touches(&p, &g, &IsoConfig::default(), &[0]));
-        let fired = IsoConfig { cancel: CancelToken::new(), ..IsoConfig::default() };
-        fired.cancel.cancel();
-        assert!(touches(&p, &g, &fired, &[0]), "a fired token answers a conservative `true`");
     }
 
     #[test]

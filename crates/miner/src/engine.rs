@@ -36,8 +36,8 @@
 //! distinct neighbours of its list by label (lazily, on the first child that
 //! asks), and every run, recording or not, decides a vertex extension whose
 //! count is below the threshold from that count alone, without building any
-//! list: a capped cache entry records no touched set (see the `delta` module
-//! docs).  An edge extension's cap is the first seeded list below the threshold.
+//! list (the `delta` module docs say how a delta run reuses a cap).  An edge
+//! extension's cap is the first seeded list below the threshold.
 //!
 //! Candidates themselves come from [`new_children`]: each one-edge extension
 //! is coded from the parent's adjacency bitmasks plus the added edge, and a
@@ -58,7 +58,7 @@
 //! Support is computed through an `Arc<dyn SupportMeasure>`, so built-in and
 //! user-defined measures take exactly the same path.
 
-use crate::delta::{occurrences_touch, sorted_intersects, CacheMode, CachedEval, EvalCache};
+use crate::delta::{CacheMode, CachedEval, DeltaContext, EvalCache};
 use crate::extension::{dedupe_with_codes, new_children, seed_patterns, Growth};
 use crate::prepared::PreparedGraph;
 use crate::sharded::{shard_pass, LevelBuffer};
@@ -295,9 +295,6 @@ struct EvalOutcome {
     /// by construction.
     support: f64,
     num_occurrences: usize,
-    /// Sorted distinct image vertices, recorded by caching runs for enumerated
-    /// candidates only (shared, so reuse across epochs never copies the list).
-    touched: Arc<[VertexId]>,
     /// `false` when the enumeration hit its embedding budget.
     complete: bool,
     /// `true` when the value came out of the prior epoch's cache.
@@ -328,11 +325,13 @@ struct EvalOutcome {
 
 /// A candidate that delta reuse and pre-bounds left open: deciding it needs
 /// its occurrences.
-#[derive(Debug, Clone, Copy)]
-struct Open {
+#[derive(Debug)]
+struct Open<'c> {
     /// The pre-enumeration bounds, in bounds-first mode.
     pre: Option<BoundsOutcome>,
     bounds_nanos: u64,
+    /// The candidate's pattern, when the bounds needed it built.
+    pattern: Option<Cow<'c, Pattern>>,
 }
 
 /// Everything a candidate's evaluation reads besides its occurrences, shared
@@ -340,7 +339,8 @@ struct Open {
 struct LevelContext<'a> {
     measure: &'a dyn SupportMeasure,
     config: &'a EngineConfig,
-    mode: &'a CacheMode,
+    /// The prior epoch's cache and dirty-region codes, in a delta run.
+    delta: Option<&'a DeltaContext>,
     /// The threshold when the level starts (a top-k threshold only rises
     /// during the level, so a value below it stays below).
     threshold: f64,
@@ -354,52 +354,32 @@ struct LevelContext<'a> {
 
 impl LevelContext<'_> {
     /// The first half of a candidate's evaluation, before any occurrence is
-    /// enumerated: delta reuse (`graph` is the whole graph — `run_delta`
-    /// refuses partitions), then the certified pre-enumeration cap (parent
-    /// bound, index or label cardinality).  `Break` carries the decided
-    /// outcome.
+    /// enumerated: delta reuse (two code lookups, see the `delta` module
+    /// docs), then the certified pre-enumeration cap (parent bound, index or
+    /// label cardinality).  `Break` carries the decided outcome.
     ///
     /// A cached cap is reused only while it stays below the threshold: it
     /// bounds the support, it is not the support.
-    fn open(
-        &self,
-        candidate: &Candidate,
-        graph: Option<&LabeledGraph>,
-    ) -> ControlFlow<EvalOutcome, Open> {
-        if let (CacheMode::Delta(ctx), Some(graph)) = (self.mode, graph) {
-            if let Some(cached) = candidate.code.as_ref().and_then(|code| ctx.prior.get(code)) {
-                if cached.complete
-                    && (!cached.capped || cached.support < self.threshold)
-                    && !sorted_intersects(&cached.touched, &ctx.dirty_old)
-                    && !occurrences_touch(
-                        &candidate.pattern(),
-                        graph,
-                        &self.config.iso_config,
-                        &ctx.dirty_new,
-                    )
-                {
-                    return ControlFlow::Break(EvalOutcome {
-                        support: cached.support,
-                        num_occurrences: cached.num_occurrences,
-                        touched: cached.touched.clone(),
-                        complete: true,
-                        reused: true,
-                        capped: cached.capped,
-                        ..EvalOutcome::default()
-                    });
-                }
+    fn open<'c>(&self, candidate: &'c Candidate) -> ControlFlow<EvalOutcome, Open<'c>> {
+        if let (Some(delta), Some(code)) = (self.delta, &candidate.code) {
+            if let Some(cached) = delta.reusable(code, self.threshold) {
+                return ControlFlow::Break(EvalOutcome {
+                    support: cached.support,
+                    num_occurrences: cached.num_occurrences,
+                    complete: true,
+                    reused: true,
+                    capped: cached.capped,
+                    ..EvalOutcome::default()
+                });
             }
         }
         let Some(evaluator) = self.config.bounds.as_deref() else {
-            return ControlFlow::Continue(Open { pre: None, bounds_nanos: 0 });
+            return ControlFlow::Continue(Open { pre: None, bounds_nanos: 0, pattern: None });
         };
+        let pattern = candidate.pattern();
         let clock = self.config.metrics.then(Instant::now);
-        let pre = evaluator.pre_bounds(
-            &candidate.pattern(),
-            self.label_counts,
-            self.index,
-            candidate.parent_hi(),
-        );
+        let pre =
+            evaluator.pre_bounds(&pattern, self.label_counts, self.index, candidate.parent_hi());
         let bounds_nanos = clock.map_or(0, |clock| clock.elapsed().as_nanos() as u64);
         match pre.decision {
             Some(frequent) => ControlFlow::Break(EvalOutcome {
@@ -412,7 +392,9 @@ impl LevelContext<'_> {
                 bounds_nanos,
                 ..EvalOutcome::default()
             }),
-            None => ControlFlow::Continue(Open { pre: Some(pre), bounds_nanos }),
+            None => {
+                ControlFlow::Continue(Open { pre: Some(pre), bounds_nanos, pattern: Some(pattern) })
+            }
         }
     }
 
@@ -427,20 +409,21 @@ impl LevelContext<'_> {
     fn evaluate_whole(
         &self,
         candidate: &Candidate,
-        open: Open,
+        mut open: Open<'_>,
         graph: &LabeledGraph,
         arena: &mut SearchArena,
     ) -> EvalOutcome {
         let iso_config = &self.config.iso_config;
+        let built = open.pattern.take();
         let Some(index) = self.index else {
-            let pattern = candidate.pattern();
+            let pattern = built.unwrap_or_else(|| candidate.pattern());
             let result = enumerate_with(&pattern, graph, None, iso_config.clone(), arena);
             let occ = OccurrenceSet::from_embeddings(
                 pattern.into_owned(),
                 result.embeddings,
                 result.complete,
             );
-            return self.close(open, &occ);
+            return self.close(&open, &occ);
         };
         let parent = candidate.parent().and_then(|parent| parent.lists.as_deref());
         // A list shorter than `floor` proves the candidate infrequent.
@@ -462,7 +445,7 @@ impl LevelContext<'_> {
                 }
             }
         }
-        let pattern = &*candidate.pattern();
+        let pattern = &*built.unwrap_or_else(|| candidate.pattern());
         let built = arena.span(Phase::CandidateSpace, |_| {
             CandidateSpace::initial(pattern, graph, index, parent, floor).map(|initial| {
                 Matcher::with_space(pattern, graph, index, initial.refine(pattern, graph, index))
@@ -477,16 +460,15 @@ impl LevelContext<'_> {
             arena.span(Phase::Search, |arena| matcher.enumerate_with(iso_config.clone(), arena));
         let occ =
             OccurrenceSet::from_embeddings(pattern.clone(), result.embeddings, result.complete);
-        let outcome = self.close(open, &occ);
+        let outcome = self.close(&open, &occ);
         let extended = outcome.support >= self.threshold
             && pattern.num_edges() < self.config.max_pattern_edges;
         EvalOutcome { lists: extended.then(|| matcher.into_space().into_lists()), ..outcome }
     }
 
     /// The outcome of a candidate with a seeded list of `short` < threshold
-    /// vertices.  Its touched set is empty: delta reuse of a cap rests on the
-    /// pinned query alone (see the `delta` module docs).
-    fn capped(&self, open: Open, short: usize) -> EvalOutcome {
+    /// vertices (see the `delta` module docs for how a delta run reuses it).
+    fn capped(&self, open: Open<'_>, short: usize) -> EvalOutcome {
         let interval = open.pre.map(|_| SupportInterval::new(0.0, short as f64));
         EvalOutcome {
             support: short as f64,
@@ -506,15 +488,8 @@ impl LevelContext<'_> {
     /// short-circuit the expensive exact solve; otherwise the measure runs.
     /// Every bound is a function of the occurrence set, so the verdict brackets
     /// exactly the value the exact path would compute on it.
-    fn close(&self, open: Open, occ: &OccurrenceSet) -> EvalOutcome {
-        let Open { pre, mut bounds_nanos } = open;
-        let touched: Arc<[VertexId]> = if self.mode.caching() {
-            let mut t: Vec<VertexId> = (0..occ.num_images()).map(|i| occ.image_vertex(i)).collect();
-            t.sort_unstable();
-            Arc::from(t)
-        } else {
-            Arc::default()
-        };
+    fn close(&self, open: &Open<'_>, occ: &OccurrenceSet) -> EvalOutcome {
+        let Open { pre, mut bounds_nanos, .. } = *open;
         let bounds = self.config.bounds.as_deref();
         if let (Some(evaluator), Some(pre)) = (bounds, pre.as_ref()) {
             if evaluator.post_stage() {
@@ -527,7 +502,6 @@ impl LevelContext<'_> {
                     return EvalOutcome {
                         support: if frequent { post.interval.lo } else { post.interval.hi },
                         num_occurrences: occ.num_occurrences(),
-                        touched,
                         complete: occ.is_complete(),
                         interval: Some(post.interval),
                         certificate: Some(post.certificate),
@@ -545,7 +519,6 @@ impl LevelContext<'_> {
             support,
             budget_exhausted: !optimal,
             num_occurrences: occ.num_occurrences(),
-            touched,
             complete: occ.is_complete(),
             interval: exact.map(|e| e.interval),
             certificate: exact.map(|e| e.certificate),
@@ -648,7 +621,7 @@ fn evaluate_level(
                 let evals = candidates[first..]
                     .iter()
                     .step_by(workers)
-                    .map(|candidate| match cx.open(candidate, Some(graph)) {
+                    .map(|candidate| match cx.open(candidate) {
                         ControlFlow::Break(done) => done,
                         ControlFlow::Continue(open) => {
                             cx.evaluate_whole(candidate, open, graph, arena)
@@ -660,9 +633,9 @@ fn evaluate_level(
         }
         GraphSource::Partitioned(parts) => {
             let mut outcomes: Vec<Option<EvalOutcome>> = vec![None; n];
-            let mut open: Vec<Option<Open>> = vec![None; n];
+            let mut open: Vec<Option<Open>> = (0..n).map(|_| None).collect();
             for (i, candidate) in candidates.iter().enumerate() {
-                match cx.open(candidate, None) {
+                match cx.open(candidate) {
                     ControlFlow::Break(done) => outcomes[i] = Some(done),
                     ControlFlow::Continue(state) => open[i] = Some(state),
                 }
@@ -675,8 +648,14 @@ fn evaluate_level(
                 })
                 .collect();
             // Every shard enumerates each pending pattern: build each once.
-            let patterns: Vec<Cow<'_, Pattern>> =
-                candidates.iter().map(Candidate::pattern).collect();
+            let patterns: Vec<Cow<'_, Pattern>> = candidates
+                .iter()
+                .zip(&mut open)
+                .map(|(candidate, state)| {
+                    let built = state.as_mut().and_then(|state| state.pattern.take());
+                    built.unwrap_or_else(|| candidate.pattern())
+                })
+                .collect();
             if !pending.is_empty() {
                 shard_pass(parts, &patterns, &mut buckets, arenas, iso_config, descending)?;
             }
@@ -687,7 +666,7 @@ fn evaluate_level(
                     .map(|buffer| {
                         let i = buffer.candidate;
                         let (occ, cross_shard) = buffer.into_occurrences(&patterns[i]);
-                        let state = open[i].expect("only open candidates are buffered");
+                        let state = open[i].as_ref().expect("only open candidates are buffered");
                         EvalOutcome { cross_shard, ..cx.close(state, &occ) }
                     })
                     .collect();
@@ -752,11 +731,10 @@ pub(crate) struct EngineState {
     /// batch run pays no clone-per-pattern event tax.  The final `Finished` event
     /// is always pushed — the stream machinery keys off it.
     quiet: bool,
-    /// Cache interaction: off for plain runs, recording for `run_recorded`,
-    /// recording + reuse for `run_delta`.
-    mode: CacheMode,
-    /// The cache recorded by this run (empty under [`CacheMode::Off`]).
-    cache_out: EvalCache,
+    /// The prior epoch's cache and dirty-region codes (`run_delta` only).
+    delta: Option<DeltaContext>,
+    /// The cache this run records (`run_recorded` and `run_delta` only).
+    cache_out: Option<EvalCache>,
     /// Engine-level phase accounting (index build, per-level support eval,
     /// extension, overlap build) — merged with the arenas' fine-grained spans
     /// into `stats.phase_timings` on every refresh.
@@ -766,14 +744,15 @@ pub(crate) struct EngineState {
 impl EngineState {
     /// Seed the state machine.  Cheap: no support is evaluated until the first
     /// [`EngineState::step`] (a whole graph's index is resolved here, which is
-    /// a shared lazy build — amortised to zero across sessions).
+    /// a shared lazy build — amortised to zero across sessions; a delta run
+    /// checks its pairing and codes its dirty region here, as `DeltaRepair`).
     pub(crate) fn new(
         source: GraphSource,
         measure: Arc<dyn SupportMeasure>,
         config: EngineConfig,
         quiet: bool,
         mode: CacheMode,
-    ) -> Self {
+    ) -> Result<Self, FfsmError> {
         // Resolve the shared lazy index build up front, so its cost lands in
         // IndexBuild rather than in the first level's SupportEval.
         let index_start = Instant::now();
@@ -795,11 +774,33 @@ impl EngineState {
             .into_iter()
             .map(|(pattern, code)| Candidate {
                 shape: Shape::Seed(pattern),
-                code: mode.caching().then_some(code),
+                code: (!matches!(mode, CacheMode::Off)).then_some(code),
             })
             .collect();
         let threshold = config.min_support;
-        EngineState {
+        let start = Instant::now();
+        let recorded_on = match &source {
+            GraphSource::Whole(prepared) => Some(prepared.clone()),
+            GraphSource::Partitioned(_) => None,
+        };
+        let (delta, cache_out) = match mode {
+            CacheMode::Off => (None, None),
+            CacheMode::Record => (None, Some(EvalCache::over(recorded_on))),
+            CacheMode::Delta(prior, delta) => {
+                let graph = recorded_on.as_ref().expect("the session refuses a partition");
+                let delta = DeltaContext::new(
+                    prior,
+                    &delta,
+                    graph.graph(),
+                    config.max_pattern_edges,
+                    config.iso_config.induced,
+                )?;
+                engine_phase.record(Phase::DeltaRepair, start.elapsed());
+                stats.dirty_subgraphs = delta.subgraphs;
+                (Some(delta), Some(EvalCache::over(recorded_on)))
+            }
+        };
+        Ok(EngineState {
             source,
             measure,
             floor: threshold,
@@ -811,13 +812,13 @@ impl EngineState {
             level,
             undecided: Vec::new(),
             stats,
-            start: Instant::now(),
+            start,
             completion: None,
             quiet,
-            mode,
-            cache_out: EvalCache::default(),
+            delta,
+            cache_out,
             engine_phase,
-        }
+        })
     }
 
     /// Recompute the stats' observability block from the cumulative per-arena
@@ -933,7 +934,7 @@ impl EngineState {
         let cx = LevelContext {
             measure: &*self.measure,
             config: &self.config,
-            mode: &self.mode,
+            delta: self.delta.as_ref(),
             threshold: self.threshold,
             label_counts: self.source.label_counts(),
             alphabet: self.source.alphabet(),
@@ -974,8 +975,8 @@ impl EngineState {
         }
 
         // Every candidate of a level has its own code: one entry each.
-        if self.mode.caching() {
-            self.cache_out.reserve(evaluated);
+        if let Some(cache) = &mut self.cache_out {
+            cache.reserve(evaluated);
         }
         // Apply the (possibly rising) threshold in candidate order.  Each
         // survivor becomes its children's parent: its certified upper bound
@@ -987,7 +988,6 @@ impl EngineState {
             let EvalOutcome {
                 support,
                 num_occurrences,
-                touched,
                 complete,
                 reused,
                 interval,
@@ -1005,10 +1005,10 @@ impl EngineState {
             }
             self.stats.counters.solve_budget_exhausted += budget_exhausted as u64;
             self.stats.counters.cross_shard_occurrences += cross_shard;
-            if self.mode.caching() {
-                self.cache_out.insert(
+            if let Some(cache) = &mut self.cache_out {
+                cache.insert(
                     candidate.code.take().expect("caching runs keep every code"),
-                    CachedEval { support, num_occurrences, touched, complete, capped },
+                    CachedEval { support, num_occurrences, complete, capped },
                 );
             }
             let frequent = support >= self.threshold;
@@ -1069,7 +1069,7 @@ impl EngineState {
             let parent = Arc::new(parent);
             next.extend(children.into_iter().map(|(code, growth)| Candidate {
                 shape: Shape::Extension(parent.clone(), growth),
-                code: self.mode.caching().then_some(code),
+                code: self.cache_out.is_some().then_some(code),
             }));
         }
         self.engine_phase.record(Phase::Extension, extension_start.elapsed());
@@ -1095,10 +1095,15 @@ impl EngineState {
     /// Like [`EngineState::into_result`], also handing back the [`EvalCache`]
     /// this run recorded (empty under [`CacheMode::Off`]).  An interrupted run's
     /// cache covers the completed levels only — feeding it forward is sound, the
-    /// next delta run simply re-evaluates the uncovered patterns.
+    /// next delta run simply re-evaluates the uncovered patterns.  The cache
+    /// carries the prior's cold-run cost when this run's walk finished, and
+    /// this run's own time when it reused nothing.
     pub(crate) fn into_result_and_cache(mut self) -> (MiningResult, EvalCache) {
-        let cache = std::mem::take(&mut self.cache_out);
-        (self.into_result(), cache)
+        let mut cache = self.cache_out.take().unwrap_or_default();
+        let carried = self.delta.as_ref().and_then(DeltaContext::cold);
+        let result = self.into_result();
+        cache.cold = carried.unwrap_or(result.stats.elapsed);
+        (result, cache)
     }
 }
 

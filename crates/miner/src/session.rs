@@ -68,7 +68,7 @@
 //! at a deterministic prefix with a typed
 //! [`Completion`](crate::Completion) status.
 
-use crate::delta::{CacheMode, DeltaContext, EvalCache};
+use crate::delta::{CacheMode, EvalCache};
 use crate::engine::{EngineConfig, EngineState, GraphSource};
 use crate::prepared::PreparedGraph;
 use crate::sharded::ShardedRunStats;
@@ -407,26 +407,7 @@ impl MiningSession {
             ));
         }
         match (&source, &mode) {
-            (GraphSource::Whole(prepared), CacheMode::Delta(context)) => {
-                // A delta from a different graph lineage is refused: the
-                // session's epoch must match the delta's post-batch vertex AND
-                // edge counts (a pure-edge batch leaves the vertex count
-                // unchanged, so either check alone would let a mismatched
-                // pairing through silently).
-                let graph = prepared.graph();
-                let (vertices, edges) = context.expected_size;
-                if graph.num_vertices() != vertices || graph.num_edges() != edges {
-                    return Err(FfsmError::InvalidConfig(format!(
-                        "run_delta: delta describes a batch ending at {vertices} vertices / \
-                         {edges} edges, but the session's graph has {} vertices / {} edges — \
-                         the cache and delta must come from the immediately preceding epoch \
-                         of this graph",
-                        graph.num_vertices(),
-                        graph.num_edges()
-                    )));
-                }
-            }
-            (GraphSource::Partitioned(_), CacheMode::Delta(_)) => {
+            (GraphSource::Partitioned(_), CacheMode::Delta(..)) => {
                 return Err(FfsmError::InvalidConfig(
                     "run_delta needs a whole graph: a partition has no update path".into(),
                 ));
@@ -496,7 +477,7 @@ impl MiningSession {
             bounds,
             space_cap,
         };
-        Ok(PatternStream::new(EngineState::new(source, measure, engine_config, quiet, mode)))
+        Ok(PatternStream::new(EngineState::new(source, measure, engine_config, quiet, mode)?))
     }
 
     /// Validate the configuration and run the miner to completion — a thin
@@ -541,8 +522,14 @@ impl MiningSession {
     /// provably avoid the delta's dirty region are answered from `prior` (the
     /// immediately preceding epoch's cache) without enumerating anything; all
     /// others are re-evaluated.  The result is **bit-for-bit identical** to a
-    /// cold [`MiningSession::run`] over the same epoch (see the `delta` module
-    /// docs for the argument), and the returned cache feeds the next epoch.
+    /// cold [`MiningSession::run`] over the same epoch, and the returned cache
+    /// feeds the next epoch.  The proof runs once per delta (see the `delta`
+    /// module docs): the connected subgraphs of at most `max_edges` edges that
+    /// meet the dirty region are coded in both epochs.  That walk may take a
+    /// sixth of the time a cold run took (the cache remembers it); past that
+    /// nothing is reused, so [`MiningStats::dirty_subgraphs`](crate::MiningStats)
+    /// and `evaluations_reused` then depend on the machine's speed, the result
+    /// never does.
     ///
     /// The session must be configured like the run that produced `prior` (same
     /// measure, measure config and enumeration backend); the threshold, top-k
@@ -553,23 +540,17 @@ impl MiningSession {
     /// # Errors
     ///
     /// Those of [`MiningSession::run`], plus [`FfsmError::InvalidConfig`] when
-    /// the delta does not end at this session's graph (a different lineage) or
-    /// the session mines a partition, which has no update path.
+    /// the session mines a partition, which has no update path, or the delta
+    /// does not run from the cache's epoch to this graph (vertex and edge
+    /// counts, dirty vertices sorted and in range).  A cache recorded on another
+    /// graph of the same size as the delta's base is not detectable.
     pub fn run_delta(
         self,
         prior: EvalCache,
         delta: &GraphDelta,
     ) -> Result<(MiningResult, EvalCache), FfsmError> {
-        let context = DeltaContext {
-            prior,
-            dirty_old: delta.dirty_old.clone(),
-            dirty_new: delta.dirty_new.clone(),
-            expected_size: (
-                delta.base_vertices + delta.vertices_added - delta.vertices_removed,
-                delta.base_edges + delta.edges_added - delta.edges_removed,
-            ),
-        };
-        self.stream_with(true, CacheMode::Delta(context))?.into_result_and_cache()
+        self.stream_with(true, CacheMode::Delta(prior, Box::new(delta.clone())))?
+            .into_result_and_cache()
     }
 }
 
@@ -844,6 +825,45 @@ mod tests {
         let (_, delta) = path.apply_updates(&[GraphUpdate::RemoveEdge(0, 1)]).unwrap();
         let err = MiningSession::over(&prepared).run_delta(cache, &delta).unwrap_err();
         assert!(matches!(err, FfsmError::InvalidConfig(_)), "{err:?}");
+    }
+
+    /// A cache recorded one epoch before the delta's base is refused: reading
+    /// the dirty region in the wrong epoch would reuse all 30 candidates and
+    /// report MNI 4 for the (0, 1) edge, where the cold mine gives 3.
+    #[test]
+    fn run_delta_rejects_a_cache_from_an_earlier_epoch() {
+        use ffsm_graph::GraphUpdate;
+        let mut graph = triangle_forest(4);
+        let (a, b) =
+            (graph.add_vertex(ffsm_graph::Label(5)), graph.add_vertex(ffsm_graph::Label(6)));
+        graph.add_edge(a, b).unwrap();
+        let epoch_a = PreparedGraph::new(graph);
+        let session = |p: &PreparedGraph| MiningSession::over(p).min_support(3.0).max_edges(3);
+        let (_, cache_a) = session(&epoch_a).run_recorded().unwrap();
+        let (epoch_b, _) = epoch_a.apply_updates(&[GraphUpdate::RemoveEdge(0, 1)]).unwrap();
+        let (epoch_c, delta) = epoch_b.apply_updates(&["re 12 13".parse().unwrap()]).unwrap();
+        let err = session(&epoch_c).run_delta(cache_a.clone(), &delta).unwrap_err();
+        assert!(matches!(err, FfsmError::InvalidConfig(_)), "{err:?}");
+        // A dirty vertex outside the epochs is a typed error, not a panic.
+        let (_, cache_b) = session(&epoch_b).run_recorded().unwrap();
+        let mut forged = delta.clone();
+        forged.dirty_new.push(99);
+        let err = session(&epoch_c).run_delta(cache_b.clone(), &forged).unwrap_err();
+        assert!(matches!(err, FfsmError::InvalidConfig(_)), "{err:?}");
+        // So is an unsorted dirty list, in range or not: the walk relies on the order.
+        let mut forged = delta.clone();
+        forged.dirty_new = vec![13, 12];
+        let err = session(&epoch_c).run_delta(cache_b.clone(), &forged).unwrap_err();
+        assert!(matches!(err, FfsmError::InvalidConfig(_)), "{err:?}");
+        // The cache of the delta's own base is accepted and matches the cold mine;
+        // the cache it returns carries the recording run's cost on.
+        let recorded = cache_b.cold;
+        let (incremental, out) = session(&epoch_c).run_delta(cache_b, &delta).unwrap();
+        assert_eq!(out.cold, recorded);
+        let cold = session(&epoch_c).run().unwrap();
+        let supports = |r: &MiningResult| r.patterns.iter().map(|p| p.support).collect::<Vec<_>>();
+        assert_eq!(supports(&incremental), supports(&cold));
+        assert!(incremental.stats.evaluations_reused > 0);
     }
 
     #[test]

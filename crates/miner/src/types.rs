@@ -200,6 +200,9 @@ pub struct MiningStats {
     /// epoch's [`EvalCache`](crate::EvalCache) without enumerating occurrences
     /// (always 0 outside `run_delta`).
     pub evaluations_reused: usize,
+    /// Connected subgraphs meeting the dirty region that a delta run coded,
+    /// over both epochs (0 outside `run_delta`).
+    pub dirty_subgraphs: usize,
     /// Candidates pruned because their support fell below the threshold.
     pub candidates_pruned: usize,
     /// Pattern-growth levels fully processed.
