@@ -2,14 +2,15 @@
 //!
 //! σMNI(P, G) = min over pattern nodes v of the number of *distinct* data vertices
 //! that v is mapped to across all occurrences (Definition 2.2.8).  It is
-//! anti-monotonic and computable in time linear in the number of occurrences, but it
+//! anti-monotonic and computable in time linear in the number of occurrences (each
+//! node's images are counted with one reused set of marks, no set is built), but it
 //! ignores the pattern's topology entirely, which is what the paper's MI measure
 //! repairs.
 //!
 //! σMNI(P, G, k) (Definition 2.2.9) generalises the per-node image count to connected
 //! node subsets of size `k`, counted as *sets* of images.
 
-use crate::occurrences::OccurrenceSet;
+use crate::occurrences::{ImageMarks, OccurrenceSet};
 use ffsm_graph::VertexId;
 
 /// Minimum-image-based support (Definition 2.2.8).
@@ -21,7 +22,9 @@ pub fn mni(occurrences: &OccurrenceSet) -> usize {
     if occurrences.num_occurrences() == 0 || pattern.num_vertices() == 0 {
         return 0;
     }
-    pattern.vertices().map(|v| occurrences.node_images(v).len()).min().unwrap_or(0)
+    let mut marks = ImageMarks::default();
+    let embeddings = occurrences.embeddings();
+    pattern.vertices().map(|v| marks.distinct(embeddings, v as usize)).min().unwrap_or(0)
 }
 
 /// Minimum k-image-based support (Definition 2.2.9): the minimum, over *connected*

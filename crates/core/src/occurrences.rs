@@ -12,14 +12,19 @@
 //!   (Definition 3.1.4): occurrences that project the pattern onto the same subgraph
 //!   (same image vertex *and* edge set) collapse into a single hyperedge.
 //!
-//! Hypergraph vertices are re-indexed densely (`0..k`); [`OccurrenceSet`] keeps the
-//! mapping back to data-graph vertex identifiers.
+//! Hypergraph vertices are re-indexed densely (`0..k`, in order of first appearance
+//! over the embeddings); [`OccurrenceSet`] keeps the mapping back to data-graph vertex
+//! identifiers.  It builds that numbering on first use, by
+//! [`num_images`](OccurrenceSet::num_images), [`image_vertex`](OccurrenceSet::image_vertex)
+//! or a hypergraph view.  MNI, MI and the occurrence count read the embeddings alone
+//! and never build it.
 
 use ffsm_graph::isomorphism::{Embedding, IsoConfig};
 use ffsm_graph::{LabeledGraph, Pattern, VertexId};
 use ffsm_hypergraph::Hypergraph;
 use ffsm_match::GraphIndex;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::OnceLock;
 
 /// Which hypergraph a measure is evaluated on (the paper defines MVC/MIES/MIS on
 /// "occurrence (instance)" hypergraphs; both are supported everywhere).
@@ -43,16 +48,84 @@ pub struct Instance {
 }
 
 /// The set of all occurrences of one pattern in one data graph, plus the derived
-/// hypergraph views.
+/// hypergraph views.  The hypergraph vertex numbering is built on the first call
+/// that reads it (a clone carries it if it was built); the image counts behind
+/// MNI and MI never build it.
 #[derive(Debug, Clone)]
 pub struct OccurrenceSet {
     pattern: Pattern,
     embeddings: Vec<Embedding>,
     complete: bool,
+    numbering: OnceLock<Numbering>,
+}
+
+/// The dense hypergraph vertex numbering of an occurrence set's images, in order
+/// of first appearance over the embeddings.
+#[derive(Debug, Clone)]
+struct Numbering {
     /// hypergraph vertex index -> data graph vertex id
     hg_vertex_to_data: Vec<VertexId>,
     /// data graph vertex id -> hypergraph vertex index
     data_to_hg_vertex: HashMap<VertexId, usize>,
+}
+
+impl Numbering {
+    fn of(embeddings: &[Embedding]) -> Self {
+        let mut hg_vertex_to_data = Vec::new();
+        let mut data_to_hg_vertex = HashMap::new();
+        for emb in embeddings {
+            for &v in emb {
+                data_to_hg_vertex.entry(v).or_insert_with(|| {
+                    hg_vertex_to_data.push(v);
+                    hg_vertex_to_data.len() - 1
+                });
+            }
+        }
+        Numbering { hg_vertex_to_data, data_to_hg_vertex }
+    }
+}
+
+/// One mark bit per data-vertex id, grown on demand: counts the distinct
+/// images of one pattern node without building a set.  Each count clears the
+/// marks it set, so one `ImageMarks` serves every node of every occurrence set.
+#[derive(Debug, Default)]
+pub(crate) struct ImageMarks {
+    words: Vec<u64>,
+}
+
+impl ImageMarks {
+    /// The number of distinct `emb[node]` over `embeddings`: one walk down the
+    /// column marks and counts first sights, a second walk clears the marks.
+    pub(crate) fn distinct(&mut self, embeddings: &[Embedding], node: usize) -> usize {
+        let mut count = 0;
+        for emb in embeddings {
+            let v = emb[node] as usize;
+            let (word, bit) = (v / 64, 1u64 << (v % 64));
+            if word >= self.words.len() {
+                self.words.resize(word + 1, 0);
+            }
+            if self.words[word] & bit == 0 {
+                self.words[word] |= bit;
+                count += 1;
+            }
+        }
+        for emb in embeddings {
+            self.words[emb[node] as usize / 64] = 0;
+        }
+        count
+    }
+}
+
+/// Sort an image row and overwrite its repeated entries with its largest, so
+/// two rows of one length are equal exactly when their image sets are.
+fn canonical_row(row: &mut [VertexId]) {
+    row.sort_unstable();
+    if row.windows(2).any(|w| w[0] == w[1]) {
+        let mut set = row.to_vec();
+        set.dedup();
+        row[..set.len()].copy_from_slice(&set);
+        row[set.len()..].fill(set[set.len() - 1]);
+    }
 }
 
 impl OccurrenceSet {
@@ -84,17 +157,12 @@ impl OccurrenceSet {
     /// Build an occurrence set from pre-computed embeddings (used by the miner, which
     /// maintains embeddings incrementally).
     pub fn from_embeddings(pattern: Pattern, embeddings: Vec<Embedding>, complete: bool) -> Self {
-        let mut hg_vertex_to_data = Vec::new();
-        let mut data_to_hg_vertex = HashMap::new();
-        for emb in &embeddings {
-            for &v in emb {
-                data_to_hg_vertex.entry(v).or_insert_with(|| {
-                    hg_vertex_to_data.push(v);
-                    hg_vertex_to_data.len() - 1
-                });
-            }
-        }
-        OccurrenceSet { pattern, embeddings, complete, hg_vertex_to_data, data_to_hg_vertex }
+        OccurrenceSet { pattern, embeddings, complete, numbering: OnceLock::new() }
+    }
+
+    /// The hypergraph vertex numbering, built on the first call.
+    fn numbering(&self) -> &Numbering {
+        self.numbering.get_or_init(|| Numbering::of(&self.embeddings))
     }
 
     /// The query pattern.
@@ -118,14 +186,16 @@ impl OccurrenceSet {
         &self.embeddings
     }
 
-    /// Number of distinct pattern-node images (= hypergraph vertices).
+    /// Number of distinct pattern-node images (= hypergraph vertices).  Builds the
+    /// hypergraph vertex numbering on first use.
     pub fn num_images(&self) -> usize {
-        self.hg_vertex_to_data.len()
+        self.numbering().hg_vertex_to_data.len()
     }
 
-    /// The data-graph vertex behind hypergraph vertex `i`.
+    /// The data-graph vertex behind hypergraph vertex `i` (vertices are numbered in
+    /// order of first appearance over the embeddings).
     pub fn image_vertex(&self, i: usize) -> VertexId {
-        self.hg_vertex_to_data[i]
+        self.numbering().hg_vertex_to_data[i]
     }
 
     /// Distinct images of pattern node `node` (the image set whose size MNI minimises).
@@ -134,16 +204,26 @@ impl OccurrenceSet {
     }
 
     /// Distinct image *sets* of a coarse-grained node subset `W` (Definition 3.2.1):
-    /// `c(W) = |{ f_i(W) }|` where each image is taken as a set.
+    /// `c(W) = |{ f_i(W) }|` where each image is taken as a set.  A one-node subset
+    /// is counted with marks; a larger one sorts one flat buffer of image rows and
+    /// counts the distinct rows.
     pub fn subset_image_count(&self, subset: &[VertexId]) -> usize {
-        let mut images: BTreeSet<Vec<VertexId>> = BTreeSet::new();
-        for emb in &self.embeddings {
-            let mut img: Vec<VertexId> = subset.iter().map(|&v| emb[v as usize]).collect();
-            img.sort_unstable();
-            img.dedup();
-            images.insert(img);
+        let k = subset.len();
+        match subset {
+            [] => return usize::from(!self.embeddings.is_empty()),
+            &[node] => return ImageMarks::default().distinct(&self.embeddings, node as usize),
+            _ => {}
         }
-        images.len()
+        let mut flat: Vec<VertexId> = Vec::with_capacity(self.embeddings.len() * k);
+        for emb in &self.embeddings {
+            let start = flat.len();
+            flat.extend(subset.iter().map(|&v| emb[v as usize]));
+            canonical_row(&mut flat[start..]);
+        }
+        let mut rows: Vec<&[VertexId]> = flat.chunks_exact(k).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        rows.len()
     }
 
     /// All distinct instances (Definition 2.1.9), sorted.
@@ -177,9 +257,10 @@ impl OccurrenceSet {
     /// Edges with identical vertex sets are kept as distinct edges — their edge id
     /// plays the role of the occurrence label `f_i`.
     pub fn occurrence_hypergraph(&self) -> Hypergraph {
-        let mut h = Hypergraph::new(self.num_images());
+        let numbering = self.numbering();
+        let mut h = Hypergraph::new(numbering.hg_vertex_to_data.len());
         for emb in &self.embeddings {
-            let edge: Vec<usize> = emb.iter().map(|v| self.data_to_hg_vertex[v]).collect();
+            let edge: Vec<usize> = emb.iter().map(|v| numbering.data_to_hg_vertex[v]).collect();
             h.add_edge(edge).expect("occurrence edge is valid");
         }
         h
@@ -187,10 +268,11 @@ impl OccurrenceSet {
 
     /// The instance hypergraph `H_I` (Definition 3.1.4): one edge per instance.
     pub fn instance_hypergraph(&self) -> Hypergraph {
-        let mut h = Hypergraph::new(self.num_images());
+        let numbering = self.numbering();
+        let mut h = Hypergraph::new(numbering.hg_vertex_to_data.len());
         for inst in self.instances() {
             let edge: Vec<usize> =
-                inst.vertices.iter().map(|v| self.data_to_hg_vertex[v]).collect();
+                inst.vertices.iter().map(|v| numbering.data_to_hg_vertex[v]).collect();
             h.add_edge(edge).expect("instance edge is valid");
         }
         h
@@ -322,6 +404,177 @@ mod tests {
         assert_eq!(occ.num_instances(), 0);
         assert_eq!(occ.num_images(), 0);
         assert!(occ.occurrence_hypergraph().is_empty());
+    }
+
+    /// Mark-word boundaries (63 | 64, 127 | 128) and ids past the first word.
+    const BOUNDARY_IDS: [VertexId; 9] = [0, 1, 62, 63, 64, 65, 127, 128, 200];
+
+    /// SplitMix64: the oracles' deterministic stream from one proptest seed.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Two occurrence sets per seed: the real occurrences of a pattern sampled
+    /// from a random graph of 60–160 vertices, and `width`-wide maps drawn from
+    /// the boundary ids and `0..300` (not necessarily injective).
+    fn sample_sets(seed: u64, width: usize, count: usize) -> Vec<OccurrenceSet> {
+        let mut state = seed;
+        let n = 60 + (next(&mut state) % 100) as usize;
+        let graph = ffsm_graph::generators::gnm_random(
+            n,
+            n * 3 / 2,
+            1 + (next(&mut state) % 4) as u32,
+            seed,
+        );
+        let mut sets = Vec::new();
+        let edges = 1 + (next(&mut state) % 3) as usize;
+        if let Some((pattern, _)) = ffsm_graph::generators::sample_pattern(&graph, edges, seed) {
+            sets.push(OccurrenceSet::enumerate(&pattern, &graph, IsoConfig::default()));
+        }
+        let pattern = ffsm_graph::patterns::uniform_path(width, ffsm_graph::Label(0));
+        let embeddings = (0..count)
+            .map(|_| {
+                (0..width)
+                    .map(|_| match next(&mut state) % 3 {
+                        0 => (next(&mut state) % 300) as VertexId,
+                        _ => BOUNDARY_IDS[(next(&mut state) % 9) as usize],
+                    })
+                    .collect()
+            })
+            .collect();
+        sets.push(OccurrenceSet::from_embeddings(pattern, embeddings, true));
+        sets
+    }
+
+    /// The eager numbering `from_embeddings` used to build: first appearance
+    /// over the embeddings, in order.
+    fn eager_numbering(occ: &OccurrenceSet) -> Vec<VertexId> {
+        let mut order = Vec::new();
+        let mut seen = BTreeSet::new();
+        for &v in occ.embeddings().iter().flatten() {
+            if seen.insert(v) {
+                order.push(v);
+            }
+        }
+        order
+    }
+
+    /// Every numbering-backed view against the eager reference, starting with
+    /// view `first`.
+    fn views_equal_the_eager_reference(
+        occ: &OccurrenceSet,
+        order: &[VertexId],
+        first: usize,
+    ) -> Result<(), proptest::prelude::TestCaseError> {
+        use proptest::prelude::*;
+        let index = |v: &VertexId| order.iter().position(|w| w == v).unwrap();
+        let mut occurrence = Hypergraph::new(order.len());
+        for emb in occ.embeddings() {
+            occurrence.add_edge(emb.iter().map(index).collect()).unwrap();
+        }
+        let mut instance = Hypergraph::new(order.len());
+        for inst in occ.instances() {
+            instance.add_edge(inst.vertices.iter().map(index).collect()).unwrap();
+        }
+        for view in (0..4).map(|i| (first + i) % 4) {
+            match view {
+                0 => prop_assert_eq!(occ.num_images(), order.len()),
+                1 => {
+                    let mapped: Vec<VertexId> =
+                        (0..order.len()).map(|i| occ.image_vertex(i)).collect();
+                    prop_assert_eq!(&mapped[..], order);
+                }
+                2 => prop_assert_eq!(&occ.occurrence_hypergraph(), &occurrence),
+                _ => prop_assert_eq!(&occ.instance_hypergraph(), &instance),
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// MNI's marked count equals the minimum over nodes of the node image
+        /// sets, and reading it builds no numbering.
+        #[test]
+        fn mni_is_the_minimum_node_image_count(
+            seed in 0u64..1_000_000,
+            width in 1usize..=5,
+            count in 0usize..60,
+        ) {
+            for occ in sample_sets(seed, width, count) {
+                let reference = occ
+                    .pattern()
+                    .vertices()
+                    .map(|v| occ.node_images(v).len())
+                    .min()
+                    .filter(|_| occ.num_occurrences() > 0)
+                    .unwrap_or(0);
+                proptest::prop_assert_eq!(crate::measures::mni::mni(&occ), reference);
+                proptest::prop_assert!(occ.numbering.get().is_none());
+            }
+        }
+
+        /// The numbering built on first use equals the eager one, whichever
+        /// view reads it first, and on a clone taken before or after that read.
+        #[test]
+        fn lazy_numbering_equals_the_eager_one(
+            seed in 0u64..1_000_000,
+            width in 1usize..=5,
+            count in 0usize..60,
+            first in 0usize..4,
+        ) {
+            for occ in sample_sets(seed, width, count) {
+                let order = eager_numbering(&occ);
+                let before = occ.clone();
+                views_equal_the_eager_reference(&occ, &order, first)?;
+                let after = occ.clone();
+                proptest::prop_assert!(before.numbering.get().is_none());
+                proptest::prop_assert!(after.numbering.get().is_some());
+                views_equal_the_eager_reference(&before, &order, (first + 1) % 4)?;
+                views_equal_the_eager_reference(&after, &order, first)?;
+            }
+        }
+
+        /// `subset_image_count` equals counting image sets in an ordered set,
+        /// for empty, one-node, larger and repeating subsets.
+        #[test]
+        fn subset_image_count_equals_the_set_reference(
+            seed in 0u64..1_000_000,
+            width in 1usize..=5,
+            count in 0usize..60,
+        ) {
+            let mut state = seed ^ 0x5eed;
+            for occ in sample_sets(seed, width, count) {
+                let n = occ.pattern().num_vertices() as u64;
+                for size in 0..=n as usize + 1 {
+                    let subset: Vec<VertexId> =
+                        (0..size).map(|_| (next(&mut state) % n) as VertexId).collect();
+                    let reference: BTreeSet<Vec<VertexId>> = occ
+                        .embeddings()
+                        .iter()
+                        .map(|emb| {
+                            let mut img: Vec<VertexId> =
+                                subset.iter().map(|&v| emb[v as usize]).collect();
+                            img.sort_unstable();
+                            img.dedup();
+                            img
+                        })
+                        .collect();
+                    proptest::prop_assert_eq!(
+                        occ.subset_image_count(&subset),
+                        reference.len(),
+                        "subset {:?}",
+                        subset
+                    );
+                }
+                proptest::prop_assert!(occ.numbering.get().is_none());
+            }
+        }
     }
 
     #[test]

@@ -228,14 +228,16 @@ impl Parent {
     ) -> usize {
         let counts = self.neighbour_labels[at as usize].get_or_init(|| {
             let list = &self.lists.as_deref().expect("slots exist only beside lists")[at as usize];
-            let mut neighbours: Vec<VertexId> =
-                list.iter().flat_map(|&w| graph.neighbors(w)).copied().collect();
-            neighbours.sort_unstable();
-            neighbours.dedup();
+            // One mark bit per data vertex: a neighbour is counted at first sight.
+            let mut seen = vec![0u64; graph.num_vertices().div_ceil(64)];
             let mut counts = vec![0u32; alphabet.len()];
-            for x in neighbours {
-                if let Ok(i) = alphabet.binary_search(&graph.label(x)) {
-                    counts[i] += 1;
+            for &x in list.iter().flat_map(|&w| graph.neighbors(w)) {
+                let (word, bit) = (x as usize / 64, 1u64 << (x % 64));
+                if seen[word] & bit == 0 {
+                    seen[word] |= bit;
+                    if let Ok(i) = alphabet.binary_search(&graph.label(x)) {
+                        counts[i] += 1;
+                    }
                 }
             }
             counts
@@ -767,6 +769,8 @@ impl EngineState {
             }
         }
         let mut stats = MiningStats { phase_timings: engine_phase, ..MiningStats::default() };
+        // The run's clock covers seeding, which counts as extension.
+        let start = Instant::now();
         let mut seen = HashSet::new();
         let seeds = source.seeds();
         stats.candidates_generated += seeds.len();
@@ -777,8 +781,8 @@ impl EngineState {
                 code: (!matches!(mode, CacheMode::Off)).then_some(code),
             })
             .collect();
+        engine_phase.record(Phase::Extension, start.elapsed());
         let threshold = config.min_support;
-        let start = Instant::now();
         let recorded_on = match &source {
             GraphSource::Whole(prepared) => Some(prepared.clone()),
             GraphSource::Partitioned(_) => None,
@@ -787,6 +791,7 @@ impl EngineState {
             CacheMode::Off => (None, None),
             CacheMode::Record => (None, Some(EvalCache::over(recorded_on))),
             CacheMode::Delta(prior, delta) => {
+                let repair_start = Instant::now();
                 let graph = recorded_on.as_ref().expect("the session refuses a partition");
                 let delta = DeltaContext::new(
                     prior,
@@ -795,7 +800,7 @@ impl EngineState {
                     config.max_pattern_edges,
                     config.iso_config.induced,
                 )?;
-                engine_phase.record(Phase::DeltaRepair, start.elapsed());
+                engine_phase.record(Phase::DeltaRepair, repair_start.elapsed());
                 stats.dirty_subgraphs = delta.subgraphs;
                 (Some(delta), Some(EvalCache::over(recorded_on)))
             }

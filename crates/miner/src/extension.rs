@@ -129,14 +129,22 @@ pub(crate) fn new_children(
 }
 
 /// All frequent single-edge seed patterns of a graph: one pattern per unordered label
-/// pair that actually occurs on at least one edge.
+/// pair that actually occurs on at least one edge, in ascending pair order.  The
+/// pairs are packed into one `u64` per edge, sorted and deduplicated once.
 pub fn seed_patterns(graph: &ffsm_graph::LabeledGraph) -> Vec<Pattern> {
-    let mut pairs: std::collections::BTreeSet<(Label, Label)> = std::collections::BTreeSet::new();
-    for (u, v) in graph.edges() {
-        let (a, b) = (graph.label(u), graph.label(v));
-        pairs.insert(if a <= b { (a, b) } else { (b, a) });
-    }
-    pairs.into_iter().map(|(a, b)| patterns::single_edge(a, b)).collect()
+    let mut pairs: Vec<u64> = graph
+        .edges()
+        .map(|(u, v)| {
+            let (a, b) = (graph.label(u).0, graph.label(v).0);
+            (u64::from(a.min(b)) << 32) | u64::from(a.max(b))
+        })
+        .collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
+        .into_iter()
+        .map(|pair| patterns::single_edge(Label((pair >> 32) as u32), Label(pair as u32)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -264,6 +272,30 @@ mod tests {
             let child = growth.apply(&parent);
             assert_eq!((child.neighbors(2), child.label(2)), (&[at][..], label));
             assert_eq!(code, canonical_code(&child));
+        }
+    }
+
+    /// The packed-pair seeding equals the ordered-set reference it replaced:
+    /// same label pairs, same order.
+    #[test]
+    fn seed_patterns_equal_the_ordered_set_reference() {
+        for seed in 0..30u64 {
+            let graph = ffsm_graph::generators::gnm_random(
+                40 + seed as usize * 7,
+                60 + seed as usize * 11,
+                1 + (seed % 9) as u32,
+                seed,
+            );
+            let reference: std::collections::BTreeSet<(Label, Label)> = graph
+                .edges()
+                .map(|(u, v)| {
+                    let (a, b) = (graph.label(u), graph.label(v));
+                    (a.min(b), a.max(b))
+                })
+                .collect();
+            let reference: Vec<Pattern> =
+                reference.into_iter().map(|(a, b)| patterns::single_edge(a, b)).collect();
+            assert_eq!(seed_patterns(&graph), reference, "seed {seed}");
         }
     }
 

@@ -196,7 +196,8 @@ fn capped_sessions_equal_naive_sessions() {
     assert!(capped_total > 0, "the cap never fired: the test has no teeth");
 }
 
-/// Delta reuse of a cap-decided candidate rests on the pinned query alone.
+/// Delta reuse of a cap-decided candidate rests on the new epoch's dirty-region
+/// code set alone: a capped entry is reused only when its code is not in it.
 /// (a) An update that shrinks a capped candidate's seeded lists but leaves no
 /// occurrence of it at a dirty vertex keeps the cached cap, which still bounds
 /// the support.  (b) An update that creates an occurrence of a capped candidate
