@@ -47,17 +47,17 @@ pub use ffsm_graph::CancelToken;
 // miner's delta-aware mode and the `ffsm-dynamic` store speak these types.
 pub use ffsm_graph::{GraphDelta, GraphUpdate, UpdateError};
 pub use ffsm_match::{CandidateSpace, GraphIndex, Matcher, SearchArena};
-// Raw embedding enumeration (without the `OccurrenceSet` wrapper) is what the
-// partitioned miner needs: per-shard embeddings are remapped to global ids and
-// merged *before* one occurrence set is built, so the hypergraph and the support
-// value are computed over the exact global occurrence list.
-pub use ffsm_graph::isomorphism::EnumerationResult;
-pub use ffsm_match::enumerate_with;
+// The streaming dispatcher is what the miner needs: a whole-graph search streams
+// into an occurrence set's rows, and per-shard embeddings are remapped to global
+// ids and filtered as they stream, *before* one occurrence set is built, so the
+// hypergraph and the support value are computed over the exact global occurrence
+// list.
+pub use ffsm_match::stream_with;
 pub use measures::{
     Evaluation, MeasureConfig, MeasureKind, MiStrategy, MvcAlgorithm, SupportMeasure,
     SupportMeasures,
 };
-pub use occurrences::{HypergraphBasis, Instance, OccurrenceSet};
+pub use occurrences::{EmbeddingRows, HypergraphBasis, Instance, OccurrenceSet, Row, RowCollector};
 pub use overlap::{OverlapAnalysis, OverlapCache, OverlapCensus, OverlapKind};
 pub use profile::{MeasureProfile, ProfileEntry};
 

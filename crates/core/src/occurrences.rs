@@ -12,6 +12,12 @@
 //!   (Definition 3.1.4): occurrences that project the pattern onto the same subgraph
 //!   (same image vertex *and* edge set) collapse into a single hyperedge.
 //!
+//! The embeddings live in one row-major buffer ([`EmbeddingRows`]): one row
+//! per occurrence, `row[node]` the image of pattern node `node`, so no
+//! occurrence is an allocation of its own.  [`RowCollector`] fills that buffer
+//! straight from the search's visitor; [`OccurrenceSet::embeddings`] lends it
+//! out as a view of rows.
+//!
 //! Hypergraph vertices are re-indexed densely (`0..k`, in order of first appearance
 //! over the embeddings); [`OccurrenceSet`] keeps the mapping back to data-graph vertex
 //! identifiers.  It builds that numbering on first use, by
@@ -19,11 +25,13 @@
 //! or a hypergraph view.  MNI, MI and the occurrence count read the embeddings alone
 //! and never build it.
 
-use ffsm_graph::isomorphism::{Embedding, IsoConfig};
+use ffsm_graph::isomorphism::{Embedding, EmbeddingVisitor, IsoConfig, VisitFlow};
 use ffsm_graph::{LabeledGraph, Pattern, VertexId};
 use ffsm_hypergraph::Hypergraph;
-use ffsm_match::GraphIndex;
+use ffsm_match::{GraphIndex, SearchArena};
 use std::collections::{BTreeSet, HashMap};
+use std::fmt;
+use std::ops::{Deref, Index};
 use std::sync::OnceLock;
 
 /// Which hypergraph a measure is evaluated on (the paper defines MVC/MIES/MIS on
@@ -47,14 +55,217 @@ pub struct Instance {
     pub edges: Vec<(VertexId, VertexId)>,
 }
 
+/// Embeddings stored row-major in one buffer: row `i` is
+/// `flat[i * stride..(i + 1) * stride]`, with `stride` the pattern's vertex
+/// count, and `row[node]` is the image of pattern node `node`.  The row count
+/// is kept apart from the buffer, so a zero-vertex pattern's one (empty)
+/// occurrence is one empty row.
+///
+/// It reads like a slice of embeddings: [`len`](Self::len), [`iter`](Self::iter)
+/// and `for row in &rows` over [`Row`]s (each derefs to `&[VertexId]`),
+/// `rows[i]` for the `[VertexId]` row itself, and [`to_vec`](Self::to_vec) for
+/// the owned `Vec<Embedding>`.  Two row buffers are equal when their row
+/// sequences are.
+#[derive(Clone)]
+pub struct EmbeddingRows {
+    flat: Vec<VertexId>,
+    stride: usize,
+    len: usize,
+}
+
+impl EmbeddingRows {
+    /// An empty buffer of rows `stride` wide.
+    pub fn new(stride: usize) -> Self {
+        EmbeddingRows { flat: Vec::new(), stride, len: 0 }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when there is no row.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Append one row (exactly `stride` images).
+    pub fn push(&mut self, row: impl IntoIterator<Item = VertexId>) {
+        let start = self.flat.len();
+        self.flat.extend(row);
+        assert_eq!(self.flat.len() - start, self.stride, "a row holds one image per pattern node");
+        self.len += 1;
+    }
+
+    /// The rows in order.
+    pub fn iter(&self) -> RowIter<'_> {
+        RowIter { flat: &self.flat, stride: self.stride, remaining: self.len }
+    }
+
+    /// The images of pattern node `node`, one per row (`node < stride`).
+    fn column(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
+        self.flat.get(node..).unwrap_or_default().iter().step_by(self.stride).map(|&v| v as usize)
+    }
+
+    /// Sort the rows lexicographically (as `sort_unstable` sorts a
+    /// `Vec<Embedding>`), through one sorted permutation and one new buffer.
+    pub fn sort_unstable(&mut self) {
+        let mut order: Vec<usize> = (0..self.len).collect();
+        order.sort_unstable_by(|&a, &b| self[a].cmp(&self[b]));
+        let mut flat = Vec::with_capacity(self.flat.len());
+        for i in order {
+            flat.extend_from_slice(&self[i]);
+        }
+        self.flat = flat;
+    }
+
+    /// Every row as an owned embedding.
+    pub fn to_vec(&self) -> Vec<Embedding> {
+        self.iter().map(|row| row.to_vec()).collect()
+    }
+}
+
+impl Index<usize> for EmbeddingRows {
+    type Output = [VertexId];
+
+    fn index(&self, i: usize) -> &[VertexId] {
+        assert!(i < self.len, "row {i} of {}", self.len);
+        &self.flat[i * self.stride..(i + 1) * self.stride]
+    }
+}
+
+impl PartialEq for EmbeddingRows {
+    /// Equal row sequences: with equal row counts, equal buffers hold equal
+    /// rows (the stride is the buffer length over the count).
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.flat == other.flat
+    }
+}
+
+impl Eq for EmbeddingRows {}
+
+impl fmt::Debug for EmbeddingRows {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a EmbeddingRows {
+    type Item = Row<'a>;
+    type IntoIter = RowIter<'a>;
+
+    fn into_iter(self) -> RowIter<'a> {
+        self.iter()
+    }
+}
+
+/// One row of an [`EmbeddingRows`]: an occurrence map, `row[node]` the image
+/// of pattern node `node`.  It reads as the `&[VertexId]` it derefs to, and
+/// compares equal to an owned embedding (`row == &embedding`) with the same
+/// images.
+#[derive(Clone, Copy)]
+pub struct Row<'a>(&'a [VertexId]);
+
+impl Deref for Row<'_> {
+    type Target = [VertexId];
+
+    fn deref(&self) -> &[VertexId] {
+        self.0
+    }
+}
+
+impl PartialEq<&Embedding> for Row<'_> {
+    fn eq(&self, other: &&Embedding) -> bool {
+        self.0 == other.as_slice()
+    }
+}
+
+impl fmt::Debug for Row<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+impl<'a> IntoIterator for Row<'a> {
+    type Item = &'a VertexId;
+    type IntoIter = std::slice::Iter<'a, VertexId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+/// Iterator over the rows of an [`EmbeddingRows`].
+#[derive(Debug, Clone)]
+pub struct RowIter<'a> {
+    flat: &'a [VertexId],
+    stride: usize,
+    remaining: usize,
+}
+
+impl<'a> Iterator for RowIter<'a> {
+    type Item = Row<'a>;
+
+    fn next(&mut self) -> Option<Row<'a>> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        let (row, rest) = self.flat.split_at(self.stride);
+        self.flat = rest;
+        Some(Row(row))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for RowIter<'_> {}
+
+/// The visitor that streams a search into an occurrence set's rows: each visit
+/// is appended to one [`EmbeddingRows`] buffer.  It keeps `CollectVisitor`'s
+/// check-before-accept budget — a visit at `max` rows returns
+/// [`VisitFlow::Stop`], so a zero budget collects nothing and a search with
+/// exactly `max` embeddings completes.
+#[derive(Debug)]
+pub struct RowCollector {
+    rows: EmbeddingRows,
+    max: usize,
+}
+
+impl RowCollector {
+    /// Collect at most `max` rows of `stride` images, then stop the search.
+    pub fn with_limit(stride: usize, max: usize) -> Self {
+        RowCollector { rows: EmbeddingRows::new(stride), max }
+    }
+
+    /// The occurrence set of `pattern` (of `stride` vertices) over the
+    /// collected rows; `complete` is what the search returned.
+    pub fn into_occurrences(self, pattern: Pattern, complete: bool) -> OccurrenceSet {
+        OccurrenceSet::from_rows(pattern, self.rows, complete)
+    }
+}
+
+impl EmbeddingVisitor for RowCollector {
+    fn visit(&mut self, embedding: &[VertexId]) -> VisitFlow {
+        if self.rows.len() >= self.max {
+            return VisitFlow::Stop;
+        }
+        self.rows.push(embedding.iter().copied());
+        VisitFlow::Continue
+    }
+}
+
 /// The set of all occurrences of one pattern in one data graph, plus the derived
-/// hypergraph views.  The hypergraph vertex numbering is built on the first call
-/// that reads it (a clone carries it if it was built); the image counts behind
-/// MNI and MI never build it.
+/// hypergraph views.  The occurrences are the rows of one [`EmbeddingRows`]
+/// buffer, in the order the search emitted them.  The hypergraph vertex
+/// numbering is built on the first call that reads it (a clone carries it if it
+/// was built); the image counts behind MNI and MI never build it.
 #[derive(Debug, Clone)]
 pub struct OccurrenceSet {
     pattern: Pattern,
-    embeddings: Vec<Embedding>,
+    rows: EmbeddingRows,
     complete: bool,
     numbering: OnceLock<Numbering>,
 }
@@ -70,16 +281,15 @@ struct Numbering {
 }
 
 impl Numbering {
-    fn of(embeddings: &[Embedding]) -> Self {
+    /// First appearance over the rows in order: the row-major buffer order.
+    fn of(rows: &EmbeddingRows) -> Self {
         let mut hg_vertex_to_data = Vec::new();
         let mut data_to_hg_vertex = HashMap::new();
-        for emb in embeddings {
-            for &v in emb {
-                data_to_hg_vertex.entry(v).or_insert_with(|| {
-                    hg_vertex_to_data.push(v);
-                    hg_vertex_to_data.len() - 1
-                });
-            }
+        for &v in &rows.flat {
+            data_to_hg_vertex.entry(v).or_insert_with(|| {
+                hg_vertex_to_data.push(v);
+                hg_vertex_to_data.len() - 1
+            });
         }
         Numbering { hg_vertex_to_data, data_to_hg_vertex }
     }
@@ -94,12 +304,11 @@ pub(crate) struct ImageMarks {
 }
 
 impl ImageMarks {
-    /// The number of distinct `emb[node]` over `embeddings`: one walk down the
+    /// The number of distinct `row[node]` over `rows`: one walk down the
     /// column marks and counts first sights, a second walk clears the marks.
-    pub(crate) fn distinct(&mut self, embeddings: &[Embedding], node: usize) -> usize {
+    pub(crate) fn distinct(&mut self, rows: &EmbeddingRows, node: usize) -> usize {
         let mut count = 0;
-        for emb in embeddings {
-            let v = emb[node] as usize;
+        for v in rows.column(node) {
             let (word, bit) = (v / 64, 1u64 << (v % 64));
             if word >= self.words.len() {
                 self.words.resize(word + 1, 0);
@@ -109,8 +318,8 @@ impl ImageMarks {
                 count += 1;
             }
         }
-        for emb in embeddings {
-            self.words[emb[node] as usize / 64] = 0;
+        for v in rows.column(node) {
+            self.words[v / 64] = 0;
         }
         count
     }
@@ -136,8 +345,7 @@ impl OccurrenceSet {
     /// graph (the mining engine, the CLI) should build the index once and use
     /// [`OccurrenceSet::enumerate_with_index`] instead.
     pub fn enumerate(pattern: &Pattern, graph: &LabeledGraph, config: IsoConfig) -> Self {
-        let result = ffsm_match::enumerate(pattern, graph, None, config);
-        Self::from_embeddings(pattern.clone(), result.embeddings, result.complete)
+        Self::stream(pattern, graph, None, config)
     }
 
     /// Enumerate all occurrences of `pattern` in `graph`, reusing a prebuilt
@@ -150,19 +358,54 @@ impl OccurrenceSet {
         index: &GraphIndex,
         config: IsoConfig,
     ) -> Self {
-        let result = ffsm_match::enumerate(pattern, graph, Some(index), config);
-        Self::from_embeddings(pattern.clone(), result.embeddings, result.complete)
+        Self::stream(pattern, graph, Some(index), config)
     }
 
-    /// Build an occurrence set from pre-computed embeddings (used by the miner, which
-    /// maintains embeddings incrementally).
+    /// Stream the search of `ffsm_match::stream_with` into a [`RowCollector`]
+    /// bounded by `config.max_embeddings`.  The empty pattern has exactly one
+    /// (empty) occurrence whatever the budget.
+    fn stream(
+        pattern: &Pattern,
+        graph: &LabeledGraph,
+        index: Option<&GraphIndex>,
+        config: IsoConfig,
+    ) -> Self {
+        let stride = pattern.num_vertices();
+        if stride == 0 {
+            return Self::from_embeddings(pattern.clone(), vec![Vec::new()], true);
+        }
+        let mut rows = RowCollector::with_limit(stride, config.max_embeddings);
+        let complete = ffsm_match::stream_with(
+            pattern,
+            graph,
+            index,
+            config,
+            &mut SearchArena::new(),
+            &mut rows,
+        );
+        rows.into_occurrences(pattern.clone(), complete)
+    }
+
+    /// Build an occurrence set from pre-computed embeddings, each
+    /// `pattern.num_vertices()` wide; they are copied into one row buffer.
     pub fn from_embeddings(pattern: Pattern, embeddings: Vec<Embedding>, complete: bool) -> Self {
-        OccurrenceSet { pattern, embeddings, complete, numbering: OnceLock::new() }
+        let mut rows = EmbeddingRows::new(pattern.num_vertices());
+        for emb in embeddings {
+            rows.push(emb);
+        }
+        Self::from_rows(pattern, rows, complete)
+    }
+
+    /// Build an occurrence set over a filled row buffer (rows
+    /// `pattern.num_vertices()` wide), taking it over as it is.
+    pub fn from_rows(pattern: Pattern, rows: EmbeddingRows, complete: bool) -> Self {
+        assert_eq!(rows.stride, pattern.num_vertices(), "row width must be the pattern size");
+        OccurrenceSet { pattern, rows, complete, numbering: OnceLock::new() }
     }
 
     /// The hypergraph vertex numbering, built on the first call.
     fn numbering(&self) -> &Numbering {
-        self.numbering.get_or_init(|| Numbering::of(&self.embeddings))
+        self.numbering.get_or_init(|| Numbering::of(&self.rows))
     }
 
     /// The query pattern.
@@ -172,7 +415,7 @@ impl OccurrenceSet {
 
     /// Number of occurrences.
     pub fn num_occurrences(&self) -> usize {
-        self.embeddings.len()
+        self.rows.len()
     }
 
     /// `false` if the enumeration hit its embedding budget, in which case every
@@ -181,9 +424,10 @@ impl OccurrenceSet {
         self.complete
     }
 
-    /// The raw occurrence maps (`occurrence[pattern node] = data vertex`).
-    pub fn embeddings(&self) -> &[Embedding] {
-        &self.embeddings
+    /// The raw occurrence maps (`occurrence[pattern node] = data vertex`), one
+    /// row each, in emission order.
+    pub fn embeddings(&self) -> &EmbeddingRows {
+        &self.rows
     }
 
     /// Number of distinct pattern-node images (= hypergraph vertices).  Builds the
@@ -200,7 +444,7 @@ impl OccurrenceSet {
 
     /// Distinct images of pattern node `node` (the image set whose size MNI minimises).
     pub fn node_images(&self, node: VertexId) -> BTreeSet<VertexId> {
-        self.embeddings.iter().map(|emb| emb[node as usize]).collect()
+        self.rows.iter().map(|emb| emb[node as usize]).collect()
     }
 
     /// Distinct image *sets* of a coarse-grained node subset `W` (Definition 3.2.1):
@@ -210,12 +454,12 @@ impl OccurrenceSet {
     pub fn subset_image_count(&self, subset: &[VertexId]) -> usize {
         let k = subset.len();
         match subset {
-            [] => return usize::from(!self.embeddings.is_empty()),
-            &[node] => return ImageMarks::default().distinct(&self.embeddings, node as usize),
+            [] => return usize::from(!self.rows.is_empty()),
+            &[node] => return ImageMarks::default().distinct(&self.rows, node as usize),
             _ => {}
         }
-        let mut flat: Vec<VertexId> = Vec::with_capacity(self.embeddings.len() * k);
-        for emb in &self.embeddings {
+        let mut flat: Vec<VertexId> = Vec::with_capacity(self.rows.len() * k);
+        for emb in &self.rows {
             let start = flat.len();
             flat.extend(subset.iter().map(|&v| emb[v as usize]));
             canonical_row(&mut flat[start..]);
@@ -229,8 +473,8 @@ impl OccurrenceSet {
     /// All distinct instances (Definition 2.1.9), sorted.
     pub fn instances(&self) -> Vec<Instance> {
         let mut set: BTreeSet<Instance> = BTreeSet::new();
-        for emb in &self.embeddings {
-            let mut vertices: Vec<VertexId> = emb.clone();
+        for emb in &self.rows {
+            let mut vertices: Vec<VertexId> = emb.to_vec();
             vertices.sort_unstable();
             vertices.dedup();
             let mut edges: Vec<(VertexId, VertexId)> = self
@@ -259,7 +503,7 @@ impl OccurrenceSet {
     pub fn occurrence_hypergraph(&self) -> Hypergraph {
         let numbering = self.numbering();
         let mut h = Hypergraph::new(numbering.hg_vertex_to_data.len());
-        for emb in &self.embeddings {
+        for emb in &self.rows {
             let edge: Vec<usize> = emb.iter().map(|v| numbering.data_to_hg_vertex[v]).collect();
             h.add_edge(edge).expect("occurrence edge is valid");
         }
@@ -574,6 +818,152 @@ mod tests {
                 }
                 proptest::prop_assert!(occ.numbering.get().is_none());
             }
+        }
+    }
+
+    /// The pattern `width` random embeddings are maps of: a `width`-vertex
+    /// path, or the empty pattern.
+    fn pattern_of_width(width: usize) -> Pattern {
+        match width {
+            0 => LabeledGraph::new(),
+            _ => ffsm_graph::patterns::uniform_path(width, ffsm_graph::Label(0)),
+        }
+    }
+
+    #[test]
+    fn zero_vertex_pattern_has_one_empty_row() {
+        use ffsm_graph::isomorphism::EnumeratorBackend;
+        let graph = ffsm_graph::generators::gnm_random(10, 15, 2, 1);
+        let index = GraphIndex::build(&graph);
+        let empty = LabeledGraph::new();
+        for backend in [EnumeratorBackend::CandidateSpace, EnumeratorBackend::Naive] {
+            for limit in [0, 1, usize::MAX] {
+                let config = IsoConfig::with_limit(limit).with_backend(backend);
+                let reference = ffsm_match::enumerate(&empty, &graph, Some(&index), config.clone());
+                for occ in [
+                    OccurrenceSet::enumerate(&empty, &graph, config.clone()),
+                    OccurrenceSet::enumerate_with_index(&empty, &graph, &index, config.clone()),
+                ] {
+                    assert_eq!(occ.num_occurrences(), 1, "{backend} at {limit}");
+                    assert!(occ.is_complete());
+                    assert!(occ.embeddings()[0].is_empty());
+                    assert_eq!(occ.embeddings().to_vec(), reference.embeddings);
+                    assert_eq!(occ.is_complete(), reference.complete);
+                }
+            }
+        }
+        let built = OccurrenceSet::from_embeddings(empty, vec![Vec::new()], true);
+        assert_eq!(built.embeddings().iter().len(), 1);
+        assert_eq!(built.subset_image_count(&[]), 1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The streamed rows are the collected embeddings, row for row in
+        /// emission order and with the same `complete`: against
+        /// `ffsm_match::enumerate_with` and each backend's own collecting path
+        /// (`Matcher::enumerate`, `enumerate_embeddings`), in both semantics,
+        /// at budgets 0, count − 1, count and count + 1.
+        #[test]
+        fn streamed_rows_equal_the_collected_embeddings(seed in 0u64..1_000_000) {
+            use ffsm_graph::isomorphism::{enumerate_embeddings, EnumeratorBackend};
+            let mut state = seed;
+            let n = 20 + (next(&mut state) % 40) as usize;
+            let labels = 1 + (next(&mut state) % 3) as u32;
+            let graph = ffsm_graph::generators::gnm_random(n, n * 2, labels, seed);
+            let edges = 1 + (next(&mut state) % 3) as usize;
+            let Some((pattern, _)) = ffsm_graph::generators::sample_pattern(&graph, edges, seed)
+            else {
+                return Ok(());
+            };
+            let index = GraphIndex::build(&graph);
+            for backend in [EnumeratorBackend::CandidateSpace, EnumeratorBackend::Naive] {
+                for induced in [false, true] {
+                    let base = IsoConfig { induced, ..IsoConfig::default() }.with_backend(backend);
+                    let count = ffsm_match::enumerate(&pattern, &graph, Some(&index), base.clone())
+                        .len();
+                    for limit in [0, count.saturating_sub(1), count, count + 1] {
+                        let config = IsoConfig { max_embeddings: limit, ..base.clone() };
+                        let reference = ffsm_match::enumerate_with(
+                            &pattern,
+                            &graph,
+                            Some(&index),
+                            config.clone(),
+                            &mut SearchArena::new(),
+                        );
+                        let own = match backend {
+                            EnumeratorBackend::Naive => {
+                                enumerate_embeddings(&pattern, &graph, config.clone())
+                            }
+                            EnumeratorBackend::CandidateSpace => {
+                                ffsm_match::Matcher::new(&pattern, &graph, &index)
+                                    .enumerate(config.clone())
+                            }
+                        };
+                        proptest::prop_assert_eq!(&own.embeddings, &reference.embeddings);
+                        proptest::prop_assert_eq!(own.complete, reference.complete);
+                        for occ in [
+                            OccurrenceSet::enumerate(&pattern, &graph, config.clone()),
+                            OccurrenceSet::enumerate_with_index(
+                                &pattern,
+                                &graph,
+                                &index,
+                                config.clone(),
+                            ),
+                        ] {
+                            proptest::prop_assert_eq!(
+                                occ.embeddings().to_vec(),
+                                reference.embeddings.clone(),
+                                "{} induced={} limit={}",
+                                backend,
+                                induced,
+                                limit
+                            );
+                            proptest::prop_assert_eq!(occ.is_complete(), reference.complete);
+                        }
+                    }
+                }
+            }
+        }
+
+        /// `from_embeddings` keeps its input row for row: `to_vec`, `iter`,
+        /// indexing and equality read it back, and `sort_unstable` sorts the
+        /// rows as `sort_unstable` sorts the vectors.
+        #[test]
+        fn from_embeddings_round_trips(
+            seed in 0u64..1_000_000,
+            width in 0usize..=5,
+            count in 0usize..60,
+        ) {
+            let mut state = seed;
+            let embeddings: Vec<Embedding> = (0..count)
+                .map(|_| (0..width).map(|_| (next(&mut state) % 12) as VertexId).collect())
+                .collect();
+            let occ = OccurrenceSet::from_embeddings(
+                pattern_of_width(width),
+                embeddings.clone(),
+                true,
+            );
+            let rows = occ.embeddings();
+            proptest::prop_assert_eq!(rows.to_vec(), embeddings.clone());
+            proptest::prop_assert_eq!(rows.len(), count);
+            proptest::prop_assert_eq!(rows.iter().len(), count);
+            for (i, row) in rows.iter().enumerate() {
+                proptest::prop_assert_eq!(row, &embeddings[i]);
+                proptest::prop_assert_eq!(&rows[i], embeddings[i].as_slice());
+            }
+            let again = OccurrenceSet::from_embeddings(
+                pattern_of_width(width),
+                embeddings.clone(),
+                false,
+            );
+            proptest::prop_assert_eq!(again.embeddings(), rows);
+            let mut sorted_rows = rows.clone();
+            sorted_rows.sort_unstable();
+            let mut sorted = embeddings;
+            sorted.sort_unstable();
+            proptest::prop_assert_eq!(sorted_rows.to_vec(), sorted);
         }
     }
 

@@ -37,7 +37,6 @@
 
 use crate::occurrences::OccurrenceSet;
 use ffsm_graph::automorphism::{transitive_pair_matrix, PairMatrix};
-use ffsm_graph::isomorphism::Embedding;
 use ffsm_graph::VertexId;
 use ffsm_hypergraph::independent_set::{exact_max_independent_set, SimpleGraph};
 use ffsm_hypergraph::SearchBudget;
@@ -202,7 +201,7 @@ impl<'a> OverlapAnalysis<'a> {
         self.cache.builds()
     }
 
-    fn embedding(&self, i: usize) -> &Embedding {
+    fn embedding(&self, i: usize) -> &[VertexId] {
         &self.occurrences.embeddings()[i]
     }
 
@@ -251,7 +250,7 @@ impl<'a> OverlapAnalysis<'a> {
     pub fn edge_overlap(&self, i: usize, j: usize) -> bool {
         let fi = self.embedding(i);
         let fj = self.embedding(j);
-        let edges_of = |f: &Embedding| -> BTreeSet<(u32, u32)> {
+        let edges_of = |f: &[VertexId]| -> BTreeSet<(u32, u32)> {
             self.occurrences
                 .pattern()
                 .edges()
@@ -295,7 +294,7 @@ impl<'a> OverlapAnalysis<'a> {
             OverlapKind::Structural => (0..fi.len())
                 .any(|v| (0..fj.len()).any(|w| self.transitive.get(v, w) && fi[v] == fj[w])),
             OverlapKind::Edge => {
-                let image = |f: &Embedding, (u, v): (VertexId, VertexId)| {
+                let image = |f: &[VertexId], (u, v): (VertexId, VertexId)| {
                     let (a, b) = (f[u as usize], f[v as usize]);
                     (a.min(b), a.max(b))
                 };

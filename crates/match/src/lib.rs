@@ -37,10 +37,13 @@
 //! [`enumerate`] dispatches on
 //! [`IsoConfig::backend`](ffsm_graph::isomorphism::IsoConfig): `Naive` runs the
 //! oracle and `CandidateSpace` runs this engine (building a throwaway
-//! [`GraphIndex`] when the caller has none).  `ffsm-core`'s
-//! `OccurrenceSet::enumerate` and the mining engine go through this function;
-//! sessions build the index once and pass it to every per-pattern call, and hot
-//! call sites thread a reusable [`SearchArena`] through [`enumerate_with`].
+//! [`GraphIndex`] when the caller has none).  Underneath it is [`stream_with`],
+//! which pushes each embedding to a visitor as the search finds it:
+//! `ffsm-core`'s `OccurrenceSet::enumerate` and the mining engine stream through
+//! it straight into an occurrence set's row buffer, so no embedding is ever a
+//! vector of its own.  Sessions build the index once and pass it to every
+//! per-pattern call, and hot call sites thread a reusable [`SearchArena`]
+//! through [`stream_with`] / [`enumerate_with`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -203,8 +206,9 @@ impl<'a> Matcher<'a> {
 /// * [`EnumeratorBackend::CandidateSpace`] — this crate's engine, reusing `index`
 ///   when given and building a throwaway [`GraphIndex`] otherwise.
 ///
-/// This is the single entry point `ffsm-core` and the mining engine call; a mining
-/// session builds one index up front and passes it to every per-pattern call so the
+/// This materialises every embedding as its own vector; `ffsm-core` and the
+/// mining engine stream through [`stream_with`] instead.  A mining session
+/// builds one index up front and passes it to every per-pattern call so the
 /// per-graph work is never repeated.
 pub fn enumerate(
     pattern: &Pattern,
@@ -215,9 +219,9 @@ pub fn enumerate(
     enumerate_with(pattern, graph, index, config, &mut SearchArena::new())
 }
 
-/// [`enumerate`] reusing the caller's [`SearchArena`] — the mining engine's level
-/// workers call this with one long-lived arena each.  (The naive backend has no
-/// arena to reuse; the parameter is simply unused there.)
+/// [`enumerate`] reusing the caller's [`SearchArena`] — [`stream_with`] into a
+/// [`CollectVisitor`] bounded by `config.max_embeddings`.  The empty pattern
+/// has exactly one (empty) occurrence whatever the budget.
 pub fn enumerate_with(
     pattern: &Pattern,
     graph: &LabeledGraph,
@@ -225,21 +229,50 @@ pub fn enumerate_with(
     config: IsoConfig,
     arena: &mut SearchArena,
 ) -> EnumerationResult {
-    let run_space = |index: &GraphIndex, arena: &mut SearchArena| {
-        let matcher =
-            arena.span(ffsm_obs::Phase::CandidateSpace, |_| Matcher::new(pattern, graph, index));
-        arena.add_refine_rounds(matcher.space().refinement_rounds() as u64);
-        arena.span(ffsm_obs::Phase::Search, |arena| matcher.enumerate_with(config.clone(), arena))
-    };
-    match config.backend {
-        EnumeratorBackend::Naive => {
-            ffsm_graph::isomorphism::enumerate_embeddings(pattern, graph, config)
-        }
-        EnumeratorBackend::CandidateSpace => match index {
-            Some(index) => run_space(index, arena),
-            None => run_space(&GraphIndex::build(graph), arena),
-        },
+    if pattern.num_vertices() == 0 {
+        return EnumerationResult { embeddings: vec![Vec::new()], complete: true };
     }
+    let mut collect = CollectVisitor::with_limit(config.max_embeddings);
+    let complete = stream_with(pattern, graph, index, config, arena, &mut collect);
+    EnumerationResult { embeddings: collect.embeddings, complete }
+}
+
+/// Stream the occurrences of `pattern` in `graph` to `visitor`, dispatching on
+/// `config.backend`; returns `false` if the visitor stopped the search or
+/// `config.cancel` fired.
+///
+/// * [`EnumeratorBackend::Naive`] — `ffsm_graph::isomorphism::enumerate_with_visitor`
+///   (the arena is unused);
+/// * [`EnumeratorBackend::CandidateSpace`] — [`Matcher::stream_with`], reusing
+///   `index` when given and building a throwaway [`GraphIndex`] otherwise; the
+///   space build is timed as `CandidateSpace` and the search, visits included,
+///   as `Search` in the arena.
+///
+/// As with [`Matcher::stream`], `config.max_embeddings` is *not* applied: the
+/// visitor owns the budget.
+pub fn stream_with<V: EmbeddingVisitor>(
+    pattern: &Pattern,
+    graph: &LabeledGraph,
+    index: Option<&GraphIndex>,
+    config: IsoConfig,
+    arena: &mut SearchArena,
+    visitor: &mut V,
+) -> bool {
+    if config.backend == EnumeratorBackend::Naive {
+        return ffsm_graph::isomorphism::enumerate_with_visitor(pattern, graph, config, visitor);
+    }
+    let built;
+    let index = match index {
+        Some(index) => index,
+        None => {
+            built = GraphIndex::build(graph);
+            &built
+        }
+    };
+    let matcher =
+        arena.span(ffsm_obs::Phase::CandidateSpace, |_| Matcher::new(pattern, graph, index));
+    arena.add_refine_rounds(matcher.space().refinement_rounds() as u64);
+    arena.span(ffsm_obs::Phase::Search, |arena| matcher.stream_with(config, arena, visitor))
 }
 
 #[cfg(test)]

@@ -68,8 +68,8 @@ use crate::types::{
 };
 use ffsm_approx::{BoundsEvaluator, BoundsOutcome, Certificate, SupportInterval};
 use ffsm_core::{
-    enumerate_with, CancelToken, CandidateSpace, EnumeratorBackend, Evaluation, FfsmError,
-    GraphIndex, Matcher, OccurrenceSet, SearchArena, SupportMeasure,
+    stream_with, CancelToken, CandidateSpace, EnumeratorBackend, Evaluation, FfsmError, GraphIndex,
+    Matcher, OccurrenceSet, RowCollector, SearchArena, SupportMeasure,
 };
 use ffsm_graph::canonical::CanonicalCode;
 use ffsm_graph::isomorphism::IsoConfig;
@@ -419,13 +419,10 @@ impl LevelContext<'_> {
         let built = open.pattern.take();
         let Some(index) = self.index else {
             let pattern = built.unwrap_or_else(|| candidate.pattern());
-            let result = enumerate_with(&pattern, graph, None, iso_config.clone(), arena);
-            let occ = OccurrenceSet::from_embeddings(
-                pattern.into_owned(),
-                result.embeddings,
-                result.complete,
-            );
-            return self.close(&open, &occ);
+            let mut rows =
+                RowCollector::with_limit(pattern.num_vertices(), iso_config.max_embeddings);
+            let complete = stream_with(&pattern, graph, None, iso_config.clone(), arena, &mut rows);
+            return self.close(&open, &rows.into_occurrences(pattern.into_owned(), complete));
         };
         let parent = candidate.parent().and_then(|parent| parent.lists.as_deref());
         // A list shorter than `floor` proves the candidate infrequent.
@@ -458,10 +455,10 @@ impl LevelContext<'_> {
             Err(short) => return self.capped(open, short),
         };
         arena.add_refine_rounds(matcher.space().refinement_rounds() as u64);
-        let result =
-            arena.span(Phase::Search, |arena| matcher.enumerate_with(iso_config.clone(), arena));
-        let occ =
-            OccurrenceSet::from_embeddings(pattern.clone(), result.embeddings, result.complete);
+        let mut rows = RowCollector::with_limit(pattern.num_vertices(), iso_config.max_embeddings);
+        let complete = arena
+            .span(Phase::Search, |arena| matcher.stream_with(iso_config.clone(), arena, &mut rows));
+        let occ = rows.into_occurrences(pattern.clone(), complete);
         let outcome = self.close(&open, &occ);
         let extended = outcome.support >= self.threshold
             && pattern.num_edges() < self.config.max_pattern_edges;
@@ -643,12 +640,6 @@ fn evaluate_level(
                 }
             }
             let pending: Vec<usize> = (0..n).filter(|&i| open[i].is_some()).collect();
-            let workers = cx.config.threads.min(pending.len()).max(1);
-            let mut buckets: Vec<Vec<LevelBuffer>> = (0..workers)
-                .map(|w| {
-                    pending.iter().skip(w).step_by(workers).map(|&i| LevelBuffer::new(i)).collect()
-                })
-                .collect();
             // Every shard enumerates each pending pattern: build each once.
             let patterns: Vec<Cow<'_, Pattern>> = candidates
                 .iter()
@@ -656,6 +647,13 @@ fn evaluate_level(
                 .map(|(candidate, state)| {
                     let built = state.as_mut().and_then(|state| state.pattern.take());
                     built.unwrap_or_else(|| candidate.pattern())
+                })
+                .collect();
+            let workers = cx.config.threads.min(pending.len()).max(1);
+            let mut buckets: Vec<Vec<LevelBuffer>> = (0..workers)
+                .map(|w| {
+                    let mine = pending.iter().skip(w).step_by(workers);
+                    mine.map(|&i| LevelBuffer::new(i, patterns[i].num_vertices())).collect()
                 })
                 .collect();
             if !pending.is_empty() {

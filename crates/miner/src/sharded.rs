@@ -9,15 +9,17 @@
 //!
 //! 1. fetches each shard from the store once per level and takes its
 //!    `GraphIndex` once;
-//! 2. enumerates every such candidate on that shard with the whole-graph
-//!    matcher machinery unchanged, and appends the images the shard owns by
-//!    the anchor-shard rule, remapped to global vertex ids, to the candidate's
-//!    [`LevelBuffer`] (one flat `Vec<VertexId>` of stride
-//!    `pattern.num_vertices()`).
+//! 2. streams every such candidate's search on that shard, with the
+//!    whole-graph matcher machinery unchanged, straight into the candidate's
+//!    [`LevelBuffer`]: each image the shard owns by the anchor-shard rule is
+//!    remapped to global vertex ids and appended as one row of the
+//!    [`EmbeddingRows`] buffer (stride `pattern.num_vertices()`) the
+//!    candidate's occurrence set will own.
 //!
-//! After the last shard, [`LevelBuffer::into_occurrences`] sorts each buffer
-//! into one global [`OccurrenceSet`], which the engine hands to the very same
-//! post-bounds and measure as a whole-graph enumeration.
+//! After the last shard, [`LevelBuffer::into_occurrences`] sorts each buffer's
+//! rows and hands the buffer over as one global [`OccurrenceSet`], which the
+//! engine gives to the very same post-bounds and measure as a whole-graph
+//! enumeration.
 //!
 //! A level therefore costs at most K shard loads however many candidates it
 //! holds, and none when bounds decide all of them.  The engine alternates the
@@ -46,69 +48,76 @@
 use crate::engine::on_workers;
 use crate::session::MiningSession;
 use ffsm_core::{
-    enumerate_with, EnumerationResult, EnumeratorBackend, FfsmError, OccurrenceSet, SearchArena,
+    stream_with, EmbeddingRows, EnumeratorBackend, FfsmError, OccurrenceSet, SearchArena,
 };
-use ffsm_graph::isomorphism::{Embedding, IsoConfig};
+use ffsm_graph::isomorphism::{EmbeddingVisitor, IsoConfig, VisitFlow};
 use ffsm_graph::{Pattern, VertexId};
 use ffsm_shard::{PartitionedGraph, ShardStoreStats};
 use std::borrow::Cow;
 
 /// One candidate's kept occurrences from the shards visited so far in a level,
-/// stored flat: image `k` is `images[k * stride..(k + 1) * stride]` with
-/// `stride` the pattern's vertex count.  One allocation per candidate instead
-/// of one per occurrence keeps a whole level's buffers close to the size of
-/// the vertex ids themselves.
+/// stored flat as the [`EmbeddingRows`] its occurrence set will own: each
+/// shard's search streams its images straight into the rows, one row of
+/// `pattern.num_vertices()` global ids per kept occurrence.  One allocation
+/// per candidate instead of one per occurrence keeps a whole level's buffers
+/// close to the size of the vertex ids themselves.
 #[derive(Debug)]
 pub(crate) struct LevelBuffer {
     /// The candidate's position in its level.
     pub(crate) candidate: usize,
-    images: Vec<VertexId>,
+    rows: EmbeddingRows,
     complete: bool,
     cross_shard: u64,
 }
 
 impl LevelBuffer {
-    pub(crate) fn new(candidate: usize) -> Self {
-        LevelBuffer { candidate, images: Vec::new(), complete: true, cross_shard: 0 }
+    /// An empty buffer for a candidate of `stride` pattern vertices.
+    pub(crate) fn new(candidate: usize, stride: usize) -> Self {
+        LevelBuffer { candidate, rows: EmbeddingRows::new(stride), complete: true, cross_shard: 0 }
     }
 
-    /// Append one shard's enumeration of the candidate: remap every image to
-    /// global ids and keep it only when `shard` owns its anchor (minimum
-    /// global image vertex).
-    fn append(
-        &mut self,
-        result: EnumerationResult,
-        to_global: &[VertexId],
-        assignment: &[u32],
-        shard: u32,
-    ) {
-        self.complete &= result.complete;
-        for local in result.embeddings {
-            let start = self.images.len();
-            self.images.extend(local.iter().map(|&v| to_global[v as usize]));
-            let image = &self.images[start..];
-            let anchor = *image.iter().min().expect("patterns are non-empty");
-            if assignment[anchor as usize] != shard {
-                self.images.truncate(start);
-            } else if image.iter().any(|&v| assignment[v as usize] != shard) {
-                self.cross_shard += 1;
-            }
-        }
-    }
-
-    /// Rebuild the candidate's merged global occurrence set, together with the
+    /// The candidate's merged global occurrence set, together with the
     /// number of kept occurrences that leave the anchor's shard interior.  The
-    /// buffer is consumed, so its memory goes back as soon as its candidate is
-    /// measured.
-    pub(crate) fn into_occurrences(self, pattern: &Pattern) -> (OccurrenceSet, u64) {
-        let mut merged: Vec<Embedding> =
-            self.images.chunks_exact(pattern.num_vertices()).map(<[VertexId]>::to_vec).collect();
-        drop(self.images);
+    /// rows are handed over, so their memory goes back as soon as the
+    /// candidate is measured.
+    pub(crate) fn into_occurrences(mut self, pattern: &Pattern) -> (OccurrenceSet, u64) {
         // Canonical global order: the measures are order-invariant (they are
         // graph invariants of the occurrence hypergraph), sorting just makes
         // the merged set independent of the shard iteration.
-        merged.sort_unstable();
-        (OccurrenceSet::from_embeddings(pattern.clone(), merged, self.complete), self.cross_shard)
+        self.rows.sort_unstable();
+        (OccurrenceSet::from_rows(pattern.clone(), self.rows, self.complete), self.cross_shard)
+    }
+}
+
+/// One shard's search of one candidate, streamed into its [`LevelBuffer`]:
+/// every image is remapped to global ids and kept only when `shard` owns its
+/// anchor (minimum global image vertex).  It has `CollectVisitor`'s
+/// check-before-accept budget, counted over this shard's visits, kept and
+/// dropped alike, so `max_embeddings` bounds each shard enumeration on its own.
+struct ShardRows<'b> {
+    buffer: &'b mut LevelBuffer,
+    to_global: &'b [VertexId],
+    assignment: &'b [u32],
+    shard: u32,
+    seen: usize,
+    max: usize,
+}
+
+impl EmbeddingVisitor for ShardRows<'_> {
+    fn visit(&mut self, local: &[VertexId]) -> VisitFlow {
+        if self.seen >= self.max {
+            return VisitFlow::Stop;
+        }
+        self.seen += 1;
+        let (to_global, assignment) = (self.to_global, self.assignment);
+        let global = |&v: &VertexId| to_global[v as usize];
+        let anchor = local.iter().map(global).min().expect("patterns are non-empty");
+        if assignment[anchor as usize] == self.shard {
+            let cross = local.iter().any(|v| assignment[global(v) as usize] != self.shard);
+            self.buffer.cross_shard += u64::from(cross);
+            self.buffer.rows.push(local.iter().map(global));
+        }
+        VisitFlow::Continue
     }
 }
 
@@ -145,9 +154,18 @@ pub(crate) fn shard_pass(
                 if graph.num_vertices() < pattern.num_vertices() {
                     continue;
                 }
-                let result =
-                    enumerate_with(pattern, graph, index.as_deref(), iso_config.clone(), arena);
-                buffer.append(result, to_global, assignment, s as u32);
+                let max = iso_config.max_embeddings;
+                let mut rows =
+                    ShardRows { buffer, to_global, assignment, shard: s as u32, seen: 0, max };
+                let done = stream_with(
+                    pattern,
+                    graph,
+                    index.as_deref(),
+                    iso_config.clone(),
+                    arena,
+                    &mut rows,
+                );
+                buffer.complete &= done;
             }
         });
     }
@@ -175,10 +193,13 @@ pub type ShardedSession = MiningSession;
 
 #[cfg(test)]
 mod tests {
+    use super::{shard_pass, LevelBuffer};
     use crate::{Completion, MiningResult, MiningSession, Phase, PreparedGraph};
-    use ffsm_core::{CancelToken, FfsmError};
-    use ffsm_graph::generators;
+    use ffsm_core::{CancelToken, EnumeratorBackend, FfsmError, Matcher, SearchArena};
+    use ffsm_graph::isomorphism::{enumerate_embeddings, Embedding, IsoConfig};
+    use ffsm_graph::{generators, Pattern};
     use ffsm_shard::{PartitionSpec, PartitionedGraph};
+    use std::borrow::Cow;
     use std::sync::Arc;
 
     fn fingerprints(result: &MiningResult) -> Vec<(String, u64, usize)> {
@@ -195,6 +216,96 @@ mod tests {
             .collect();
         v.sort();
         v
+    }
+
+    /// The merge as vectors, one shard after another: each shard's
+    /// embeddings collected by the backend's own path, remapped, kept by the
+    /// anchor rule, and sorted once at the end.
+    fn vec_reference(
+        parts: &PartitionedGraph,
+        pattern: &Pattern,
+        config: &IsoConfig,
+    ) -> (Vec<Embedding>, bool, u64) {
+        let assignment = parts.assignment();
+        let (mut merged, mut complete, mut cross) = (Vec::new(), true, 0);
+        for s in 0..parts.num_shards() {
+            let shard = parts.shard(s).unwrap();
+            if shard.graph().num_vertices() < pattern.num_vertices() {
+                continue;
+            }
+            let result = match config.backend {
+                EnumeratorBackend::Naive => {
+                    enumerate_embeddings(pattern, shard.graph(), config.clone())
+                }
+                EnumeratorBackend::CandidateSpace => {
+                    let index = shard.index();
+                    Matcher::new(pattern, shard.graph(), &index).enumerate(config.clone())
+                }
+            };
+            complete &= result.complete;
+            for local in result.embeddings {
+                let global: Embedding =
+                    local.iter().map(|&v| shard.to_global()[v as usize]).collect();
+                let anchor = *global.iter().min().unwrap();
+                if assignment[anchor as usize] == s as u32 {
+                    cross += u64::from(global.iter().any(|&v| assignment[v as usize] != s as u32));
+                    merged.push(global);
+                }
+            }
+        }
+        merged.sort_unstable();
+        (merged, complete, cross)
+    }
+
+    /// Rows streamed into level buffers and sorted equal the vector merge,
+    /// row for row, with the same `complete` and cross-shard count: random
+    /// graphs, shard counts, worker splits and shard orders, both backends,
+    /// unbounded and with a per-shard budget that truncates.
+    #[test]
+    fn level_buffers_equal_the_sorted_vector_reference() {
+        let mut checked = 0;
+        for seed in 0..24u64 {
+            let graph = ffsm_graph::transform::shuffle_vertices(
+                &generators::community_graph(3, 10, 0.35, 0.05, 3, seed),
+                seed,
+            );
+            let k = 1 + seed as usize % 5;
+            let parts = PartitionedGraph::build(&graph, PartitionSpec::vertex_range(k, 2)).unwrap();
+            let patterns: Vec<Cow<'_, Pattern>> = (1..=2)
+                .filter_map(|edges| {
+                    generators::sample_pattern(&graph, edges, seed * 3 + edges as u64)
+                })
+                .map(|(pattern, _)| Cow::Owned(pattern))
+                .collect();
+            let workers = 1 + seed as usize % 3;
+            for backend in [EnumeratorBackend::CandidateSpace, EnumeratorBackend::Naive] {
+                for limit in [7, usize::MAX] {
+                    let config = IsoConfig::with_limit(limit).with_backend(backend);
+                    let mut buckets: Vec<Vec<LevelBuffer>> = (0..workers)
+                        .map(|w| {
+                            let mine = (w..patterns.len()).step_by(workers);
+                            mine.map(|i| LevelBuffer::new(i, patterns[i].num_vertices())).collect()
+                        })
+                        .collect();
+                    let mut arenas: Vec<SearchArena> =
+                        (0..workers).map(|_| SearchArena::new()).collect();
+                    let descending = seed % 2 == 1;
+                    shard_pass(&parts, &patterns, &mut buckets, &mut arenas, &config, descending)
+                        .unwrap();
+                    for buffer in buckets.into_iter().flatten() {
+                        let pattern = &patterns[buffer.candidate];
+                        let (occ, cross) = buffer.into_occurrences(pattern);
+                        let (merged, complete, reference_cross) =
+                            vec_reference(&parts, pattern, &config);
+                        assert_eq!(occ.embeddings().to_vec(), merged, "seed {seed}, {backend}");
+                        assert_eq!(occ.is_complete(), complete, "seed {seed}, {backend}");
+                        assert_eq!(cross, reference_cross, "seed {seed}, {backend}");
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked >= 150, "pattern sampling failed too often ({checked} checks)");
     }
 
     #[test]
